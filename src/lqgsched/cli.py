@@ -3,8 +3,9 @@
 Problem files are JSON with row-major nested arrays for matrices and plain
 floats elsewhere; numbers are emitted in shortest round-trip decimal form so
 a file written by the tool re-parses to the identical problem. Exit codes:
-0 success, 2 validation failure, 3 solver non-convergence, 4 verification
-failure. Set LQGSCHED_OUT_DIR to prefix relative --out paths.
+0 success, 2 validation failure (an unreadable problem file included), 3
+solver non-convergence, 4 verification failure; main reports every failure
+the same way. Set LQGSCHED_OUT_DIR to prefix relative --out paths.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import argparse
 import json
 import os
 import sys as _sys
+from decimal import Decimal
 
 import numpy as np
 
 from .model import CostModel, LinearSystem, Problem, validate
 from .oracle import verify_solution
-from .policy import NonFiniteSearch, optimal_period, value_at
-from .riccati import NonConvergence, lyapunov_solve, spectral_radius
+from .policy import NonFiniteSearch, _solve_prices, optimal_period, value_at
+from .riccati import NonConvergence
 from .sim import (
     ALWAYS_MEASURE,
     NEVER_MEASURE,
@@ -100,35 +102,45 @@ def _fmt_matrix(name: str, M: np.ndarray) -> str:
     return f"{name}:\n{rows}"
 
 
-def _solve_problem(problem: Problem):
+class _Failure(Exception):
+    """A command that cannot go on: its exit code, JSON error payload and stderr text."""
+
+    def __init__(self, code: int, payload: dict, human: str):
+        super().__init__(human)
+        self.code, self.payload, self.human = code, payload, human
+
+
+def _read_problem(path: str, O_override: float | None = None) -> Problem:
+    try:
+        return load_problem(path, O_override)
+    except KeyError as e:
+        message = f"{path}: missing key {e.args[0]!r}"
+    except (OSError, ValueError, TypeError) as e:
+        message = f"{path}: {e}"
+    raise _Failure(EXIT_VALIDATION, {"code": "bad_problem", "message": message}, f"bad problem file: {message}")
+
+
+def _require_valid(problem: Problem) -> None:
     violations = validate(problem)
     if violations:
-        raise _ValidationFailure(violations)
+        raise _Failure(
+            EXIT_VALIDATION,
+            {"code": "validation", "violations": [{"code": v.code, "message": v.message} for v in violations]},
+            "validation failed:\n" + "\n".join(f"  {v}" for v in violations),
+        )
+
+
+def _solve_problem(problem: Problem):
+    _require_valid(problem)
     return optimal_period(problem.sys, problem.cost)
 
 
-class _ValidationFailure(Exception):
-    def __init__(self, violations):
-        self.violations = violations
-
-
 def cmd_solve(args) -> int:
-    problem = load_problem(args.problem, args.O)
-    try:
-        ps = _solve_problem(problem)
-    except _ValidationFailure as e:
-        return _fail(
-            args, EXIT_VALIDATION,
-            {"code": "validation", "violations": [{"code": v.code, "message": v.message} for v in e.violations]},
-            "validation failed:\n" + "\n".join(f"  {v}" for v in e.violations),
-        )
-    except (NonConvergence, NonFiniteSearch) as e:
-        return _fail(args, EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
-
+    problem = _read_problem(args.problem, args.O)
+    ps = _solve_problem(problem)
     vals = value_at(ps, problem.x0)
     eig_mags = sorted(np.abs(np.linalg.eigvals(problem.sys.A)).tolist(), reverse=True)
-    stable = spectral_radius(problem.sys.A) < 1.0 - 1e-9
-    W = lyapunov_solve(problem.sys) if stable else None
+    W = None if ps.never_threshold is None else ps._table.W  # solved once with the threshold
 
     if args.format == "json":
         doc = {
@@ -183,16 +195,18 @@ def _sweep_prices(args) -> list[float]:
             raise ValueError("--O-log requires --O-min and --O-max")
         if args.O_min <= 0:
             raise ValueError("--O-min must be positive for a log sweep")
-        return list(np.geomspace(args.O_min, args.O_max, int(args.O_log)))
+        return [float(O) for O in np.geomspace(args.O_min, args.O_max, int(args.O_log))]
     if args.O_min is None or args.O_max is None or args.O_step is None:
         raise ValueError("sweep needs --O-min, --O-max and --O-step (or --O-log)")
     if args.O_step <= 0:
         raise ValueError("--O-step must be positive")
+    if not all(map(np.isfinite, (args.O_min, args.O_max, args.O_step))):
+        raise ValueError("--O-min, --O-max and --O-step must be finite")
+    # O_min + k*step in decimal, so a step of 0.1 prints 0.3 and not 0.30000000000000004.
+    lo, step = Decimal(repr(args.O_min)), Decimal(repr(args.O_step))
     out = []
-    O = args.O_min
-    while O <= args.O_max + 1e-12:
-        out.append(float(O))
-        O += args.O_step
+    while (O := float(lo + len(out) * step)) <= args.O_max + 1e-12:
+        out.append(O)
     return out
 
 
@@ -200,26 +214,15 @@ def cmd_sweep(args) -> int:
     try:
         prices = _sweep_prices(args)
     except ValueError as e:
-        return _fail(args, EXIT_VALIDATION, {"code": "bad_range", "message": str(e)}, str(e))
-    problem = load_problem(args.problem)
-    violations = validate(
-        Problem(sys=problem.sys, cost=CostModel(problem.cost.Q, problem.cost.R, problem.cost.beta, 0.0), x0=problem.x0)
-    )
-    if violations:
-        return _fail(
-            args, EXIT_VALIDATION,
-            {"code": "validation", "violations": [{"code": v.code, "message": v.message} for v in violations]},
-            "validation failed:\n" + "\n".join(f"  {v}" for v in violations),
-        )
+        raise _Failure(EXIT_VALIDATION, {"code": "bad_range", "message": str(e)}, str(e)) from e
+    problem = _read_problem(args.problem)
+    cost = CostModel(problem.cost.Q, problem.cost.R, problem.cost.beta, 0.0)
+    _require_valid(Problem(sys=problem.sys, cost=cost, x0=problem.x0))
 
-    beta = problem.cost.beta
+    beta = cost.beta
     rows = []
-    for O in prices:
-        cost = CostModel(problem.cost.Q, problem.cost.R, beta, O)
-        try:
-            ps = optimal_period(problem.sys, cost)
-        except (NonConvergence, NonFiniteSearch) as e:
-            return _fail(args, EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, str(e))
+    for ps in _solve_prices(problem.sys, cost, prices):
+        O = ps.O
         vals = value_at(ps, problem.x0)
         if ps.finite:
             T = ps.period
@@ -264,22 +267,12 @@ def _parse_strategy(token: str) -> Strategy:
 
 
 def cmd_simulate(args) -> int:
-    problem = load_problem(args.problem, args.O)
+    problem = _read_problem(args.problem, args.O)
     try:
         strategy = _parse_strategy(args.strategy)
     except ValueError as e:
-        return _fail(args, EXIT_VALIDATION, {"code": "bad_strategy", "message": str(e)}, str(e))
-    try:
-        ps = _solve_problem(problem)
-    except _ValidationFailure as e:
-        return _fail(
-            args, EXIT_VALIDATION,
-            {"code": "validation", "violations": [{"code": v.code, "message": v.message} for v in e.violations]},
-            "validation failed:\n" + "\n".join(f"  {v}" for v in e.violations),
-        )
-    except (NonConvergence, NonFiniteSearch) as e:
-        return _fail(args, EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
-
+        raise _Failure(EXIT_VALIDATION, {"code": "bad_strategy", "message": str(e)}, str(e)) from e
+    ps = _solve_problem(problem)
     cfg = SimConfig(horizon=args.horizon, seed=args.seed, n_runs=args.runs, strategy=strategy)
     rec = simulate(problem, ps, cfg)
 
@@ -308,18 +301,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = load_problem(args.problem, args.O)
-    try:
-        ps = _solve_problem(problem)
-    except _ValidationFailure as e:
-        return _fail(
-            args, EXIT_VALIDATION,
-            {"code": "validation", "violations": [{"code": v.code, "message": v.message} for v in e.violations]},
-            "validation failed:\n" + "\n".join(f"  {v}" for v in e.violations),
-        )
-    except (NonConvergence, NonFiniteSearch) as e:
-        return _fail(args, EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
-
+    problem = _read_problem(args.problem, args.O)
+    ps = _solve_problem(problem)
     report = verify_solution(problem.sys, problem.cost, ps, x_probe=problem.x0)
     doc = {
         "passed": report.passed,
@@ -386,7 +369,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as e:
+        return _fail(args, e.code, e.payload, e.human)
+    except (NonConvergence, NonFiniteSearch) as e:
+        return _fail(args, EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
 
 
 def entry() -> None:

@@ -1,30 +1,33 @@
 """Optimal measurement scheduling for the discounted LQG loop with paid queries.
 
-Given the Riccati solution (P, K, phi), the per-query price O determines the
-optimal waiting time T* between state queries: the scheduler accumulates the
-weighted phase terms
+Every scheduling quantity is a prefix sum over one price-independent phase
+sequence g[t] = Tr((A')^t G A^t phi), G = C' Sigma_S C, held with its prefix
+sums in one table per (sys, beta, are):
 
-    S(T) = sum_{t=0}^{T-1} (1 - beta^{t+1})/(1 - beta) * Tr((A')^t G A^t phi),
-    G = C' Sigma_S C,
+    tr[T] = sum_{t<T} g[t] = Tr(P_T phi),
+    S[T]  = sum_{t<T} (1 - beta^{t+1})/(1 - beta) g[t],
+    E[T]  = sum_{t<T} beta^t tr[t].
 
-and T* is the first T with S(T) > O. For Schur-stable A the limit S(inf)
-exists and equals the never-measure threshold: any O at or above it makes
-waiting forever optimal. The state-independent value offset r solves the
-scalar fixed-point equation r = min_T f(T, r) and is computed here in closed
-form per case; the brute-force iteration lives in the oracle module.
+The optimal waiting time T* is the first T with S(T) > O. For Schur-stable A,
+S(inf) is the never-measure threshold Tr(W_inf phi)/(1 - beta) - E[inf]: any
+O at or above it makes waiting forever optimal. The value offset r solves
+r = min_T f(T, r) and is read off the table in closed form per case (the
+brute-force iteration lives in the oracle module). A price sweep shares one
+Riccati solve and one table across its prices.
 
-Covariance convention: the planning sequence P_t follows the adjoint
-recursion P_{t+1} = A' P_t A + G. A physical simulation of the plant
-propagates forward (A Cov A' + C Sigma_S C'), which differs on non-normal A;
-the simulator and oracle modules quantify that gap. All scheduling and value
-formulas here use the adjoint form consistently.
+Covariance convention: P_t follows the adjoint recursion P_{t+1} = A' P_t A + G
+(error_cov_seq builds these matrices; the tests check the table against it).
+A physical simulation propagates forward (A Cov A' + C Sigma_S C'), which
+differs on non-normal A; the simulator and oracle modules quantify that gap.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +61,61 @@ class MeasureCase(Enum):
     NEVER_MEASURE = "never_measure"
 
 
+class _PhaseTable:
+    """Prefix sums tr, S and E of the phase sequence of one (sys, beta, are).
+
+    Index T of each list sums the first T phases, so every list starts at 0.0.
+    The lists grow on demand; W_inf is solved once, on first use.
+    """
+
+    def __init__(self, sys: LinearSystem, beta: float, are: AreSolution):
+        self.sys, self.beta, self.are = sys, beta, are
+        self.noise = float(np.trace(sys.Sigma_S @ sys.C.T @ are.P @ sys.C))  # Tr(Sigma_S C'PC)
+        self.tr, self.S, self.E = [0.0], [0.0], [0.0]
+        self._M = sys.noise_gram()  # (A')^n G A^n for the next phase n
+
+    def _push(self) -> None:
+        t, beta = len(self.tr) - 1, self.beta
+        g = float(np.trace(self._M @ self.are.phi))
+        self._M = self.sys.A.T @ self._M @ self.sys.A
+        self.E.append(self.E[-1] + beta**t * self.tr[-1])
+        self.S.append(self.S[-1] + (1.0 - beta ** (t + 1)) / (1.0 - beta) * g)
+        self.tr.append(self.tr[-1] + g)
+
+    def grow(self, n: int) -> _PhaseTable:
+        """Hold at least n phases."""
+        while len(self.tr) <= n:
+            self._push()
+        return self
+
+    def period(self, O: float, T_cap: int) -> int | None:
+        """First T <= T_cap with S[T] > O, or None if there is none."""
+        while len(self.S) <= T_cap and self.S[-1] <= O:
+            self._push()
+        hi = min(len(self.S), T_cap + 1)
+        T = bisect.bisect_right(self.S, O, 1, hi)
+        return T if T < hi else None
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """sum_t (A')^t G A^t; raises UnstableA unless A is Schur-stable."""
+        return lyapunov_solve(self.sys)
+
+    @cached_property
+    def E_inf(self) -> float:
+        """E[inf], cut once the tail bound beta^t Tr(W_inf phi)/(1 - beta) drops below TAIL_TOL."""
+        w_trace, beta = float(np.trace(self.W @ self.are.phi)), self.beta
+        n = 0
+        while beta**n * w_trace / (1.0 - beta) >= TAIL_TOL:
+            n += 1
+        self.grow(n)
+        return self.E[n]
+
+    @property
+    def threshold(self) -> float:
+        return float(np.trace(self.W @ self.are.phi)) / (1.0 - self.beta) - self.E_inf
+
+
 @dataclass(frozen=True)
 class PolicySolution:
     """Solved schedule: waiting time T_star, value offset r, and inputs.
@@ -74,6 +132,7 @@ class PolicySolution:
     O: float
     case_id: MeasureCase
     never_threshold: float | None = None
+    _table: _PhaseTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def finite(self) -> bool:
@@ -116,23 +175,14 @@ def error_cov_seq(sys: LinearSystem, T: int) -> ErrorCovSeq:
     return ErrorCovSeq(cov=cov)
 
 
-def _noise_step_trace(sys: LinearSystem, P: np.ndarray) -> float:
-    """Tr(Sigma_S C'PC), the per-step cost floor paid to process noise."""
-    return float(np.trace(sys.Sigma_S @ sys.C.T @ P @ sys.C))
-
-
-def _phase_terms(sys: LinearSystem, phi: np.ndarray, n: int) -> np.ndarray:
-    """g[t] = Tr((A')^t G A^t phi) for t = 0..n-1."""
-    g = np.empty(n)
-    M = sys.noise_gram()
-    for t in range(n):
-        g[t] = float(np.trace(M @ phi))
-        M = sys.A.T @ M @ sys.A
-    return g
-
-
 class NonFiniteSearch(RuntimeError):
     """Bracket search exhausted its cap without locating a finite waiting time."""
+
+
+def _table_for(T: int, sys: LinearSystem, cost: CostModel, are: AreSolution) -> _PhaseTable:
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    return _PhaseTable(sys, cost.beta, are).grow(T)
 
 
 def f_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:
@@ -143,13 +193,9 @@ def f_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSoluti
             + beta^T (r + O).
     The offset r solves r = min_{T >= 1} f(T, r).
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    beta = cost.beta
-    seq = error_cov_seq(sys, T - 1)
-    err_sum = sum(beta**t * float(np.trace(seq[t] @ are.phi)) for t in range(T))
-    noise_sum = _noise_step_trace(sys, are.P) * beta * (1.0 - beta**T) / (1.0 - beta)
-    return err_sum + noise_sum + beta**T * (r + cost.O)
+    table, beta = _table_for(T, sys, cost, are), cost.beta
+    noise_sum = table.noise * beta * (1.0 - beta**T) / (1.0 - beta)
+    return table.E[T] + noise_sum + beta**T * (r + cost.O)
 
 
 def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:
@@ -158,46 +204,42 @@ def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSoluti
     h(T, r) = Tr(P_T phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O), and is
     nondecreasing in T, so the sign change of h locates the minimizer of f.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    beta = cost.beta
-    g = _phase_terms(sys, are.phi, T)
-    return float(np.sum(g)) + beta * _noise_step_trace(sys, are.P) - (1.0 - beta) * (r + cost.O)
+    table, beta = _table_for(T, sys, cost, are), cost.beta
+    return table.tr[T] + beta * table.noise - (1.0 - beta) * (r + cost.O)
 
 
-def _discounted_err_trace_sum(
-    sys: LinearSystem, cost: CostModel, phi: np.ndarray, trace_bound: float
-) -> float:
-    """sum_{t>=0} beta^t Tr(P_t phi), truncated once the tail bound drops below TAIL_TOL.
-
-    trace_bound must dominate Tr(P_t phi) for all t (Tr(W_inf phi) works since
-    P_t <= W_inf in the PSD order for stable A).
-    """
-    beta = cost.beta
-    G = sys.noise_gram()
-    P = np.zeros((sys.q, sys.q))
-    total = 0.0
-    t = 0
-    while beta**t * trace_bound / (1.0 - beta) >= TAIL_TOL:
-        total += beta**t * float(np.trace(P @ phi))
-        P = sys.A.T @ P @ sys.A + G
-        t += 1
-    return total
-
-
-def never_measure_threshold(
-    sys: LinearSystem, cost: CostModel, are: AreSolution | None = None
-) -> float:
+def never_measure_threshold(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> float:
     """Price above which a Schur-stable loop should never buy a measurement.
 
     Equals Tr(W_inf phi)/(1 - beta) - sum_t beta^t Tr(P_t phi); requires
     spectral_radius(A) < 1 and raises UnstableA otherwise.
     """
-    W = lyapunov_solve(sys)  # raises UnstableA for unstable A
-    if are is None:
-        are = dare_solve(sys, cost)
-    w_trace = float(np.trace(W @ are.phi))
-    return w_trace / (1.0 - cost.beta) - _discounted_err_trace_sum(sys, cost, are.phi, w_trace)
+    return _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost)).threshold
+
+
+def _solve_prices(sys: LinearSystem, cost: CostModel, prices: list[float], are: AreSolution | None = None,
+                  T_cap: int = T_SEARCH_CAP) -> list[PolicySolution]:
+    """The schedule at each price (cost.O is ignored): one Riccati solve, one table, at most one W_inf."""
+    table = _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost))
+    threshold = table.threshold if spectral_radius(sys.A) < 1.0 - 1e-9 else None
+    return [_solve_price(table, replace(cost, O=O), threshold, T_cap) for O in prices]
+
+
+def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None, T_cap: int) -> PolicySolution:
+    beta, O = cost.beta, cost.O
+    common = dict(sys=table.sys, cost=cost, are=table.are, O=O, never_threshold=threshold, _table=table)
+    if threshold is not None and O >= threshold:
+        r = table.E_inf + beta / (1.0 - beta) * table.noise
+        return PolicySolution(T_star=math.inf, r=r, case_id=MeasureCase.NEVER_MEASURE, **common)
+    T = table.period(O, T_cap)
+    if T is None:
+        raise NonFiniteSearch(
+            f"no waiting time up to {T_cap} exceeded the bracket for O={O}; "
+            "O is within tolerance of the never-measure threshold"
+        )
+    r = table.E[T] / (1.0 - beta**T) + beta / (1.0 - beta) * table.noise + beta**T * O / (1.0 - beta**T)
+    case = MeasureCase.MEASURE_EVERY_STEP if T == 1 else MeasureCase.FINITE_PERIOD
+    return PolicySolution(T_star=float(T), r=r, case_id=case, **common)
 
 
 def optimal_period(
@@ -208,58 +250,13 @@ def optimal_period(
 ) -> PolicySolution:
     """Solve for the optimal waiting time T* and the value offset r.
 
-    The bracket sums S(T) are accumulated until S(T) > O, which resolves a
-    price sitting exactly on a bracket boundary toward the longer wait. For
-    stable A the never-measure threshold is checked first; an exhausted
-    search cap means O sits just under the threshold and is reported as an
-    error rather than a schedule.
+    T* is the first T with S(T) > O, which resolves a price sitting exactly
+    on a bracket boundary toward the longer wait. For stable A the
+    never-measure threshold is checked first; an exhausted search cap means
+    O sits just under the threshold and is reported as an error rather than
+    a schedule.
     """
-    if are is None:
-        are = dare_solve(sys, cost)
-    beta, O = cost.beta, cost.O
-
-    threshold = None
-    if spectral_radius(sys.A) < 1.0 - 1e-9:
-        threshold = never_measure_threshold(sys, cost, are)
-        if O >= threshold:
-            w_trace = float(np.trace(lyapunov_solve(sys) @ are.phi))
-            r = (
-                _discounted_err_trace_sum(sys, cost, are.phi, w_trace)
-                + beta / (1.0 - beta) * _noise_step_trace(sys, are.P)
-            )
-            return PolicySolution(
-                sys=sys, cost=cost, are=are, T_star=math.inf, r=r, O=O,
-                case_id=MeasureCase.NEVER_MEASURE, never_threshold=threshold,
-            )
-
-    G = sys.noise_gram()
-    M = G.copy()  # (A')^t G A^t
-    bracket = 0.0
-    T_star = None
-    for t in range(T_cap):
-        bracket += (1.0 - beta ** (t + 1)) / (1.0 - beta) * float(np.trace(M @ are.phi))
-        if bracket > O:
-            T_star = t + 1
-            break
-        M = sys.A.T @ M @ sys.A
-    if T_star is None:
-        raise NonFiniteSearch(
-            f"no waiting time up to {T_cap} exceeded the bracket for O={O}; "
-            "O is within tolerance of the never-measure threshold"
-        )
-
-    seq = error_cov_seq(sys, T_star - 1)
-    err_sum = sum(beta**t * float(np.trace(seq[t] @ are.phi)) for t in range(T_star))
-    r = (
-        err_sum / (1.0 - beta**T_star)
-        + beta / (1.0 - beta) * _noise_step_trace(sys, are.P)
-        + beta**T_star * O / (1.0 - beta**T_star)
-    )
-    case = MeasureCase.MEASURE_EVERY_STEP if T_star == 1 else MeasureCase.FINITE_PERIOD
-    return PolicySolution(
-        sys=sys, cost=cost, are=are, T_star=float(T_star), r=r, O=O,
-        case_id=case, never_threshold=threshold,
-    )
+    return _solve_prices(sys, cost, [cost.O], are, T_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -288,11 +285,11 @@ def value_at(ps: PolicySolution, x: np.ndarray) -> ValueSummary:
     """Evaluate the schedule's value function and comparison figures at x."""
     x = np.asarray(x, dtype=float).ravel()
     beta, O = ps.cost.beta, ps.O
+    table = ps._table or _PhaseTable(ps.sys, beta, ps.are)
     xPx = float(x @ ps.are.P @ x)
-    noise = _noise_step_trace(ps.sys, ps.are.P)
 
     V = xPx + ps.r
-    V_c = xPx + beta / (1.0 - beta) * noise
+    V_c = xPx + beta / (1.0 - beta) * table.noise
     V_e = V_c + beta * O / (1.0 - beta)
     V_e_bare = xPx + beta * O / (1.0 - beta)
 
@@ -307,9 +304,8 @@ def value_at(ps: PolicySolution, x: np.ndarray) -> ValueSummary:
     V_s = V - outlay
 
     if T >= 2:
-        seq = error_cov_seq(ps.sys, T - 2)
-        short = sum(beta**t * float(np.trace(seq[t] @ ps.are.phi)) for t in range(T - 1))
-        V_s_rep = V_c + short / (1.0 - beta ** (T - 1))
+        table.grow(T)
+        V_s_rep = V_c + table.E[T - 1] / (1.0 - beta ** (T - 1))
     else:
         V_s_rep = V_c
     V_rep = V_s_rep + outlay

@@ -2,9 +2,10 @@
 
 The discounted algebraic Riccati equation is solved by fixed-point value
 iteration, which converges geometrically for beta < 1; no structured
-eigen-solver is involved. All solves against R + beta*B'LB go through a
-Cholesky factorization since that matrix is positive definite whenever
-R > 0 and L >= 0.
+eigen-solver is involved. All solves against R + beta*B'LB go through
+numpy's Cholesky factorization, since that matrix is positive definite
+whenever R > 0 and L >= 0; a matrix that is not raises LinAlgError. Only
+numpy is needed at run time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import CostModel, LinearSystem, controllability_check, observability_check
 
@@ -66,7 +66,8 @@ def _gain_and_sensitivity(L: np.ndarray, sys: LinearSystem, cost: CostModel):
     beta, B, A = cost.beta, sys.B, sys.A
     S = cost.R + beta * (B.T @ L @ B)
     S = (S + S.T) / 2.0
-    K = cho_solve(cho_factor(S), beta * (B.T @ L @ A))
+    Lc = np.linalg.cholesky(S)  # raises LinAlgError unless S is positive definite
+    K = np.linalg.solve(Lc.T, np.linalg.solve(Lc, beta * (B.T @ L @ A)))
     phi = (beta * (A.T @ L @ B)) @ K
     return K, (phi + phi.T) / 2.0
 
@@ -112,9 +113,10 @@ def dare_solve(
             K, phi = _gain_and_sensitivity(L, sys, cost)
             residual = float(np.max(np.abs(L - riccati_map(L, sys, cost))))
             return AreSolution(P=L, K=K, phi=phi, iterations=it, residual=residual)
+        if not np.isfinite(diff):  # the iterates overflowed: (sqrt(beta) A, B) is not stabilizable
+            break
     raise NonConvergence(
-        f"Riccati iteration did not reach tol={tol} within {max_iter} steps "
-        f"(last step {diff:.3e})",
+        f"Riccati iteration did not reach tol={tol} in {it} steps (last step {diff:.3e})",
         residual=diff,
     )
 

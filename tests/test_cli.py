@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import lqgsched.cli as cli
-from lqgsched import verify_solution
+import lqgsched.riccati as riccati
+from lqgsched import NonConvergence, verify_solution
 from lqgsched.cli import load_problem, main, save_problem
 
 from conftest import make_problem, A1
@@ -109,9 +111,148 @@ def test_log_sweep_growth_shape(capsys):
     assert Ts[-1] - Ts[0] >= 5
 
 
+def test_sweep_prices_do_not_drift(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--problem", SYS1, "--O-min", "0", "--O-max", "1", "--O-step", "0.1"
+    )
+    assert code == 0
+    prices = [l.split(",")[0] for l in out.strip().split("\n")[1:]]
+    assert prices == [repr(k / 10) for k in range(11)]
+
+
+@pytest.mark.parametrize("sweep_args", [
+    ("--O-min", "0", "--O-max", "12", "--O-step", "0.75"),
+    ("--O-min", "0.01", "--O-max", "1000", "--O-log", "7"),
+])
+@pytest.mark.parametrize("problem", [SYS1, SYS2])
+def test_sweep_row_equals_solve(capsys, problem, sweep_args):
+    code, out, _ = run(capsys, "sweep", "--problem", problem, *sweep_args, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) >= 7
+    for row in rows:
+        code, out, _ = run(capsys, "solve", "--problem", problem, "--O", repr(row["O"]), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        shared = set(row) & set(doc)
+        assert shared >= {"O", "T_star", "r", "V", "V_s", "V_e", "V_reported", "V_s_reported"}
+        assert {k: row[k] for k in shared} == {k: doc[k] for k in shared}
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of a riccati function through every lqgsched module that binds it."""
+    original, calls = getattr(riccati, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("lqgsched")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--O-min", "0", "--O-max", "300", "--O-step", "10"),
+    ("solve", "--O", "1"),
+    ("solve", "--O", "10"),
+])
+@pytest.mark.parametrize("problem", [SYS1, SYS2])
+def test_one_riccati_solve_per_command(capsys, monkeypatch, problem, argv):
+    dare = _count_calls(monkeypatch, "dare_solve")
+    lyap = _count_calls(monkeypatch, "lyapunov_solve")
+    code, _, _ = run(capsys, argv[0], "--problem", problem, *argv[1:])
+    assert code == 0
+    assert len(dare) == 1
+    assert len(lyap) <= 1
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _bad_problem_files(tmp_path):
+    with open(SYS1) as fh:
+        d = json.load(fh)
+    del d["B"]
+    return {
+        "missing file": str(tmp_path / "absent.json"),
+        "malformed json": _write(tmp_path, "malformed.json", "{\"A\": [[1.0]"),
+        "missing key": _write(tmp_path, "no_B.json", json.dumps(d)),
+    }
+
+
+COMMANDS = [
+    ("solve",),
+    ("sweep", "--O-min", "0", "--O-max", "10", "--O-step", "5"),
+    ("simulate", "--horizon", "10"),
+    ("verify",),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+@pytest.mark.parametrize("case", ["missing file", "malformed json", "missing key"])
+def test_bad_problem_file_exits_2(tmp_path, capsys, command, fmt, case):
+    path = _bad_problem_files(tmp_path)[case]
+    code, out, err = run(capsys, command[0], "--problem", path, *command[1:], "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "bad_problem"
+    else:
+        assert out == "" and err.startswith("bad problem file: ")
+    if case == "missing key":
+        assert "'B'" in (out if fmt == "json" else err)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_validation_failure_exits_2(tmp_path, capsys, command, fmt):
+    with open(SYS1) as fh:
+        d = json.load(fh)
+    d["R"] = [[-1.0, 0.0], [0.0, 0.2]]
+    path = _write(tmp_path, "bad_R.json", json.dumps(d))
+    code, out, err = run(capsys, command[0], "--problem", path, *command[1:], "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        doc = json.loads(out)["error"]
+        assert doc["code"] == "validation"
+        assert [v["code"] for v in doc["violations"]] == ["R_not_pd"]
+    else:
+        assert out == "" and err.startswith("validation failed:") and "R_not_pd" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_non_convergence_exits_3(capsys, monkeypatch, command, fmt):
+    def diverges(*args, **kwargs):
+        raise NonConvergence("Riccati iteration did not converge", residual=1.0)
+
+    monkeypatch.setattr("lqgsched.policy.dare_solve", diverges)
+    code, out, err = run(capsys, command[0], "--problem", SYS1, *command[1:], "--format", fmt)
+    assert code == 3
+    if fmt == "json":
+        assert json.loads(out) == {"error": {"code": "non_convergence", "message": "Riccati iteration did not converge"}}
+    else:
+        assert out == "" and err == "solver failed: Riccati iteration did not converge\n"
+
+
 def test_sweep_needs_range(capsys):
     code, _, err = run(capsys, "sweep", "--problem", SYS1)
     assert code == 2
+
+
+@pytest.mark.parametrize("bounds", [("0", "inf", "1"), ("0", "10", "nan")])
+def test_sweep_rejects_non_finite_range(capsys, bounds):
+    lo, hi, step = bounds
+    code, out, _ = run(
+        capsys, "sweep", "--problem", SYS1, "--O-min", lo, "--O-max", hi, "--O-step", step, "--format", "json"
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "bad_range"
 
 
 def test_simulate_csv_and_summary(tmp_path, capsys):

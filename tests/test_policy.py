@@ -18,6 +18,8 @@ from lqgsched import (
     value_at,
 )
 
+from lqgsched.policy import TAIL_TOL, _PhaseTable
+
 from conftest import (
     A1,
     A2,
@@ -77,6 +79,54 @@ def test_error_cov_seq_psd_nondecreasing():
     seq = error_cov_seq(sys, 10)
     for t in range(10):
         assert np.min(np.linalg.eigvalsh(seq[t + 1] - seq[t])) >= -1e-10
+
+
+def _rel(a, b, scale=None):
+    scale = max(abs(a), abs(b)) if scale is None else scale
+    return 0.0 if a == b else abs(a - b) / scale
+
+
+def test_phase_table_matches_error_cov_seq():
+    # Every table lookup against brute-force sums over the matrices P_t of
+    # error_cov_seq, with g[t] = Tr((P_{t+1} - P_t) phi).
+    rng = np.random.default_rng(29)
+    n_stable = 0
+    for _ in range(20):
+        sys, cost = random_admissible(rng)
+        are = dare_solve(sys, cost)
+        beta, noise, r = cost.beta, noise_rate(sys, are.P), float(rng.uniform(0.0, 20.0))
+        cost = CostModel(Q=cost.Q, R=cost.R, beta=beta, O=float(rng.uniform(0.0, 5.0)))
+        n = 30
+        seq = error_cov_seq(sys, n)
+        tr = [float(np.trace(seq[t] @ are.phi)) for t in range(n + 1)]
+        g = [float(np.trace((seq[t + 1] - seq[t]) @ are.phi)) for t in range(n)]
+        table = _PhaseTable(sys, beta, are).grow(n)
+        for T in range(1, n + 1):
+            S = sum((1.0 - beta ** (t + 1)) / (1.0 - beta) * g[t] for t in range(T))
+            E = sum(beta**t * tr[t] for t in range(T))
+            f = E + noise * beta * (1.0 - beta**T) / (1.0 - beta) + beta**T * (r + cost.O)
+            h_terms = (tr[T], beta * noise, -(1.0 - beta) * (r + cost.O))
+            assert _rel(table.tr[T], tr[T]) < 1e-12
+            assert _rel(table.S[T], S) < 1e-12
+            assert _rel(f_value(T, r, sys, cost, are), f) < 1e-12
+            h = h_value(T, r, sys, cost, are)
+            assert _rel(h, sum(h_terms), scale=sum(map(abs, h_terms))) < 1e-12
+
+        try:
+            W = lyapunov_solve(sys)
+        except UnstableA:
+            continue
+        n_stable += 1
+        w_trace = float(np.trace(W @ are.phi))
+        n_tail = next(t for t in range(100_000) if beta**t * w_trace / (1.0 - beta) < TAIL_TOL)
+        seq = error_cov_seq(sys, n_tail)
+        E_inf = sum(beta**t * float(np.trace(seq[t] @ are.phi)) for t in range(n_tail))
+        threshold = never_measure_threshold(sys, cost, are)
+        assert _rel(threshold, w_trace / (1.0 - beta) - E_inf) < 1e-12
+        never = optimal_period(sys, CostModel(Q=cost.Q, R=cost.R, beta=beta, O=2.0 * threshold), are=are)
+        assert never.case_id is MeasureCase.NEVER_MEASURE
+        assert _rel(never.r, E_inf + beta / (1.0 - beta) * noise) < 1e-12
+    assert n_stable >= 5
 
 
 def test_f_single_step_value():
@@ -157,6 +207,10 @@ def test_case_one_boundary():
     above = optimal_period(p.sys, CostModel(Q3, R2, BETA, 1.01 * edge))
     assert below.period == 1
     assert above.period >= 2
+    # a price exactly on a bracket edge S(T) takes the longer wait T + 1
+    S = _PhaseTable(p.sys, BETA, are).grow(4).S
+    for T, O in [(1, edge), (2, S[2]), (3, S[3]), (4, S[4])]:
+        assert optimal_period(p.sys, CostModel(Q3, R2, BETA, O), are=are).period == T + 1
 
 
 def test_stable_system_never_measures_above_threshold(ps2_O7):

@@ -7,6 +7,7 @@ from scipy.linalg import solve_discrete_are
 from lqgsched import (
     CostModel,
     LinearSystem,
+    NonConvergence,
     UnstableA,
     dare_solve,
     finite_riccati,
@@ -45,6 +46,18 @@ def test_zero_A_converges_in_one_step():
         sol = dare_solve(sys, cost)
     assert sol.iterations == 1
     assert np.allclose(sol.P, Q3, atol=1e-14)
+
+
+def test_unstabilizable_plant_stops_early():
+    # The unstable mode 2 cannot be reached from B, so the iterates overflow;
+    # the solver stops there instead of running out its iteration budget.
+    sys = LinearSystem(A=np.diag([2.0, 0.5]), B=[[0.0], [1.0]], C=np.eye(2), Sigma_S=0.1 * np.eye(2))
+    cost = CostModel(Q=np.eye(2), R=[[1.0]], beta=0.95, O=1.0)
+    with pytest.warns(UserWarning, match="controllability"), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergence) as info:
+            dare_solve(sys, cost, max_iter=100_000)
+    assert not math.isfinite(info.value.residual)
+    assert "in 100000 steps" not in str(info.value)
 
 
 def test_riccati_map_trivial_cases():
