@@ -272,8 +272,11 @@ def cmd_simulate(args) -> int:
         strategy = _parse_strategy(args.strategy)
     except ValueError as e:
         raise _Failure(EXIT_VALIDATION, {"code": "bad_strategy", "message": str(e)}, str(e)) from e
+    try:
+        cfg = SimConfig(horizon=args.horizon, seed=args.seed, n_runs=args.runs, strategy=strategy)
+    except ValueError as e:
+        raise _Failure(EXIT_VALIDATION, {"code": "bad_simulation", "message": str(e)}, str(e)) from e
     ps = _solve_problem(problem)
-    cfg = SimConfig(horizon=args.horizon, seed=args.seed, n_runs=args.runs, strategy=strategy)
     rec = simulate(problem, ps, cfg)
 
     summary = {

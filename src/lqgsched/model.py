@@ -161,6 +161,13 @@ def validate(problem: Problem) -> list[Violation]:
     out: list[Violation] = []
     q = sys.q
 
+    arrays = {"A": sys.A, "B": sys.B, "C": sys.C, "Sigma_S": sys.Sigma_S, "Q": cost.Q, "R": cost.R, "x0": problem.x0}
+    # Definiteness tests skip a matrix with a NaN or infinite entry: it has failed already.
+    non_finite = [name for name, M in arrays.items() if not np.all(np.isfinite(M))]
+    out += [Violation("non_finite", f"{name} has a NaN or infinite entry") for name in non_finite]
+    if not np.isfinite(cost.O):
+        out.append(Violation("non_finite", f"measurement price O={cost.O} is not finite"))
+
     if sys.B.shape[0] != q:
         out.append(Violation("B_rows", f"B has {sys.B.shape[0]} rows, expected {q}"))
     if sys.B.shape[1] > q:
@@ -170,21 +177,21 @@ def validate(problem: Problem) -> list[Violation]:
     if sys.Sigma_S.shape != (q, q):
         out.append(Violation("Sigma_S_shape", f"Sigma_S has shape {sys.Sigma_S.shape}, expected ({q}, {q})"))
 
-    if sys.Sigma_S.shape == (q, q):
+    if sys.Sigma_S.shape == (q, q) and "Sigma_S" not in non_finite:
         if not is_psd(sys.Sigma_S):
             out.append(Violation("Sigma_S_not_psd", "Sigma_S is not symmetric positive semi-definite"))
-        if sys.C.shape == (q, q) and not is_pd(sys.noise_gram()):
+        if sys.C.shape == (q, q) and "C" not in non_finite and not is_pd(sys.noise_gram()):
             out.append(Violation("noise_gram_not_pd", "C'Sigma_S C is not positive definite"))
 
     if cost.Q.shape != (q, q):
         out.append(Violation("Q_shape", f"Q has shape {cost.Q.shape}, expected ({q}, {q})"))
-    elif not is_psd(cost.Q):
+    elif "Q" not in non_finite and not is_psd(cost.Q):
         out.append(Violation("Q_not_psd", "Q is not symmetric positive semi-definite"))
 
     p = sys.p
     if cost.R.shape != (p, p):
         out.append(Violation("R_shape", f"R has shape {cost.R.shape}, expected ({p}, {p})"))
-    elif not is_pd(cost.R):
+    elif "R" not in non_finite and not is_pd(cost.R):
         out.append(Violation("R_not_pd", "R is not positive definite"))
 
     if not (0.0 < cost.beta < 1.0):

@@ -1,10 +1,21 @@
 """Seeded closed-loop simulation with discounted cost accounting.
 
+Every schedule here fixes its query times in advance (the optimal trigger
+too: it is state-independent and periodic), so one batched rollout,
+``_rollout``, serves them all: Monte Carlo costs, the sampled error
+covariance and the single trajectory of the always, never and fixed:T
+schedules. The optimal single trajectory instead runs the online controller
+session, whose trigger decides each query as the loop goes. Both kinds of
+trajectory share one cost-accounting routine.
+
 Noise is drawn from numpy's PCG64 generator; run k of a Monte Carlo batch
-uses the substream seeded with ``seed + k``, so any single run can be
-reproduced bit-for-bit in isolation. Gaussian plant noise w ~ N(0, Sigma_S)
-is sampled as sqrt(Sigma_S) @ z with the symmetric PSD square root, which
-also supports degenerate covariances (useful for noiseless test modes).
+uses the substream seeded with ``seed + k`` whatever the chunking, so any
+single run can be reproduced bit-for-bit in isolation. The rollout holds the
+noise of one chunk of runs at a time (at most ``_CHUNK_VALUES`` values), not
+of all of them, so memory does not grow with the number of runs. Gaussian
+plant noise w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with the
+symmetric PSD square root, which also supports degenerate covariances
+(useful for noiseless test modes).
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import initial_state, step_decide
-from .model import Problem, psd_sqrt
+from .model import CostModel, Problem, psd_sqrt
 from .policy import PolicySolution
 
 __all__ = [
@@ -147,128 +158,110 @@ def _run_rng(seed: int, run: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed + run))
 
 
-def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> TrajectoryRecord:
-    """One seeded closed-loop trajectory (substream ``seed + 0``).
+# Noise values one chunk of Monte Carlo runs holds at once: 2**22 doubles (32 MB).
+_CHUNK_VALUES = 2**22
 
-    The optimal strategy runs the online controller session; the fixed
-    schedules share its estimate/control arithmetic but take their query
-    times from the schedule instead of the trigger.
+
+def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int, n_runs: int, steps: int):
+    """The closed loop of runs ``0..n_runs-1`` under ``strategy``, a chunk of runs at a time.
+
+    Yields ``(first_run, t, X, Xbar, U, measured)`` for each chunk and each
+    step ``t < steps``: row j of ``X``, ``Xbar`` and ``U`` is the state,
+    estimate and control of run ``first_run + j`` at step t, before the step's
+    noise enters. Run k draws its noise from substream ``seed + k`` whatever
+    the chunking, and a chunk holds at most ``_CHUNK_VALUES`` noise values (at
+    least one run's).
     """
-    sys, cost = problem.sys, problem.cost
-    A, B, C = sys.A, sys.B, sys.C
-    K = ps.are.K
-    beta, O = cost.beta, cost.O
-    H = cfg.horizon
-    q, p = sys.q, sys.p
+    sys = problem.sys
+    A, B, K = sys.A, sys.B, ps.are.K
+    q = sys.q
+    N_mat = sys.C @ psd_sqrt(sys.Sigma_S)
+    measure = np.zeros(steps, dtype=bool)
+    measure[strategy.measure_times(ps, steps)] = True  # never step 0: it is free
 
-    rng = _run_rng(cfg.seed, 0)
-    noise_sqrt = psd_sqrt(sys.Sigma_S)
-    z = rng.standard_normal((H, q))
+    # Chunks of equal size: a small remainder chunk would take BLAS's small-matrix
+    # path, whose last bits differ from those of the full-size products.
+    n_chunks = -(-n_runs // max(1, _CHUNK_VALUES // (steps * q)))
+    chunk = -(-n_runs // n_chunks)
+    noise = np.empty((chunk, steps, q))
+    for first in range(0, n_runs, chunk):
+        n = min(chunk, n_runs - first)
+        W = noise[:n]
+        for r in range(n):
+            W[r] = _run_rng(seed, first + r).standard_normal((steps, q)) @ N_mat.T
+        X = np.tile(problem.x0, (n, 1))
+        Xbar = X.copy()
+        for t in range(steps):
+            if measure[t]:
+                Xbar = X.copy()
+            elif t > 0:
+                Xbar = Xbar @ A.T + U @ B.T
+            U = -(Xbar @ K.T)
+            yield first, t, X, Xbar, U, bool(measure[t])
+            X = X @ A.T + U @ B.T + W[:, t, :]
 
-    online = cfg.strategy.kind == "optimal"
-    sched = set() if online else set(cfg.strategy.measure_times(ps, H).tolist())
 
-    x = problem.x0.copy()
-    state = initial_state(ps, problem.x0)
-    x_bar = problem.x0.copy()
-    u_prev: np.ndarray | None = None
+def _state_control_cost(cost: CostModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Undiscounted x'Qx + u'Ru of each row."""
+    return np.einsum("ij,jk,ik->i", X, cost.Q, X) + np.einsum("ij,jk,ik->i", U, cost.R, U)
 
-    X = np.empty((H, q))
-    XB = np.empty((H, q))
-    U = np.empty((H, p))
-    I = np.zeros(H, dtype=int)
-    stage = np.empty(H)
-    cum_sc = np.empty(H)
-    cum_ms = np.empty(H)
-    tot_sc = 0.0
-    tot_ms = 0.0
 
-    for t in range(H):
-        if online:
-            i, u, state = step_decide(state, x, ps, u_prev)
-            x_bar = state.x_bar
-        else:
-            if t == 0:
-                i = 0
-            elif t in sched:
-                i = 1
-                x_bar = x.copy()
-            else:
-                i = 0
-                x_bar = A @ x_bar + B @ u_prev
-            u = -(K @ x_bar)
-
-        disc = beta**t
-        sc = disc * (float(x @ cost.Q @ x) + float(u @ cost.R @ u))
-        ms = disc * O if i else 0.0
-        tot_sc += sc
-        tot_ms += ms
-
-        X[t] = x
-        XB[t] = x_bar
-        U[t] = u
-        I[t] = i
-        stage[t] = sc + ms
-        cum_sc[t] = tot_sc
-        cum_ms[t] = tot_ms
-
-        w = noise_sqrt @ z[t]
-        x = A @ x + B @ u + C @ w
-        u_prev = u
-
+def _record(cost: CostModel, X: np.ndarray, Xbar: np.ndarray, U: np.ndarray, I: np.ndarray) -> TrajectoryRecord:
+    """Discounted cost accounting of one trajectory."""
+    disc = cost.beta ** np.arange(len(X))
+    sc = disc * _state_control_cost(cost, X, U)
+    ms = disc * cost.O * I
+    cum_sc, cum_ms = np.cumsum(sc), np.cumsum(ms)
     return TrajectoryRecord(
-        t=np.arange(H),
+        t=np.arange(len(X)),
         x=X,
-        x_bar=XB,
-        err=X - XB,
+        x_bar=Xbar,
+        err=X - Xbar,
         u=U,
         i=I,
-        stage_cost=stage,
+        stage_cost=sc + ms,
         cum_cost=cum_sc + cum_ms,
         cum_state_control=cum_sc,
         cum_measure=cum_ms,
     )
 
 
-def _batch_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> np.ndarray:
-    """Total discounted cost of each run, propagated for all runs at once.
+def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> TrajectoryRecord:
+    """One seeded closed-loop trajectory (substream ``seed + 0``).
 
-    Valid because every schedule here (including the optimal trigger, which
-    is state-independent and periodic) fixes its query times in advance.
+    The optimal strategy runs the online controller session, whose trigger
+    decides each query as it goes; the other schedules are run ``0`` of the
+    shared rollout.
     """
-    sys, cost = problem.sys, problem.cost
-    A, B, C = sys.A, sys.B, sys.C
-    K = ps.are.K
-    beta, O = cost.beta, cost.O
-    H, n = cfg.horizon, cfg.n_runs
-    q = sys.q
+    H, q, p = cfg.horizon, problem.q, problem.p
+    X, Xbar, U = np.empty((H, q)), np.empty((H, q)), np.empty((H, p))
+    I = np.zeros(H, dtype=int)
+    if cfg.strategy.kind == "optimal":
+        A, B, C = problem.sys.A, problem.sys.B, problem.sys.C
+        noise_sqrt = psd_sqrt(problem.sys.Sigma_S)
+        z = _run_rng(cfg.seed, 0).standard_normal((H, q))
+        x, u = problem.x0.copy(), None
+        state = initial_state(ps, problem.x0)
+        for t in range(H):
+            I[t], u, state = step_decide(state, x, ps, u)
+            X[t], Xbar[t], U[t] = x, state.x_bar, u
+            x = A @ x + B @ u + C @ (noise_sqrt @ z[t])
+    else:
+        for _, t, Xt, Xbart, Ut, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, 1, H):
+            X[t], Xbar[t], U[t], I[t] = Xt[0], Xbart[0], Ut[0], measured
+    return _record(problem.cost, X, Xbar, U, I)
 
-    noise_sqrt = psd_sqrt(sys.Sigma_S)
-    N_mat = C @ noise_sqrt
-    W = np.empty((n, H, q))
-    for r in range(n):
-        W[r] = _run_rng(cfg.seed, r).standard_normal((H, q)) @ N_mat.T
 
-    measure = np.zeros(H, dtype=bool)
-    times = cfg.strategy.measure_times(ps, H)
-    measure[times] = True
-
-    X = np.tile(problem.x0, (n, 1))
-    Xbar = X.copy()
-    totals = np.zeros(n)
-    for t in range(H):
-        disc = beta**t
-        if t > 0:
-            if measure[t]:
-                Xbar = X.copy()
-                totals += disc * O
-            else:
-                Xbar = Xbar @ A.T + U @ B.T
-        U = -(Xbar @ K.T)
-        totals += disc * (
-            np.einsum("ij,jk,ik->i", X, cost.Q, X) + np.einsum("ij,jk,ik->i", U, cost.R, U)
-        )
-        X = X @ A.T + U @ B.T + W[:, t, :]
+def _batch_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> np.ndarray:
+    """Total discounted cost of each run of the rollout."""
+    cost = problem.cost
+    totals = np.zeros(cfg.n_runs)
+    for first, t, X, _, U, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, cfg.horizon):
+        rows = totals[first:first + len(X)]  # a view: += adds into totals
+        disc = cost.beta**t
+        if measured:
+            rows += disc * cost.O
+        rows += disc * _state_control_cost(cost, X, U)
     return totals
 
 
@@ -293,38 +286,13 @@ def empirical_error_covariance(
     Step 0 is a (free) query epoch, so for t inside the first waiting window
     the phase since the last query equals t itself.
     """
-    sys = problem.sys
-    A, B, C = sys.A, sys.B, sys.C
-    K = ps.are.K
-    n = cfg.n_runs
-    q = sys.q
     if not (0 <= t < cfg.horizon):
         raise ValueError(f"step {t} outside horizon {cfg.horizon}")
-
-    noise_sqrt = psd_sqrt(sys.Sigma_S)
-    N_mat = C @ noise_sqrt
-    W = np.empty((n, t if t > 0 else 1, q))
-    for r in range(n):
-        W[r] = _run_rng(cfg.seed, r).standard_normal((W.shape[1], q)) @ N_mat.T
-
-    measure = np.zeros(max(t + 1, 1), dtype=bool)
-    times = cfg.strategy.measure_times(ps, max(t + 1, 1))
-    measure[times[times <= t]] = True
-
-    X = np.tile(problem.x0, (n, 1))
-    Xbar = X.copy()
-    for step in range(t):
-        if step > 0 and measure[step]:
-            Xbar = X.copy()
-        elif step > 0:
-            Xbar = Xbar @ A.T + U @ B.T
-        U = -(Xbar @ K.T)
-        X = X @ A.T + U @ B.T + W[:, step, :]
-    if t > 0 and measure[t]:
-        Xbar = X.copy()
-    elif t > 0:
-        Xbar = Xbar @ A.T + U @ B.T
-
-    E = X - Xbar
+    if cfg.n_runs < 2:
+        raise ValueError("a sample covariance needs n_runs >= 2")
+    E = np.empty((cfg.n_runs, problem.q))
+    for first, step, X, Xbar, _, _ in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, t + 1):
+        if step == t:
+            E[first:first + len(X)] = X - Xbar
     E = E - E.mean(axis=0, keepdims=True)
-    return (E.T @ E) / (n - 1)
+    return (E.T @ E) / (cfg.n_runs - 1)

@@ -240,6 +240,43 @@ def test_non_convergence_exits_3(capsys, monkeypatch, command, fmt):
         assert out == "" and err == "solver failed: Riccati iteration did not converge\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("sizes", [("--runs", "0"), ("--runs", "-3"), ("--horizon", "0")], ids=" ".join)
+def test_bad_simulation_size_exits_2(capsys, sizes, fmt):
+    code, out, err = run(capsys, "simulate", "--problem", SYS1, *sizes, "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "bad_simulation"
+    else:
+        assert out == "" and "must be >= 1" in err
+
+
+def _non_finite_case(tmp_path, case):
+    with open(SYS1) as fh:
+        d = json.load(fh)
+    if case == "O nan":
+        return SYS1, ["--O", "nan"]
+    if case == "nan in A":
+        d["A"][0][1] = float("nan")
+    else:
+        d["Sigma_S"][2][2] = float("inf")
+    return _write(tmp_path, "non_finite.json", json.dumps(d)), []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", ["nan in A", "inf in Sigma_S", "O nan"])
+def test_non_finite_input_exits_2(tmp_path, capsys, case, fmt):
+    path, extra = _non_finite_case(tmp_path, case)
+    code, out, err = run(capsys, "solve", "--problem", path, *extra, "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        doc = json.loads(out)["error"]
+        assert doc["code"] == "validation"
+        assert [v["code"] for v in doc["violations"]] == ["non_finite"]
+    else:
+        assert out == "" and err.startswith("validation failed:") and "non_finite" in err
+
+
 def test_sweep_needs_range(capsys):
     code, _, err = run(capsys, "sweep", "--problem", SYS1)
     assert code == 2

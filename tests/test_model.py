@@ -103,3 +103,17 @@ def test_rank_deficient_pair_not_observable():
 def test_nonsquare_A_rejected():
     with pytest.raises(ValueError):
         LinearSystem(A=np.ones((2, 3)), B=np.ones((2, 1)), C=np.eye(2), Sigma_S=np.eye(2))
+
+
+def test_non_finite_entries_flagged():
+    A = A1.copy()
+    A[0, 1] = np.nan
+    sigma = SIGMA.copy()
+    sigma[2, 2] = np.inf
+    sys = LinearSystem(A=A, B=B, C=C3, Sigma_S=sigma)
+    got = validate(Problem(sys=sys, cost=CostModel(Q=Q3, R=R2, beta=0.95, O=np.nan)))
+    assert [v.code for v in got] == ["non_finite"] * 3
+    assert [v.message.split()[0] for v in got] == ["A", "Sigma_S", "measurement"]
+    # an infinite Sigma_S is reported once, not again by its definiteness tests
+    sys = LinearSystem(A=A1, B=B, C=C3, Sigma_S=sigma)
+    assert codes(Problem(sys=sys, cost=CostModel(Q=Q3, R=R2, beta=0.95, O=1.0))) == ["non_finite"]

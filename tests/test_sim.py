@@ -160,3 +160,42 @@ def test_csv_round_trip_values(sys1_O10, ps1_O10, tmp_path):
     row5 = lines[6].split(",")
     assert float(row5[1]) == rec.x[5, 0]  # shortest round-trip decimals are exact
     assert float(row5[-1]) == rec.cum_cost[5]
+
+
+def test_empirical_error_covariance_needs_two_runs(ps1_O10, sys1_O10):
+    with pytest.raises(ValueError, match="n_runs >= 2"):
+        empirical_error_covariance(sys1_O10, ps1_O10, SimConfig(horizon=10, seed=1, n_runs=1), 3)
+
+
+def test_rollout_totals_do_not_depend_on_chunking(ps1_O10, sys1_O10, monkeypatch):
+    import lqgsched.sim as sim
+
+    H, n = 40, 7
+    cfgs = [SimConfig(horizon=H, seed=21, n_runs=n, strategy=s) for s in (OPTIMAL, fixed_period(3), NEVER_MEASURE)]
+    whole = [sim._batch_costs(sys1_O10, ps1_O10, cfg) for cfg in cfgs]
+    # at most two runs' noise per chunk: chunks of 2, 2, 2 and a one-run remainder
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * H * sys1_O10.q)
+    firsts = sorted({first for first, *_ in sim._rollout(sys1_O10, ps1_O10, OPTIMAL, 21, n, H)})
+    assert firsts == [0, 2, 4, 6]
+    for cfg, totals in zip(cfgs, whole):
+        np.testing.assert_allclose(sim._batch_costs(sys1_O10, ps1_O10, cfg), totals, rtol=1e-12, atol=0.0)
+
+
+def test_monte_carlo_memory_bounded(ps1_O10, sys1_O10, monkeypatch):
+    import tracemalloc
+
+    import lqgsched.sim as sim
+
+    H = 200
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 100 * H * sys1_O10.q)
+
+    def peak(n_runs):
+        tracemalloc.start()
+        try:
+            monte_carlo_value(sys1_O10, ps1_O10, SimConfig(horizon=H, seed=3, n_runs=n_runs))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the whole noise tensor of 2000 runs would be 9.6 MB
+    assert peak(2000) - peak(200) < 1_000_000
