@@ -222,34 +222,20 @@ def cmd_sweep(args) -> int:
     beta = cost.beta
     rows = []
     for ps in _solve_prices(problem.sys, cost, prices):
-        O = ps.O
-        vals = value_at(ps, problem.x0)
-        if ps.finite:
-            T = ps.period
-            saving = beta * O / (1.0 - beta) - beta**T * O / (1.0 - beta**T)
-            T_repr = str(T)
-        else:
-            saving = beta * O / (1.0 - beta)
-            T_repr = "inf"
-        rows.append(
-            [repr(float(O)), T_repr, repr(ps.r), repr(vals.V), repr(vals.V_s), repr(vals.V_e),
-             repr(saving), repr(vals.V_reported), repr(vals.V_s_reported)]
-        )
+        O, vals = ps.O, value_at(ps, problem.x0)
+        T = ps.period if ps.finite else None
+        saving = beta * O / (1.0 - beta)
+        if T is not None:
+            saving -= beta**T * O / (1.0 - beta**T)
+        rows.append({"O": O, "T_star": T, "r": ps.r, "V": vals.V, "V_s": vals.V_s, "V_e": vals.V_e,
+                     "saving": saving, "V_reported": vals.V_reported, "V_s_reported": vals.V_s_reported})
 
-    header = "O,T_star,r,V,V_s,V_e,saving,V_reported,V_s_reported"
-    text = header + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
     if args.format == "json":
-        keys = header.split(",")
-        docs = []
-        for r in rows:
-            d = {}
-            for k, v in zip(keys, r):
-                if k == "T_star":
-                    d[k] = None if v == "inf" else int(v)
-                else:
-                    d[k] = float(v)
-            docs.append(d)
-        text = json.dumps(docs, indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
+    else:
+        header = "O,T_star,r,V,V_s,V_e,saving,V_reported,V_s_reported"
+        lines = [",".join("inf" if v is None else repr(v) for v in row.values()) for row in rows]
+        text = header + "\n" + "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 

@@ -4,9 +4,10 @@ Two implementations of the same policy:
 
 * ``make_packet`` — at a measurement, emit the waiting time and the whole
   open-loop control sequence for the coming window in one packet.
-* ``step_decide`` — run the loop one step at a time, maintaining the count
-  of steps since the last query, the discounted surrogate covariance that
-  drives the query trigger, and the state estimate.
+* ``step_decide`` — run the loop one step at a time, keeping the count of
+  steps since the last query and the state estimate. The optimal schedule is
+  state-independent and periodic, so the trigger is that count reaching the
+  solved period T*; it reads T* from the policy and derives nothing itself.
 
 Both compute controls by propagating the estimate with x_hat <- A x_hat + B u
 and applying u = -(K @ x_hat), deliberately using identical floating-point
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import MeasureCase, PolicySolution
+from .policy import PolicySolution
 
 __all__ = [
     "ControlPacket",
@@ -87,29 +88,20 @@ def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -
 class ControllerState:
     """Recursive sufficient statistic of the online controller.
 
-    m      -- steps since the last query (0 right after one).
-    P_bar  -- discounted surrogate covariance
-              sum_{j<m} (1-beta^{j+1})/(1-beta) (A')^j C'Sigma_S C A^j.
-    phase  -- current phase matrix (A')^m C'Sigma_S C A^m, kept so every
-              trigger update is O(1) regardless of m.
+    m      -- steps since the last query (0 right after one); the trigger
+              fires when m + 1 reaches T*.
     x_bar  -- state estimate (exact propagation of the last measured state).
     t      -- global step the next step_decide call will execute.
     """
 
     m: int
-    P_bar: np.ndarray
-    phase: np.ndarray
     x_bar: np.ndarray
     t: int
 
 
 def initial_state(ps: PolicySolution, x0: np.ndarray) -> ControllerState:
     """Session start: the initial state is known for free, so no query is charged."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    q = ps.sys.q
-    return ControllerState(
-        m=0, P_bar=np.zeros((q, q)), phase=ps.sys.noise_gram(), x_bar=x0.copy(), t=0
-    )
+    return ControllerState(m=0, x_bar=np.asarray(x0, dtype=float).ravel().copy(), t=0)
 
 
 def step_decide(
@@ -120,47 +112,25 @@ def step_decide(
 ) -> tuple[int, np.ndarray, ControllerState]:
     """Advance the controller one step; returns (i_t, u_t, next_state).
 
-    The query trigger compares Tr(candidate_P_bar @ phi) > O, where the
-    candidate adds the current phase term to P_bar; it therefore fires first
-    exactly m = T* steps after a query. On i_t = 1 the estimate is reset to
-    the supplied measurement and (m, P_bar) restart from zero; otherwise the
-    estimate propagates through the model with the previous control.
+    The trigger fires once m + 1 reaches the solved period T*, so it fires
+    first T* steps after a query and never for a never-measure schedule. On
+    i_t = 1 the estimate is reset to the supplied measurement and m restarts
+    from zero; otherwise the estimate propagates through the model with the
+    previous control.
     """
-    sys, cost, are = ps.sys, ps.cost, ps.are
-    A, B, K = sys.A, sys.B, are.K
-    beta = cost.beta
+    A, B, K = ps.sys.A, ps.sys.B, ps.are.K
 
     if state.t == 0:
         # Free initial knowledge: act on x0 without buying a query.
-        u = -(K @ state.x_bar)
-        nxt = ControllerState(
-            m=0, P_bar=state.P_bar, phase=state.phase, x_bar=state.x_bar, t=1
-        )
-        return 0, u, nxt
+        return 0, -(K @ state.x_bar), ControllerState(m=0, x_bar=state.x_bar, t=1)
 
-    coeff = (1.0 - beta ** (state.m + 1)) / (1.0 - beta)
-    candidate = state.P_bar + coeff * state.phase
-
-    fire = (
-        ps.case_id is not MeasureCase.NEVER_MEASURE
-        and float(np.trace(candidate @ are.phi)) > ps.O
-    )
-
-    if fire:
+    if ps.finite and state.m + 1 >= ps.period:
         if measurement is None:
             raise MeasurementUnavailable(f"trigger fired at t={state.t} with no measurement")
         x_bar = np.asarray(measurement, dtype=float).ravel().copy()
-        nxt = ControllerState(
-            m=0, P_bar=np.zeros_like(state.P_bar), phase=sys.noise_gram(),
-            x_bar=x_bar, t=state.t + 1,
-        )
-        return 1, -(K @ x_bar), nxt
+        return 1, -(K @ x_bar), ControllerState(m=0, x_bar=x_bar, t=state.t + 1)
 
     if prev_control is None:
         raise ValueError("prev_control is required when no measurement is taken")
     x_bar = A @ state.x_bar + B @ np.asarray(prev_control, dtype=float).ravel()
-    nxt = ControllerState(
-        m=state.m + 1, P_bar=candidate, phase=A.T @ state.phase @ A,
-        x_bar=x_bar, t=state.t + 1,
-    )
-    return 0, -(K @ x_bar), nxt
+    return 0, -(K @ x_bar), ControllerState(m=state.m + 1, x_bar=x_bar, t=state.t + 1)

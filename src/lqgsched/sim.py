@@ -5,8 +5,8 @@ too: it is state-independent and periodic), so one batched rollout,
 ``_rollout``, serves them all: Monte Carlo costs, the sampled error
 covariance and the single trajectory of the always, never and fixed:T
 schedules. The optimal single trajectory instead runs the online controller
-session, whose trigger decides each query as the loop goes. Both kinds of
-trajectory share one cost-accounting routine.
+session, whose trigger counts steps against the same solved T*. Both kinds
+of trajectory share one cost-accounting routine.
 
 Noise is drawn from numpy's PCG64 generator; run k of a Monte Carlo batch
 uses the substream seeded with ``seed + k`` whatever the chunking, so any
@@ -229,9 +229,9 @@ def _record(cost: CostModel, X: np.ndarray, Xbar: np.ndarray, U: np.ndarray, I: 
 def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> TrajectoryRecord:
     """One seeded closed-loop trajectory (substream ``seed + 0``).
 
-    The optimal strategy runs the online controller session, whose trigger
-    decides each query as it goes; the other schedules are run ``0`` of the
-    shared rollout.
+    The optimal strategy runs the online controller session, which queries
+    at the multiples of T* as ``measure_times`` does; the other schedules
+    are run ``0`` of the shared rollout.
     """
     H, q, p = cfg.horizon, problem.q, problem.p
     X, Xbar, U = np.empty((H, q)), np.empty((H, q)), np.empty((H, p))

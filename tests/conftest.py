@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lqgsched import (
     CostModel,
@@ -32,6 +33,11 @@ BETA = 0.95
 X0 = np.array([20.0, -15.0, 10.0])
 
 
+# Property tests run a fixed, derandomized set of examples so the suite stays
+# deterministic and quick; they write no example database.
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
 def make_problem(A: np.ndarray, O: float) -> Problem:
     sys = LinearSystem(A=A, B=B, C=C3, Sigma_S=SIGMA)
     cost = CostModel(Q=Q3, R=R2, beta=BETA, O=O)
@@ -56,6 +62,23 @@ def ps1_O10(sys1_O10):
 @pytest.fixture(scope="session")
 def ps2_O7(sys2_O7):
     return optimal_period(sys2_O7.sys, sys2_O7.cost)
+
+
+def bracket_edge_prices(A: np.ndarray, T_max: int = 29):
+    """ARE solution and bracket-edge prices of the benchmark plant with matrix A.
+
+    For each T <= T_max whose edge S[T] lies below any never-measure
+    threshold, the prices are S[T] and its two float neighbours, where T*
+    switches from T to T + 1.
+    """
+    p = make_problem(A, 0.0)
+    ps = optimal_period(p.sys, p.cost)
+    S = ps._table.grow(T_max).S
+    prices = []
+    for T in range(1, T_max + 1):
+        if ps.never_threshold is None or S[T] < ps.never_threshold:
+            prices += [float(np.nextafter(S[T], -np.inf)), S[T], float(np.nextafter(S[T], np.inf))]
+    return ps.are, prices
 
 
 def random_admissible(rng: np.random.Generator, q_max: int = 3,

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lqgsched import (
+    ControllerState,
     InfinitePeriod,
     MeasurementUnavailable,
     initial_state,
@@ -11,7 +15,16 @@ from lqgsched import (
 )
 from lqgsched.model import psd_sqrt
 
-from conftest import A1, B, BETA, X0, make_problem, random_admissible_with_finite_T
+from conftest import (
+    A1,
+    A2,
+    B,
+    PROPERTY_SETTINGS,
+    X0,
+    bracket_edge_prices,
+    make_problem,
+    random_admissible_with_finite_T,
+)
 
 
 def drive_plant(ps, x0, H, seed=0):
@@ -115,17 +128,27 @@ def test_never_measure_trigger_stays_off(ps2_O7):
     assert all(i == 0 for i, _, _, _ in telemetry)
 
 
-def test_surrogate_covariance_closed_form(ps1_O10):
-    ps = ps1_O10
-    G = ps.sys.noise_gram()
-    telemetry = drive_plant(ps, X0, 25)
-    for _, _, state, _ in telemetry:
-        ref = np.zeros((3, 3))
-        for j in range(state.m):
-            ref += (1 - BETA ** (j + 1)) / (1 - BETA) * (
-                np.linalg.matrix_power(A1.T, j) @ G @ np.linalg.matrix_power(A1, j)
-            )
-        assert np.max(np.abs(state.P_bar - ref)) < 1e-12
+def test_state_counts_steps_since_query(ps1_O10):
+    assert [f.name for f in dataclasses.fields(ControllerState)] == ["m", "x_bar", "t"]
+    T = ps1_O10.period
+    for t, (i, _, state, _) in enumerate(drive_plant(ps1_O10, X0, 40)):
+        assert state.t == t + 1
+        assert state.m == t % T  # 0 after the free step 0 and after each query, at most T - 1
+        assert i == (t > 0 and state.m == 0)
+
+
+@pytest.mark.parametrize("A", [A1, A2], ids=["sys1", "sys2"])
+def test_online_fires_at_period_on_bracket_edges(A):
+    # at these prices T* flips between neighbours; the session follows the solved T*
+    are, prices = bracket_edge_prices(A)
+    assert len(prices) == 3 * 29
+    for O in prices:
+        p = make_problem(A, O)
+        ps = optimal_period(p.sys, p.cost, are=are)
+        H = 3 * ps.period + 1
+        fires = [t for t, (i, _, _, _) in enumerate(drive_plant(ps, X0, H)) if i == 1]
+        assert fires == list(range(ps.period, H, ps.period)), O
+        assert fires[0] == make_packet(X0, ps).T, O
 
 
 def test_estimate_is_noiseless_propagation(ps1_O10):
@@ -176,3 +199,28 @@ def test_online_equals_packet_chain_randomized():
         for (i_a, u_a, _, _), (i_b, u_b) in zip(online, chain):
             assert i_a == i_b
             assert np.array_equal(u_a, u_b)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_online_queries_are_multiples_of_period_property(seed):
+    rng = np.random.default_rng(seed)
+    sys, cost, ps = random_admissible_with_finite_T(rng, T_cap=12)
+    H = 4 * ps.period + 3
+    telemetry = drive_plant(ps, rng.normal(size=sys.q), H, seed=seed)
+    fires = [t for t, (i, _, _, _) in enumerate(telemetry) if i == 1]
+    assert fires == list(range(ps.period, H, ps.period))
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), x_scale=st.floats(0.0, 10.0))
+def test_online_equals_packet_chain_property(seed, x_scale):
+    rng = np.random.default_rng(seed)
+    sys, cost, ps = random_admissible_with_finite_T(rng, T_cap=12)
+    x0 = rng.normal(size=sys.q) * x_scale
+    H = 3 * ps.period + 5
+    online = drive_plant(ps, x0, H, seed=seed)
+    chain = packet_chain_stream(ps, x0, H, seed=seed)
+    for (i_a, u_a, _, _), (i_b, u_b) in zip(online, chain):
+        assert i_a == i_b
+        assert np.array_equal(u_a, u_b)

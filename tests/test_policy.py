@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lqgsched import (
     CostModel,
@@ -26,6 +28,7 @@ from conftest import (
     B,
     BETA,
     C3,
+    PROPERTY_SETTINGS,
     Q3,
     R2,
     SIGMA,
@@ -296,6 +299,17 @@ def test_monotone_in_price_stable_system():
         assert ps.T_star >= prev_T
         assert vals.V >= prev_V - 1e-9
         prev_T, prev_V = ps.T_star, vals.V
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=8))
+def test_period_nondecreasing_in_price_property(seed, exponents):
+    # prices log-spaced around the first phase's trace; a stable plant may reach never-measure (inf)
+    sys, cost = random_admissible(np.random.default_rng(seed))
+    are = dare_solve(sys, cost)
+    base = float(np.trace(sys.noise_gram() @ are.phi))
+    periods = [optimal_period(sys, replace(cost, O=base * 10.0**e), are=are).T_star for e in sorted(exponents)]
+    assert periods == sorted(periods)
 
 
 def test_value_components_relations(ps1_O10):

@@ -16,7 +16,7 @@ from lqgsched import (
     simulate,
 )
 
-from conftest import A1, B, BETA, C3, Q3, R2, SIGMA, X0, make_problem
+from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, bracket_edge_prices, make_problem
 
 
 def record_fields(rec):
@@ -85,6 +85,19 @@ def test_higher_price_longer_period_larger_error():
     assert list(np.flatnonzero(rec300.i)) == [10, 20, 30, 40, 50, 60]
     # same seed, longer blind window: the error excursion grows
     assert np.max(np.linalg.norm(rec300.err, axis=1)) > np.max(np.linalg.norm(rec50.err, axis=1))
+
+
+@pytest.mark.parametrize("A", [A1, A2], ids=["sys1", "sys2"])
+def test_optimal_trajectory_queries_follow_period_on_bracket_edges(A):
+    # the single trajectory (online controller) and the Monte Carlo rollout
+    # (measure_times) run one schedule, also where T* flips between neighbours
+    are, prices = bracket_edge_prices(A, T_max=8)
+    for O in prices:
+        p = make_problem(A, O)
+        ps = optimal_period(p.sys, p.cost, are=are)
+        H = 3 * ps.period + 1
+        rec = simulate(p, ps, SimConfig(horizon=H, strategy=OPTIMAL))
+        assert np.array_equal(np.flatnonzero(rec.i), OPTIMAL.measure_times(ps, H)), O
 
 
 def test_batch_costs_match_single_runs(ps1_O10, sys1_O10):
