@@ -193,6 +193,8 @@ def _sweep_prices(args) -> list[float]:
     if args.O_log is not None:
         if args.O_min is None or args.O_max is None:
             raise ValueError("--O-log requires --O-min and --O-max")
+        if not all(map(np.isfinite, (args.O_min, args.O_max))):
+            raise ValueError("--O-min and --O-max must be finite")
         if args.O_min <= 0:
             raise ValueError("--O-min must be positive for a log sweep")
         return [float(O) for O in np.geomspace(args.O_min, args.O_max, int(args.O_log))]
@@ -263,7 +265,12 @@ def cmd_simulate(args) -> int:
     except ValueError as e:
         raise _Failure(EXIT_VALIDATION, {"code": "bad_simulation", "message": str(e)}, str(e)) from e
     ps = _solve_problem(problem)
-    rec = simulate(problem, ps, cfg)
+    try:
+        rec = simulate(problem, ps, cfg)
+        mc = monte_carlo_value(problem, ps, cfg) if cfg.n_runs > 1 else None
+    except MemoryError as e:
+        message = f"simulation too large: {e}"
+        raise _Failure(EXIT_VALIDATION, {"code": "bad_simulation", "message": message}, message) from e
 
     summary = {
         "realized_discounted_cost": rec.total_cost,
@@ -272,10 +279,8 @@ def cmd_simulate(args) -> int:
         "seed": cfg.seed,
         "strategy": args.strategy,
     }
-    if args.runs > 1:
-        mean, se = monte_carlo_value(problem, ps, cfg)
-        summary["mc_mean"] = mean
-        summary["mc_std_error"] = se
+    if mc is not None:
+        summary["mc_mean"], summary["mc_std_error"] = mc
         summary["n_runs"] = args.runs
 
     out = _resolve_out(args.out)

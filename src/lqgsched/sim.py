@@ -202,8 +202,12 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
 
 
 def _state_control_cost(cost: CostModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Undiscounted x'Qx + u'Ru of each row."""
-    return np.einsum("ij,jk,ik->i", X, cost.Q, X) + np.einsum("ij,jk,ik->i", U, cost.R, U)
+    """Undiscounted x'Qx + u'Ru of each row.
+
+    Each term is one matrix product and a row dot, ``(X @ Q) . X``: a
+    three-operand einsum would run as a plain C loop, without BLAS.
+    """
+    return np.einsum("ij,ij->i", X @ cost.Q, X) + np.einsum("ij,ij->i", U @ cost.R, U)
 
 
 def _record(cost: CostModel, X: np.ndarray, Xbar: np.ndarray, U: np.ndarray, I: np.ndarray) -> TrajectoryRecord:

@@ -251,6 +251,25 @@ def test_bad_simulation_size_exits_2(capsys, sizes, fmt):
         assert out == "" and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("stage", ["simulate", "monte_carlo_value"])
+def test_simulation_too_large_exits_2(capsys, monkeypatch, stage, fmt):
+    # a huge --runs or --horizon fails to allocate; stand in for it without allocating
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(cli, stage, out_of_memory)
+    code, out, err = run(capsys, "simulate", "--problem", SYS1, "--O", "10", "--runs", "2", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out) == {"error": {
+            "code": "bad_simulation",
+            "message": "simulation too large: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)",
+        }}
+    else:
+        assert out == "" and err.startswith("simulation too large: Unable to allocate 7.28 TiB")
+
+
 def _non_finite_case(tmp_path, case):
     with open(SYS1) as fh:
         d = json.load(fh)
@@ -290,6 +309,20 @@ def test_sweep_rejects_non_finite_range(capsys, bounds):
     )
     assert code == 2
     assert json.loads(out)["error"]["code"] == "bad_range"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("bounds", [("1", "inf"), ("nan", "10")], ids=" ".join)
+def test_log_sweep_rejects_non_finite_range(capsys, bounds, fmt):
+    lo, hi = bounds
+    code, out, err = run(
+        capsys, "sweep", "--problem", SYS1, "--O-min", lo, "--O-max", hi, "--O-log", "3", "--format", fmt
+    )
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"] == {"code": "bad_range", "message": "--O-min and --O-max must be finite"}
+    else:
+        assert out == "" and err == "--O-min and --O-max must be finite\n"
 
 
 def test_simulate_csv_and_summary(tmp_path, capsys):

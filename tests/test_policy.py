@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from lqgsched import (
     CostModel,
@@ -310,6 +310,49 @@ def test_period_nondecreasing_in_price_property(seed, exponents):
     base = float(np.trace(sys.noise_gram() @ are.phi))
     periods = [optimal_period(sys, replace(cost, O=base * 10.0**e), are=are).T_star for e in sorted(exponents)]
     assert periods == sorted(periods)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bracket_at_solution_property(seed):
+    # h changes sign between T* - 1 and T*, so T* minimises the cycle cost f
+    sys, cost, ps = random_admissible_with_finite_T(np.random.default_rng(seed))
+    assert h_value(ps.period, ps.r, sys, cost, ps.are) > 0.0
+    if ps.period >= 2:
+        assert h_value(ps.period - 1, ps.r, sys, cost, ps.are) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=8))
+def test_value_nondecreasing_in_price_property(seed, exponents):
+    # prices around a finite-T* price; on a stable plant they often cross into never-measure
+    rng = np.random.default_rng(seed)
+    sys, cost, ps = random_admissible_with_finite_T(rng)
+    x0 = rng.normal(size=sys.q)
+    values = [value_at(optimal_period(sys, replace(cost, O=cost.O * 10.0**e), are=ps.are), x0).V
+              for e in sorted(exponents)]
+    for lo, hi in zip(values, values[1:]):
+        assert hi >= lo - 1e-12 * abs(lo)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bracket_tends_to_threshold_for_stable_A_property(seed):
+    # threshold - S(T) = sum_{t >= T} (1 - beta^{t+1})/(1 - beta) g[t] lies in [0, tail(T)],
+    # tail(T) = Tr((A')^T W_inf A^T phi)/(1 - beta), which falls to 0 as T grows
+    sys, cost, ps = random_admissible_with_finite_T(np.random.default_rng(seed))
+    assume(ps.never_threshold is not None)
+    table, beta = ps._table, cost.beta
+    # the threshold is cut at TAIL_TOL and is the difference of two sums of Tr(W_inf phi)/(1 - beta)'s size
+    slack = TAIL_TOL + 1e-12 * float(np.trace(table.W @ ps.are.phi)) / (1.0 - beta)
+    T, M = 0, table.W
+    while True:
+        tail = float(np.trace(M @ ps.are.phi)) / (1.0 - beta)
+        gap = ps.never_threshold - table.grow(T).S[T]
+        assert -slack <= gap <= tail + slack, T
+        if tail < slack:
+            break
+        T, M = T + 1, sys.A.T @ M @ sys.A
 
 
 def test_value_components_relations(ps1_O10):

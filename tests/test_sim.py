@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,42 @@ def test_batch_costs_match_single_runs(ps1_O10, sys1_O10):
     for r in range(4):
         rec = simulate(sys1_O10, ps1_O10, SimConfig(horizon=150, seed=40 + r, n_runs=1, strategy=fixed_period(5)))
         assert batch[r] == pytest.approx(rec.total_cost, rel=1e-9)
+
+
+def random_stable_plant(seed: int, q: int = 50, p: int = 10) -> Problem:
+    """A seeded Schur-stable plant (spectral radius 0.9) with unit-scale weights."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(q, q))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    J, M = rng.normal(size=(q, q)), rng.normal(size=(p, p))
+    sys = LinearSystem(A=A, B=rng.normal(size=(q, p)), C=np.eye(q), Sigma_S=0.1 * np.eye(q))
+    cost = CostModel(Q=J.T @ J / q + np.eye(q), R=M.T @ M / p + np.eye(p), beta=BETA, O=1.0)
+    return Problem(sys=sys, cost=cost, x0=rng.normal(size=q))
+
+
+def test_state_control_cost_matches_per_row_quadratic_forms():
+    from lqgsched.sim import _state_control_cost
+
+    problem = random_stable_plant(8)
+    rng = np.random.default_rng(9)
+    X, U = rng.normal(size=(40, problem.q)), rng.normal(size=(40, problem.p))
+    Q, R = problem.cost.Q, problem.cost.R
+    expected = [x @ Q @ x + u @ R @ u for x, u in zip(X, U)]
+    np.testing.assert_allclose(_state_control_cost(problem.cost, X, U), expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "strategy", [fixed_period(3), ALWAYS_MEASURE, NEVER_MEASURE], ids=["fixed3", "always", "never"]
+)
+def test_batch_costs_match_single_runs_q50(strategy):
+    from lqgsched.sim import _batch_costs
+
+    problem = random_stable_plant(4)
+    ps = optimal_period(problem.sys, problem.cost)
+    cfg = SimConfig(horizon=100, seed=60, n_runs=3, strategy=strategy)
+    batch = _batch_costs(problem, ps, cfg)
+    single = [simulate(problem, ps, replace(cfg, seed=60 + r, n_runs=1)).total_cost for r in range(3)]
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
 
 def test_always_measure_tracks_state(ps1_O10, sys1_O10):
