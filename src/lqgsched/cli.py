@@ -40,6 +40,10 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
+# The most prices one sweep tabulates (each keeps its solved schedule until the
+# table is written); a larger grid exits 2 before it is built.
+MAX_SWEEP_PRICES = 100_000
+
 
 def load_problem(path: str, O_override: float | None = None) -> Problem:
     with open(path) as fh:
@@ -197,6 +201,8 @@ def _sweep_prices(args) -> list[float]:
             raise ValueError("--O-min and --O-max must be finite")
         if args.O_min <= 0:
             raise ValueError("--O-min must be positive for a log sweep")
+        if args.O_log > MAX_SWEEP_PRICES:
+            raise ValueError(f"--O-log asks for {args.O_log} prices; a sweep tabulates at most {MAX_SWEEP_PRICES}")
         return [float(O) for O in np.geomspace(args.O_min, args.O_max, int(args.O_log))]
     if args.O_min is None or args.O_max is None or args.O_step is None:
         raise ValueError("sweep needs --O-min, --O-max and --O-step (or --O-log)")
@@ -204,6 +210,8 @@ def _sweep_prices(args) -> list[float]:
         raise ValueError("--O-step must be positive")
     if not all(map(np.isfinite, (args.O_min, args.O_max, args.O_step))):
         raise ValueError("--O-min, --O-max and --O-step must be finite")
+    if (args.O_max - args.O_min) / args.O_step >= MAX_SWEEP_PRICES:
+        raise ValueError(f"the grid has more than {MAX_SWEEP_PRICES} prices; a sweep tabulates at most {MAX_SWEEP_PRICES}")
     # O_min + k*step in decimal, so a step of 0.1 prints 0.3 and not 0.30000000000000004.
     lo, step = Decimal(repr(args.O_min)), Decimal(repr(args.O_step))
     out = []

@@ -8,12 +8,14 @@ sums in one table per (sys, beta, are):
     S[T]  = sum_{t<T} (1 - beta^{t+1})/(1 - beta) g[t],
     E[T]  = sum_{t<T} beta^t tr[t].
 
-The optimal waiting time T* is the first T with S(T) > O. For Schur-stable A,
-S(inf) is the never-measure threshold Tr(W_inf phi)/(1 - beta) - E[inf]: any
-O at or above it makes waiting forever optimal. The value offset r solves
-r = min_T f(T, r) and is read off the table in closed form per case (the
-brute-force iteration lives in the oracle module). A price sweep shares one
-Riccati solve and one table across its prices.
+The optimal waiting time T* is the first T with S(T) > O; the table grows
+only to T*. For Schur-stable A, S(inf) is the never-measure threshold: any O
+at or above it makes waiting forever optimal. Writing (1 - beta^{t+1})/(1 -
+beta) as sum_{k<=t} beta^k and swapping the sums gives it in closed form,
+S(inf) = Tr(X phi) with X = sum_k beta^k (A')^k W_inf A^k, a sum of positive
+terms; then E[inf] = Tr(W_inf phi)/(1 - beta) - S(inf). The value offset r
+solves r = min_T f(T, r) and is read off the table per case (the oracle
+module iterates it by brute force). A sweep shares one Riccati solve and table.
 
 Covariance convention: P_t follows the adjoint recursion P_{t+1} = A' P_t A + G
 (error_cov_seq builds these matrices; the tests check the table against it).
@@ -32,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import CostModel, LinearSystem
-from .riccati import AreSolution, dare_solve, lyapunov_solve, spectral_radius
+from .riccati import AreSolution, UnstableA, dare_solve, dlyap_adjoint, lyapunov_solve
 
 __all__ = [
     "MeasureCase",
@@ -51,9 +53,6 @@ __all__ = [
 # Waiting times beyond this are treated as a search failure, not a policy.
 T_SEARCH_CAP = 10_000
 
-# Tail cutoff for the discounted infinite sums in the stable branch.
-TAIL_TOL = 1e-9
-
 
 class MeasureCase(Enum):
     MEASURE_EVERY_STEP = "measure_every_step"
@@ -65,7 +64,7 @@ class _PhaseTable:
     """Prefix sums tr, S and E of the phase sequence of one (sys, beta, are).
 
     Index T of each list sums the first T phases, so every list starts at 0.0.
-    The lists grow on demand; W_inf is solved once, on first use.
+    The lists grow on demand; W_inf and the threshold are solved once, on first use.
     """
 
     def __init__(self, sys: LinearSystem, beta: float, are: AreSolution):
@@ -102,18 +101,14 @@ class _PhaseTable:
         return lyapunov_solve(self.sys)
 
     @cached_property
-    def E_inf(self) -> float:
-        """E[inf], cut once the tail bound beta^t Tr(W_inf phi)/(1 - beta) drops below TAIL_TOL."""
-        w_trace, beta = float(np.trace(self.W @ self.are.phi)), self.beta
-        n = 0
-        while beta**n * w_trace / (1.0 - beta) >= TAIL_TOL:
-            n += 1
-        self.grow(n)
-        return self.E[n]
+    def threshold(self) -> float:
+        """S(inf) = Tr(X phi), X = dlyap_adjoint(sqrt(beta) A, W_inf); raises UnstableA unless A is Schur-stable."""
+        return float(np.trace(dlyap_adjoint(math.sqrt(self.beta) * self.sys.A, self.W) @ self.are.phi))
 
     @property
-    def threshold(self) -> float:
-        return float(np.trace(self.W @ self.are.phi)) / (1.0 - self.beta) - self.E_inf
+    def E_inf(self) -> float:
+        """E[inf] = sum_t beta^t Tr(P_t phi); needs the threshold, so a stable A."""
+        return float(np.trace(self.W @ self.are.phi)) / (1.0 - self.beta) - self.threshold
 
 
 @dataclass(frozen=True)
@@ -211,7 +206,7 @@ def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSoluti
 def never_measure_threshold(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> float:
     """Price above which a Schur-stable loop should never buy a measurement.
 
-    Equals Tr(W_inf phi)/(1 - beta) - sum_t beta^t Tr(P_t phi); requires
+    Equals S(inf) = sum_k beta^k Tr((A')^k W_inf A^k phi); requires
     spectral_radius(A) < 1 and raises UnstableA otherwise.
     """
     return _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost)).threshold
@@ -221,7 +216,10 @@ def _solve_prices(sys: LinearSystem, cost: CostModel, prices: list[float], are: 
                   T_cap: int = T_SEARCH_CAP) -> list[PolicySolution]:
     """The schedule at each price (cost.O is ignored): one Riccati solve, one table, at most one W_inf."""
     table = _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost))
-    threshold = table.threshold if spectral_radius(sys.A) < 1.0 - 1e-9 else None
+    try:
+        threshold = table.threshold
+    except UnstableA:
+        threshold = None
     return [_solve_price(table, replace(cost, O=O), threshold, T_cap) for O in prices]
 
 

@@ -11,8 +11,10 @@ of trajectory share one cost-accounting routine.
 Noise is drawn from numpy's PCG64 generator; run k of a Monte Carlo batch
 uses the substream seeded with ``seed + k`` whatever the chunking, so any
 single run can be reproduced bit-for-bit in isolation. The rollout holds the
-noise of one chunk of runs at a time (at most ``_CHUNK_VALUES`` values), not
-of all of them, so memory does not grow with the number of runs. Gaussian
+noise of one chunk of runs at a time (at most ``_CHUNK_VALUES`` values),
+step-major so each step adds one contiguous block, and Monte Carlo merges
+each chunk's cost moments into running totals, so memory does not grow with
+the number of runs (at most ``MAX_RUNS``). Gaussian
 plant noise w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with the
 symmetric PSD square root, which also supports degenerate covariances
 (useful for noiseless test modes).
@@ -78,12 +80,18 @@ def fixed_period(T: int) -> Strategy:
     return Strategy("fixed", period=int(T))
 
 
+# The most Monte Carlo runs one simulation takes. A million runs of 500 steps
+# take about two minutes on sys1 and twenty on a q=50 plant (one CPU).
+MAX_RUNS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters.
 
     The default horizon of 500 leaves a discount tail of beta^500 (about
-    7e-12 at beta = 0.95), far below Monte Carlo noise.
+    7e-12 at beta = 0.95), far below Monte Carlo noise. n_runs may be at
+    most MAX_RUNS.
     """
 
     horizon: int = 500
@@ -96,6 +104,8 @@ class SimConfig:
             raise ValueError("horizon must be >= 1")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if self.n_runs > MAX_RUNS:
+            raise ValueError(f"n_runs must be <= {MAX_RUNS}")
 
 
 @dataclass(frozen=True)
@@ -136,17 +146,12 @@ class TrajectoryRecord:
             + [f"u_{k+1}" for k in range(p)]
             + ["i", "stage_cost", "cum_cost"]
         )
+        # Python floats and ints, so each cell is one repr: the same text as repr(float(v))
+        reals = np.hstack([self.x, self.x_bar, self.err, self.u]).tolist()
+        columns = zip(self.t.astype(int).tolist(), reals, self.i.astype(int).tolist(),
+                      self.stage_cost.tolist(), self.cum_cost.tolist())
         lines = [",".join(header)]
-        for k in range(len(self.t)):
-            row = (
-                [str(int(self.t[k]))]
-                + [repr(float(v)) for v in self.x[k]]
-                + [repr(float(v)) for v in self.x_bar[k]]
-                + [repr(float(v)) for v in self.err[k]]
-                + [repr(float(v)) for v in self.u[k]]
-                + [str(int(self.i[k])), repr(float(self.stage_cost[k])), repr(float(self.cum_cost[k]))]
-            )
-            lines.append(",".join(row))
+        lines += [",".join([str(t), *map(repr, row), str(i), repr(sc), repr(cc)]) for t, row, i, sc, cc in columns]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -168,14 +173,16 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     Yields ``(first_run, t, X, Xbar, U, measured)`` for each chunk and each
     step ``t < steps``: row j of ``X``, ``Xbar`` and ``U`` is the state,
     estimate and control of run ``first_run + j`` at step t, before the step's
-    noise enters. Run k draws its noise from substream ``seed + k`` whatever
-    the chunking, and a chunk holds at most ``_CHUNK_VALUES`` noise values (at
-    least one run's).
+    noise enters. The three arrays are buffers that later steps overwrite, so
+    a caller copies what it keeps. Run k draws its noise from substream
+    ``seed + k`` whatever the chunking, and a chunk holds at most
+    ``_CHUNK_VALUES`` noise values (at least one run's).
     """
     sys = problem.sys
-    A, B, K = sys.A, sys.B, ps.are.K
     q = sys.q
-    N_mat = sys.C @ psd_sqrt(sys.Sigma_S)
+    # every per-step product reads a C-contiguous right operand
+    AT, BT, minus_KT = (np.ascontiguousarray(M) for M in (sys.A.T, sys.B.T, -ps.are.K.T))
+    NT = np.ascontiguousarray((sys.C @ psd_sqrt(sys.Sigma_S)).T)
     measure = np.zeros(steps, dtype=bool)
     measure[strategy.measure_times(ps, steps)] = True  # never step 0: it is free
 
@@ -183,22 +190,29 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     # path, whose last bits differ from those of the full-size products.
     n_chunks = -(-n_runs // max(1, _CHUNK_VALUES // (steps * q)))
     chunk = -(-n_runs // n_chunks)
-    noise = np.empty((chunk, steps, q))
+    noise = np.empty((steps, chunk, q))  # step-major: the noise of step t is the block noise[t, :n]
+    states, controls = np.empty((5, chunk, q)), np.empty((chunk, sys.p))
     for first in range(0, n_runs, chunk):
         n = min(chunk, n_runs - first)
-        W = noise[:n]
         for r in range(n):
-            W[r] = _run_rng(seed, first + r).standard_normal((steps, q)) @ N_mat.T
-        X = np.tile(problem.x0, (n, 1))
-        Xbar = X.copy()
+            noise[:, r] = _run_rng(seed, first + r).standard_normal((steps, q)) @ NT
+        # X and Xbar are each updated into a spare and swapped with it; BU holds U B'
+        X, X_next, Xbar, Xbar_next, BU = states[:, :n]
+        U = controls[:n]
+        X[:] = problem.x0
         for t in range(steps):
-            if measure[t]:
-                Xbar = X.copy()
-            elif t > 0:
-                Xbar = Xbar @ A.T + U @ B.T
-            U = -(Xbar @ K.T)
+            if t == 0 or measure[t]:  # x0 is known at step 0
+                np.copyto(Xbar, X)
+            else:
+                np.matmul(Xbar, AT, out=Xbar_next)
+                Xbar_next += np.matmul(U, BT, out=BU)
+                Xbar, Xbar_next = Xbar_next, Xbar
+            np.matmul(Xbar, minus_KT, out=U)
             yield first, t, X, Xbar, U, bool(measure[t])
-            X = X @ A.T + U @ B.T + W[:, t, :]
+            np.matmul(X, AT, out=X_next)
+            X_next += np.matmul(U, BT, out=BU)
+            X_next += noise[t, :n]
+            X, X_next = X_next, X
 
 
 def _state_control_cost(cost: CostModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -256,30 +270,45 @@ def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> Trajectory
     return _record(problem.cost, X, Xbar, U, I)
 
 
-def _batch_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> np.ndarray:
-    """Total discounted cost of each run of the rollout."""
+def _chunk_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig):
+    """Total discounted cost of each run of the rollout, one array per chunk of runs."""
     cost = problem.cost
-    totals = np.zeros(cfg.n_runs)
-    for first, t, X, _, U, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, cfg.horizon):
-        rows = totals[first:first + len(X)]  # a view: += adds into totals
+    for _, t, X, _, U, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, cfg.horizon):
+        if t == 0:
+            totals = np.zeros(len(X))
         disc = cost.beta**t
         if measured:
-            rows += disc * cost.O
-        rows += disc * _state_control_cost(cost, X, U)
-    return totals
+            totals += disc * cost.O
+        totals += disc * _state_control_cost(cost, X, U)
+        if t == cfg.horizon - 1:
+            yield totals
+
+
+def _batch_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> np.ndarray:
+    """Total discounted cost of each run (one float per run: for tests and small batches)."""
+    return np.concatenate(list(_chunk_costs(problem, ps, cfg)))
 
 
 def monte_carlo_value(
     problem: Problem, ps: PolicySolution, cfg: SimConfig
 ) -> tuple[float, float]:
     """Mean total discounted cost over cfg.n_runs independent runs and its
-    standard error (sample std / sqrt(n); meaningful for n_runs >= 30)."""
-    totals = _batch_costs(problem, ps, cfg)
-    mean = float(totals.mean())
-    if cfg.n_runs == 1:
+    standard error (sample std / sqrt(n); meaningful for n_runs >= 30).
+
+    The moments stream: each chunk's count, mean and sum of squared deviations
+    merge into running totals by the pairwise update of Chan, Golub and
+    LeVeque, so memory does not grow with n_runs.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+    for totals in _chunk_costs(problem, ps, cfg):
+        n_b, mean_b = len(totals), float(totals.mean())
+        delta, n_ab = mean_b - mean, n + n_b
+        mean += delta * n_b / n_ab
+        m2 += float(np.sum((totals - mean_b) ** 2)) + delta**2 * n * n_b / n_ab
+        n = n_ab
+    if n == 1:
         return mean, 0.0
-    se = float(totals.std(ddof=1) / math.sqrt(cfg.n_runs))
-    return mean, se
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def empirical_error_covariance(

@@ -81,6 +81,17 @@ def bracket_edge_prices(A: np.ndarray, T_max: int = 29):
     return ps.are, prices
 
 
+def random_stable_plant(seed: int, q: int = 50, p: int = 10) -> Problem:
+    """A seeded Schur-stable plant (spectral radius 0.9) with unit-scale weights."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(q, q))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    J, M = rng.normal(size=(q, q)), rng.normal(size=(p, p))
+    sys = LinearSystem(A=A, B=rng.normal(size=(q, p)), C=np.eye(q), Sigma_S=0.1 * np.eye(q))
+    cost = CostModel(Q=J.T @ J / q + np.eye(q), R=M.T @ M / p + np.eye(p), beta=BETA, O=1.0)
+    return Problem(sys=sys, cost=cost, x0=rng.normal(size=q))
+
+
 def random_admissible(rng: np.random.Generator, q_max: int = 3,
                       beta_range=(0.8, 0.99)):
     """A random valid (LinearSystem, CostModel-with-O=0) pair.

@@ -270,6 +270,19 @@ def test_simulation_too_large_exits_2(capsys, monkeypatch, stage, fmt):
         assert out == "" and err.startswith("simulation too large: Unable to allocate 7.28 TiB")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_too_many_runs_exits_2(capsys, monkeypatch, fmt):
+    # rejected when the configuration is built: nothing is solved or simulated
+    monkeypatch.setattr(cli, "_solve_problem", lambda problem: pytest.fail("solved a rejected simulation"))
+    code, out, err = run(capsys, "simulate", "--problem", SYS1, "--runs", "1000000000000", "--format", fmt)
+    assert code == 2
+    message = "n_runs must be <= 1000000"
+    if fmt == "json":
+        assert json.loads(out) == {"error": {"code": "bad_simulation", "message": message}}
+    else:
+        assert out == "" and err == message + "\n"
+
+
 def _non_finite_case(tmp_path, case):
     with open(SYS1) as fh:
         d = json.load(fh)
@@ -323,6 +336,25 @@ def test_log_sweep_rejects_non_finite_range(capsys, bounds, fmt):
         assert json.loads(out)["error"] == {"code": "bad_range", "message": "--O-min and --O-max must be finite"}
     else:
         assert out == "" and err == "--O-min and --O-max must be finite\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("grid", [("--O-log", "1000000000000"), ("--O-max", "1e15", "--O-step", "1"),
+                                  ("--O-max", "1e308", "--O-step", "1e-300")], ids=["log", "step", "overflow"])
+def test_huge_sweep_exits_2(capsys, monkeypatch, grid, fmt):
+    # the price count is checked before any grid is built or any price solved
+    for owner, name in ((cli, "Decimal"), (np, "geomspace"), (cli, "_read_problem")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"{name} called for a rejected sweep"))
+    lo = "1" if grid[0] == "--O-log" else "0"
+    extra = ("--O-max", "10") if grid[0] == "--O-log" else ()
+    code, out, err = run(capsys, "sweep", "--problem", SYS1, "--O-min", lo, *extra, *grid, "--format", fmt)
+    assert code == 2
+    message = json.loads(out)["error"]["message"] if fmt == "json" else err
+    assert "a sweep tabulates at most 100000" in message
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "bad_range"
+    else:
+        assert out == ""
 
 
 def test_simulate_csv_and_summary(tmp_path, capsys):

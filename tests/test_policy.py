@@ -20,7 +20,7 @@ from lqgsched import (
     value_at,
 )
 
-from lqgsched.policy import TAIL_TOL, _PhaseTable
+from lqgsched.policy import _PhaseTable
 
 from conftest import (
     A1,
@@ -36,6 +36,7 @@ from conftest import (
     make_problem,
     random_admissible,
     random_admissible_with_finite_T,
+    random_stable_plant,
 )
 
 
@@ -121,15 +122,59 @@ def test_phase_table_matches_error_cov_seq():
             continue
         n_stable += 1
         w_trace = float(np.trace(W @ are.phi))
-        n_tail = next(t for t in range(100_000) if beta**t * w_trace / (1.0 - beta) < TAIL_TOL)
+        # a long sum: the tail bound beta^t Tr(W_inf phi)/(1 - beta) is cut at 1e-16 of Tr(W_inf phi)
+        n_tail = next(t for t in range(100_000) if beta**t / (1.0 - beta) < 1e-16)
         seq = error_cov_seq(sys, n_tail)
-        E_inf = sum(beta**t * float(np.trace(seq[t] @ are.phi)) for t in range(n_tail))
+        E_inf = math.fsum(beta**t * float(np.trace(seq[t] @ are.phi)) for t in range(n_tail))
         threshold = never_measure_threshold(sys, cost, are)
         assert _rel(threshold, w_trace / (1.0 - beta) - E_inf) < 1e-12
         never = optimal_period(sys, CostModel(Q=cost.Q, R=cost.R, beta=beta, O=2.0 * threshold), are=are)
         assert never.case_id is MeasureCase.NEVER_MEASURE
         assert _rel(never.r, E_inf + beta / (1.0 - beta) * noise) < 1e-12
     assert n_stable >= 5
+
+
+def long_tail_sums(sys, beta, phi):
+    """Brute-force S(inf) and E[inf] = sum_t beta^t Tr(P_t phi), each cut at 1e-16 relative.
+
+    g[t] = Tr((A')^t G A^t phi) is pushed until it is 1e-22 of g[0] (A is
+    stable, so what is left of S(inf) is far below 1e-16 of it); Tr(P_t phi)
+    is then constant in floating point, and E's terms run until
+    beta^t/(1 - beta) < 1e-16. Every term is nonnegative and fsum adds them exactly.
+    """
+    M, g = sys.noise_gram(), []
+    while not g or g[-1] >= 1e-22 * g[0]:
+        g.append(float(np.trace(M @ phi)))
+        M = sys.A.T @ M @ sys.A
+    t = np.arange(len(g))
+    S_inf = math.fsum((1.0 - beta ** (t + 1)) / (1.0 - beta) * np.array(g))
+    tr = np.concatenate([[0.0], np.cumsum(g)])  # tr[t] = Tr(P_t phi)
+    t = np.arange(next(n for n in range(1, 10**6) if beta**n / (1.0 - beta) < 1e-16))
+    E_inf = math.fsum(beta**t * tr[np.minimum(t, len(g))])
+    return S_inf, E_inf
+
+
+@pytest.mark.parametrize("plant,beta", [("sys2", 0.95), ("sys2", 0.99), ("sys2", 0.999), ("q50", 0.95)])
+def test_never_measure_tail_matches_long_sums(plant, beta):
+    p = make_problem(A2, 0.0) if plant == "sys2" else random_stable_plant(5)
+    cost = replace(p.cost, beta=beta)
+    are = dare_solve(p.sys, cost)
+    S_inf, E_inf = long_tail_sums(p.sys, beta, are.phi)
+    threshold = never_measure_threshold(p.sys, cost, are)
+    assert _rel(threshold, S_inf) < 1e-12
+    never = optimal_period(p.sys, replace(cost, O=2.0 * threshold), are=are)
+    assert never.case_id is MeasureCase.NEVER_MEASURE and never.never_threshold == threshold
+    assert _rel(never.r, E_inf + beta / (1.0 - beta) * noise_rate(p.sys, are.P)) < 1e-12
+
+
+@pytest.mark.parametrize("A,O", [(A2, 7.0), (A2, 3.0), (A1, 10.0), (A1, 300.0)], ids=["never", "sys2", "sys1", "sys1-T10"])
+def test_phase_table_grows_only_to_T_star(A, O):
+    # the never-measure tail is closed-form: no phase is pushed beyond the one T* reads
+    p = make_problem(A, O)
+    ps = optimal_period(p.sys, p.cost)
+    value_at(ps, p.x0)
+    phases = len(ps._table.tr) - 1
+    assert phases == (0 if O == 7.0 else ps.period)
 
 
 def test_f_single_step_value():
@@ -343,8 +388,8 @@ def test_bracket_tends_to_threshold_for_stable_A_property(seed):
     sys, cost, ps = random_admissible_with_finite_T(np.random.default_rng(seed))
     assume(ps.never_threshold is not None)
     table, beta = ps._table, cost.beta
-    # the threshold is cut at TAIL_TOL and is the difference of two sums of Tr(W_inf phi)/(1 - beta)'s size
-    slack = TAIL_TOL + 1e-12 * float(np.trace(table.W @ ps.are.phi)) / (1.0 - beta)
+    # S[T] is a sum of terms up to Tr(W_inf phi)/(1 - beta) in size: rounding only
+    slack = 1e-12 * float(np.trace(table.W @ ps.are.phi)) / (1.0 - beta)
     T, M = 0, table.W
     while True:
         tail = float(np.trace(M @ ps.are.phi)) / (1.0 - beta)

@@ -17,8 +17,9 @@ from lqgsched import (
     optimal_period,
     simulate,
 )
+from lqgsched.model import psd_sqrt
 
-from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, bracket_edge_prices, make_problem
+from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, bracket_edge_prices, make_problem, random_stable_plant
 
 
 def record_fields(rec):
@@ -110,17 +111,6 @@ def test_batch_costs_match_single_runs(ps1_O10, sys1_O10):
     for r in range(4):
         rec = simulate(sys1_O10, ps1_O10, SimConfig(horizon=150, seed=40 + r, n_runs=1, strategy=fixed_period(5)))
         assert batch[r] == pytest.approx(rec.total_cost, rel=1e-9)
-
-
-def random_stable_plant(seed: int, q: int = 50, p: int = 10) -> Problem:
-    """A seeded Schur-stable plant (spectral radius 0.9) with unit-scale weights."""
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(q, q))
-    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
-    J, M = rng.normal(size=(q, q)), rng.normal(size=(p, p))
-    sys = LinearSystem(A=A, B=rng.normal(size=(q, p)), C=np.eye(q), Sigma_S=0.1 * np.eye(q))
-    cost = CostModel(Q=J.T @ J / q + np.eye(q), R=M.T @ M / p + np.eye(p), beta=BETA, O=1.0)
-    return Problem(sys=sys, cost=cost, x0=rng.normal(size=q))
 
 
 def test_state_control_cost_matches_per_row_quadratic_forms():
@@ -250,3 +240,93 @@ def test_monte_carlo_memory_bounded(ps1_O10, sys1_O10, monkeypatch):
 
     # the whole noise tensor of 2000 runs would be 9.6 MB
     assert peak(2000) - peak(200) < 1_000_000
+
+
+def test_monte_carlo_memory_does_not_grow_with_runs(ps1_O10, sys1_O10, monkeypatch):
+    # Ten times the runs, the same chunk: a float kept per run would add 72 kB.
+    import tracemalloc
+
+    import lqgsched.sim as sim
+
+    H = 2
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 500 * H * sys1_O10.q)
+    shared = np.random.default_rng(0)  # the memory under test does not depend on the noise
+    monkeypatch.setattr(sim, "_run_rng", lambda seed, run: shared)
+
+    def peak(n_runs):
+        tracemalloc.start()
+        try:
+            monte_carlo_value(sys1_O10, ps1_O10, SimConfig(horizon=H, n_runs=n_runs))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(10_000) - peak(1_000)) < 8 * 2_000
+
+
+def test_monte_carlo_moments_merge_chunks(ps1_O10, sys1_O10, monkeypatch):
+    import lqgsched.sim as sim
+
+    cfg = SimConfig(horizon=30, seed=8, n_runs=9, strategy=fixed_period(4))
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * 30 * sys1_O10.q)  # chunks of 2, 2, 2, 2 and 1 run
+    totals = sim._batch_costs(sys1_O10, ps1_O10, cfg)
+    mean, se = monte_carlo_value(sys1_O10, ps1_O10, cfg)
+    assert mean == pytest.approx(totals.mean(), rel=1e-12, abs=0.0)
+    assert se == pytest.approx(totals.std(ddof=1) / np.sqrt(9), rel=1e-12, abs=0.0)
+
+
+def rollout_reference(problem, ps, strategy, seed, H):
+    """Run ``seed`` of a schedule one vector at a time: x, x_bar, u and i per step."""
+    sys, K = problem.sys, ps.are.K
+    N = sys.C @ psd_sqrt(sys.Sigma_S)
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal((H, problem.q))
+    queries = set(strategy.measure_times(ps, H).tolist())
+    x, xs, xbars, us, i = problem.x0.copy(), [], [], [], []
+    for t in range(H):
+        if t == 0 or t in queries:
+            x_bar = x.copy()
+        else:
+            x_bar = sys.A @ x_bar + sys.B @ u
+        u = -(K @ x_bar)
+        xs.append(x), xbars.append(x_bar), us.append(u), i.append(int(t in queries))
+        x = sys.A @ x + sys.B @ u + N @ z[t]
+    return np.array(xs), np.array(xbars), np.array(us), np.array(i)
+
+
+@pytest.mark.parametrize("plant", ["sys1", "sys2", "q50"])
+def test_rollout_streams_match_per_run_reference(plant):
+    # simulate reads these schedules from run 0 of the batched rollout
+    problem = {"sys1": lambda: make_problem(A1, 10.0), "sys2": lambda: make_problem(A2, 3.0),
+               "q50": lambda: random_stable_plant(6)}[plant]()
+    ps = optimal_period(problem.sys, problem.cost)
+    H = 60
+    for strategy in (ALWAYS_MEASURE, NEVER_MEASURE, fixed_period(4)):
+        rec = simulate(problem, ps, SimConfig(horizon=H, seed=17, strategy=strategy))
+        x, x_bar, u, i = rollout_reference(problem, ps, strategy, 17, H)
+        assert np.array_equal(rec.i, i), strategy
+        for got, ref in ((rec.x, x), (rec.x_bar, x_bar), (rec.u, u)):
+            scale = np.max(np.abs(ref), axis=0)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale), strategy
+
+
+def test_csv_text_matches_per_cell_repr():
+    from lqgsched.sim import TrajectoryRecord
+
+    rng = np.random.default_rng(12)
+    H, q, p = 40, 50, 10
+    x, x_bar, u = rng.normal(size=(H, q)) * 1e3, rng.normal(size=(H, q)), rng.normal(size=(H, p)) * 1e-7
+    x[3, 7], x_bar[5, 0], u[9, 2] = -0.0, np.inf, -np.inf
+    i = (rng.random(H) < 0.3).astype(int)
+    stage = rng.random(H)
+    stage[4] = -0.0
+    rec = TrajectoryRecord(t=np.arange(H), x=x, x_bar=x_bar, err=x - x_bar, u=u, i=i, stage_cost=stage,
+                           cum_cost=np.cumsum(stage), cum_state_control=np.cumsum(stage), cum_measure=np.zeros(H))
+    lines = [",".join(["t", *(f"{n}_{k + 1}" for n, m in (("x", q), ("xbar", q), ("err", q), ("u", p))
+                              for k in range(m)), "i", "stage_cost", "cum_cost"])]
+    for k in range(H):
+        cells = [repr(float(v)) for v in (*rec.x[k], *rec.x_bar[k], *rec.err[k], *rec.u[k])]
+        lines.append(",".join([str(int(rec.t[k])), *cells, str(int(rec.i[k])),
+                               repr(float(rec.stage_cost[k])), repr(float(rec.cum_cost[k]))]))
+    text = rec.csv_text()
+    assert text == "\n".join(lines) + "\n"
+    assert ",-0.0," in text and ",inf," in text and ",-inf," in text
