@@ -10,9 +10,13 @@ Two implementations of the same policy:
   solved period T*; it reads T* from the policy and derives nothing itself.
 
 Both compute controls by propagating the estimate with x_hat <- A x_hat + B u
-and applying u = -(K @ x_hat), deliberately using identical floating-point
-operations so the two produce bit-identical control streams on the same
-trajectory.
+and applying u = -K x_hat. Both read the operands that the solved policy
+prepares once (C-contiguous, read-only copies of A, B and the negated gain
+-K), and both make the same three products, ``A.dot(x_hat)``,
+``B.dot(u)`` and ``(-K).dot(x_hat)``. The floating-point operations are
+identical, so the two produce bit-identical control streams on the same
+trajectory. Negating K once, before any product, is exact, so u equals
+-(K @ x_hat) bit for bit.
 """
 
 from __future__ import annotations
@@ -66,21 +70,22 @@ def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -
     estimate. A never-measure schedule has no finite packet; pass ``horizon``
     to truncate it explicitly, otherwise InfinitePeriod is raised.
     """
-    if ps.finite:
-        T = ps.period if horizon is None else min(ps.period, int(horizon))
+    loop = ps._loop
+    if loop.period:
+        T = loop.period if horizon is None else min(loop.period, int(horizon))
     else:
         if horizon is None:
             raise InfinitePeriod(
                 "schedule never measures; supply horizon= to cap the packet length"
             )
         T = int(horizon)
-    A, B, K = ps.sys.A, ps.sys.B, ps.are.K
-    x_hat = np.asarray(x, dtype=float).ravel().copy()
+    A, B, minus_K = loop.A, loop.B, loop.minus_K
+    x_hat = np.asarray(x, dtype=float).ravel()
     controls = np.empty((T, ps.sys.p))
     for j in range(T):
         if j > 0:
-            x_hat = A @ x_hat + B @ controls[j - 1]
-        controls[j] = -(K @ x_hat)
+            x_hat = A.dot(x_hat) + B.dot(controls[j - 1])
+        controls[j] = minus_K.dot(x_hat)
     return ControlPacket(T=T, controls=controls)
 
 
@@ -118,19 +123,19 @@ def step_decide(
     from zero; otherwise the estimate propagates through the model with the
     previous control.
     """
-    A, B, K = ps.sys.A, ps.sys.B, ps.are.K
+    loop = ps._loop
 
     if state.t == 0:
         # Free initial knowledge: act on x0 without buying a query.
-        return 0, -(K @ state.x_bar), ControllerState(m=0, x_bar=state.x_bar, t=1)
+        return 0, loop.minus_K.dot(state.x_bar), ControllerState(m=0, x_bar=state.x_bar, t=1)
 
-    if ps.finite and state.m + 1 >= ps.period:
+    if 0 < loop.period <= state.m + 1:
         if measurement is None:
             raise MeasurementUnavailable(f"trigger fired at t={state.t} with no measurement")
         x_bar = np.asarray(measurement, dtype=float).ravel().copy()
-        return 1, -(K @ x_bar), ControllerState(m=0, x_bar=x_bar, t=state.t + 1)
+        return 1, loop.minus_K.dot(x_bar), ControllerState(m=0, x_bar=x_bar, t=state.t + 1)
 
     if prev_control is None:
         raise ValueError("prev_control is required when no measurement is taken")
-    x_bar = A @ state.x_bar + B @ np.asarray(prev_control, dtype=float).ravel()
-    return 0, -(K @ x_bar), ControllerState(m=state.m + 1, x_bar=x_bar, t=state.t + 1)
+    x_bar = loop.A.dot(state.x_bar) + loop.B.dot(np.asarray(prev_control, dtype=float).ravel())
+    return 0, loop.minus_K.dot(x_bar), ControllerState(m=state.m + 1, x_bar=x_bar, t=state.t + 1)

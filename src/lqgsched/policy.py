@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import CostModel, LinearSystem
+from .model import CostModel, LinearSystem, psd_sqrt
 from .riccati import AreSolution, UnstableA, dare_solve, dlyap_adjoint, lyapunov_solve
 
 __all__ = [
@@ -138,6 +138,44 @@ class PolicySolution:
         if not self.finite:
             raise ValueError("schedule never measures; no finite period exists")
         return int(self.T_star)
+
+    @cached_property
+    def _loop(self) -> _ClosedLoop:
+        """The closed-loop operands of this policy, built on first use and shared by every caller."""
+        return _closed_loop(self.sys, self)
+
+
+def _frozen(M: np.ndarray) -> np.ndarray:
+    """A C-contiguous, read-only copy of M."""
+    M = np.array(M, dtype=float, order="C")
+    M.setflags(write=False)
+    return M
+
+
+@dataclass(frozen=True)
+class _ClosedLoop:
+    """What the controller and the simulator multiply by: C-contiguous, read-only copies.
+
+    The online step and the packet propagate x_hat <- A x_hat + B u and apply
+    u = minus_K x_hat. The batch rollout keeps one run per column and makes
+    the same products on its matrix of runs, adding the noise N z with
+    N = C Sigma_S^{1/2}; on a single run they are the very BLAS calls of the
+    online step. period is T*, or 0 for a schedule that never measures.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    minus_K: np.ndarray
+    N: np.ndarray
+    period: int
+
+
+def _closed_loop(sys: LinearSystem, ps: PolicySolution) -> _ClosedLoop:
+    """The plant ``sys`` closed by the gain and schedule of ``ps``."""
+    return _ClosedLoop(
+        A=_frozen(sys.A), B=_frozen(sys.B), minus_K=_frozen(-ps.are.K),
+        N=_frozen(sys.C @ psd_sqrt(sys.Sigma_S)), period=ps.period if ps.finite else 0,
+    )
 
 
 @dataclass(frozen=True)

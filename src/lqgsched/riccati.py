@@ -155,7 +155,9 @@ def dlyap_adjoint(Phi: np.ndarray, G: np.ndarray, steps: int = 128) -> np.ndarra
     """Sum of the series G + Phi'G Phi + (Phi')^2 G Phi^2 + ... by doubling.
 
     After k doubling rounds the partial sum covers 2^k terms, so convergence
-    is geometric whenever spectral_radius(Phi) < 1.
+    is geometric whenever spectral_radius(Phi) < 1. The stop is relative to
+    the sum, so scaling G scales the result and nothing else; G = 0 stops at
+    once.
     """
     W = (G + G.T) / 2.0
     M = Phi.copy()
@@ -163,7 +165,7 @@ def dlyap_adjoint(Phi: np.ndarray, G: np.ndarray, steps: int = 128) -> np.ndarra
         inc = M.T @ W @ M
         W = W + inc
         W = (W + W.T) / 2.0
-        if float(np.max(np.abs(inc))) < 1e-16 * max(1.0, float(np.max(np.abs(W)))):
+        if float(np.max(np.abs(inc))) <= 1e-16 * float(np.max(np.abs(W))):
             break
         M = M @ M
     return W

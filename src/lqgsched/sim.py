@@ -3,21 +3,21 @@
 Every schedule here fixes its query times in advance (the optimal trigger
 too: it is state-independent and periodic), so one batched rollout,
 ``_rollout``, serves them all: Monte Carlo costs, the sampled error
-covariance and the single trajectory of the always, never and fixed:T
-schedules. The optimal single trajectory instead runs the online controller
-session, whose trigger counts steps against the same solved T*. Both kinds
-of trajectory share one cost-accounting routine.
+covariance and the single trajectory of every schedule, which is run 0 of
+the rollout. The rollout multiplies by the operands the solved policy
+prepares once.
 
 Noise is drawn from numpy's PCG64 generator; run k of a Monte Carlo batch
 uses the substream seeded with ``seed + k`` whatever the chunking, so any
 single run can be reproduced bit-for-bit in isolation. The rollout holds the
 noise of one chunk of runs at a time (at most ``_CHUNK_VALUES`` values),
-step-major so each step adds one contiguous block, and Monte Carlo merges
-each chunk's cost moments into running totals, so memory does not grow with
-the number of runs (at most ``MAX_RUNS``). Gaussian
-plant noise w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with the
-symmetric PSD square root, which also supports degenerate covariances
-(useful for noiseless test modes).
+run-major, each run's draws written straight into its block of the chunk
+buffer. Monte Carlo costs and the sampled error covariance merge each
+chunk's moments into running totals, so memory does not grow with the
+number of runs (at most ``MAX_RUNS``). Gaussian plant noise
+w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with the symmetric PSD
+square root, which also supports degenerate covariances (useful for
+noiseless test modes).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import initial_state, step_decide
-from .model import CostModel, Problem, psd_sqrt
-from .policy import PolicySolution
+from .model import CostModel, Problem
+from .policy import PolicySolution, _closed_loop
 
 __all__ = [
     "Strategy",
@@ -178,11 +177,10 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     ``seed + k`` whatever the chunking, and a chunk holds at most
     ``_CHUNK_VALUES`` noise values (at least one run's).
     """
-    sys = problem.sys
-    q = sys.q
-    # every per-step product reads a C-contiguous right operand
-    AT, BT, minus_KT = (np.ascontiguousarray(M) for M in (sys.A.T, sys.B.T, -ps.are.K.T))
-    NT = np.ascontiguousarray((sys.C @ psd_sqrt(sys.Sigma_S)).T)
+    # the plant is normally the policy's own model; another plant gets its own operands
+    loop = ps._loop if problem.sys is ps.sys else _closed_loop(problem.sys, ps)
+    A, B, minus_K, N = loop.A, loop.B, loop.minus_K, loop.N
+    q = problem.q
     measure = np.zeros(steps, dtype=bool)
     measure[strategy.measure_times(ps, steps)] = True  # never step 0: it is free
 
@@ -190,29 +188,32 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     # path, whose last bits differ from those of the full-size products.
     n_chunks = -(-n_runs // max(1, _CHUNK_VALUES // (steps * q)))
     chunk = -(-n_runs // n_chunks)
-    noise = np.empty((steps, chunk, q))  # step-major: the noise of step t is the block noise[t, :n]
-    states, controls = np.empty((5, chunk, q)), np.empty((chunk, sys.p))
+    Z = np.empty((chunk, steps, q))  # run-major: run r's standard normals are the block Z[r]
+    states, controls = np.empty((5, q, chunk)), np.empty((problem.p, chunk))
     for first in range(0, n_runs, chunk):
         n = min(chunk, n_runs - first)
         for r in range(n):
-            noise[:, r] = _run_rng(seed, first + r).standard_normal((steps, q)) @ NT
-        # X and Xbar are each updated into a spare and swapped with it; BU holds U B'
-        X, X_next, Xbar, Xbar_next, BU = states[:, :n]
-        U = controls[:n]
-        X[:] = problem.x0
+            _run_rng(seed, first + r).standard_normal(out=Z[r])
+        # One run per column, so on a single run every product is the online
+        # controller's matrix-vector product, bit for bit. X and Xbar are each
+        # updated into a spare and swapped with it; BU holds B U.
+        X, X_next, Xbar, Xbar_next, BU = states[:, :, :n]
+        U = controls[:, :n]
+        X[:] = problem.x0[:, None]
         for t in range(steps):
+            if t > 0:  # the step from t - 1; its B U serves the estimate too
+                np.matmul(A, X, out=X_next)
+                X_next += np.matmul(B, U, out=BU)
+                X_next += np.matmul(N, Z[:n, t - 1].T, out=Xbar_next)  # a spare until the estimate update
+                X, X_next = X_next, X
             if t == 0 or measure[t]:  # x0 is known at step 0
                 np.copyto(Xbar, X)
             else:
-                np.matmul(Xbar, AT, out=Xbar_next)
-                Xbar_next += np.matmul(U, BT, out=BU)
+                np.matmul(A, Xbar, out=Xbar_next)
+                Xbar_next += BU
                 Xbar, Xbar_next = Xbar_next, Xbar
-            np.matmul(Xbar, minus_KT, out=U)
-            yield first, t, X, Xbar, U, bool(measure[t])
-            np.matmul(X, AT, out=X_next)
-            X_next += np.matmul(U, BT, out=BU)
-            X_next += noise[t, :n]
-            X, X_next = X_next, X
+            np.matmul(minus_K, Xbar, out=U)
+            yield first, t, X.T, Xbar.T, U.T, bool(measure[t])
 
 
 def _state_control_cost(cost: CostModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -245,28 +246,16 @@ def _record(cost: CostModel, X: np.ndarray, Xbar: np.ndarray, U: np.ndarray, I: 
 
 
 def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> TrajectoryRecord:
-    """One seeded closed-loop trajectory (substream ``seed + 0``).
+    """One seeded closed-loop trajectory: run 0 (substream ``seed + 0``) of the shared rollout.
 
-    The optimal strategy runs the online controller session, which queries
-    at the multiples of T* as ``measure_times`` does; the other schedules
-    are run ``0`` of the shared rollout.
+    The optimal strategy queries at the multiples of T*, as the online
+    controller session does.
     """
     H, q, p = cfg.horizon, problem.q, problem.p
     X, Xbar, U = np.empty((H, q)), np.empty((H, q)), np.empty((H, p))
     I = np.zeros(H, dtype=int)
-    if cfg.strategy.kind == "optimal":
-        A, B, C = problem.sys.A, problem.sys.B, problem.sys.C
-        noise_sqrt = psd_sqrt(problem.sys.Sigma_S)
-        z = _run_rng(cfg.seed, 0).standard_normal((H, q))
-        x, u = problem.x0.copy(), None
-        state = initial_state(ps, problem.x0)
-        for t in range(H):
-            I[t], u, state = step_decide(state, x, ps, u)
-            X[t], Xbar[t], U[t] = x, state.x_bar, u
-            x = A @ x + B @ u + C @ (noise_sqrt @ z[t])
-    else:
-        for _, t, Xt, Xbart, Ut, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, 1, H):
-            X[t], Xbar[t], U[t], I[t] = Xt[0], Xbart[0], Ut[0], measured
+    for _, t, Xt, Xbart, Ut, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, 1, H):
+        X[t], Xbar[t], U[t], I[t] = Xt[0], Xbart[0], Ut[0], measured
     return _record(problem.cost, X, Xbar, U, I)
 
 
@@ -289,26 +278,36 @@ def _batch_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> np.nda
     return np.concatenate(list(_chunk_costs(problem, ps, cfg)))
 
 
+def _merge_moments(acc: tuple, n_b: int, mean_b, m2_b) -> tuple:
+    """Merge a block's count, mean and centred co-moment into the running ``acc``.
+
+    The pairwise update of Chan, Golub and LeVeque: the two co-moments add,
+    with a correction for the gap between the two means, so no earlier
+    sample is kept.
+    """
+    n, mean, m2 = acc
+    delta, n_ab = mean_b - mean, n + n_b
+    return n_ab, mean + delta * n_b / n_ab, m2 + (m2_b + np.multiply.outer(delta, delta) * n * n_b / n_ab)
+
+
 def monte_carlo_value(
     problem: Problem, ps: PolicySolution, cfg: SimConfig
 ) -> tuple[float, float]:
     """Mean total discounted cost over cfg.n_runs independent runs and its
     standard error (sample std / sqrt(n); meaningful for n_runs >= 30).
 
-    The moments stream: each chunk's count, mean and sum of squared deviations
-    merge into running totals by the pairwise update of Chan, Golub and
-    LeVeque, so memory does not grow with n_runs.
+    The moments stream: each chunk's run totals merge into a running count,
+    mean and sum of squared deviations (``_merge_moments``), so memory does
+    not grow with n_runs.
     """
-    n, mean, m2 = 0, 0.0, 0.0
+    acc = (0, 0.0, 0.0)
     for totals in _chunk_costs(problem, ps, cfg):
-        n_b, mean_b = len(totals), float(totals.mean())
-        delta, n_ab = mean_b - mean, n + n_b
-        mean += delta * n_b / n_ab
-        m2 += float(np.sum((totals - mean_b) ** 2)) + delta**2 * n * n_b / n_ab
-        n = n_ab
+        mean_b = totals.mean()
+        acc = _merge_moments(acc, len(totals), mean_b, np.sum((totals - mean_b) ** 2))
+    n, mean, m2 = acc
     if n == 1:
-        return mean, 0.0
-    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        return float(mean), 0.0
+    return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def empirical_error_covariance(
@@ -317,15 +316,19 @@ def empirical_error_covariance(
     """Sample covariance of the estimation error x_t - xbar_t across runs.
 
     Step 0 is a (free) query epoch, so for t inside the first waiting window
-    the phase since the last query equals t itself.
+    the phase since the last query equals t itself. Each chunk's errors merge
+    into a running count, mean and co-moment (``_merge_moments``), so memory
+    does not grow with n_runs.
     """
     if not (0 <= t < cfg.horizon):
         raise ValueError(f"step {t} outside horizon {cfg.horizon}")
     if cfg.n_runs < 2:
         raise ValueError("a sample covariance needs n_runs >= 2")
-    E = np.empty((cfg.n_runs, problem.q))
-    for first, step, X, Xbar, _, _ in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, t + 1):
+    acc = (0, 0.0, 0.0)
+    for _, step, X, Xbar, _, _ in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, t + 1):
         if step == t:
-            E[first:first + len(X)] = X - Xbar
-    E = E - E.mean(axis=0, keepdims=True)
-    return (E.T @ E) / (cfg.n_runs - 1)
+            E = X - Xbar
+            mean_b = E.mean(axis=0)
+            D = E - mean_b
+            acc = _merge_moments(acc, len(E), mean_b, D.T @ D)
+    return acc[2] / (cfg.n_runs - 1)

@@ -446,3 +446,25 @@ def test_help_documents_exit_codes(capsys):
         main(["--help"])
     out = capsys.readouterr().out
     assert "2 validation" in out and "3 solver" in out and "4 verification" in out
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency (pyproject.toml): the commands must not import it
+    import subprocess
+
+    import lqgsched
+
+    problem = os.path.abspath(SYS1)
+    script = "\n".join([
+        "import json, sys",
+        "from lqgsched.cli import main",
+        f"codes = [main(['simulate', '--problem', {problem!r}, '--O', '10', '--horizon', '50', '--runs', '40',",
+        f"               '--out', {str(tmp_path / 'traj.csv')!r}]),",
+        f"         main(['verify', '--problem', {problem!r}, '--O', '10', '--out', {str(tmp_path / 'v.json')!r}])]",
+        "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lqgsched.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0], "scipy": []}

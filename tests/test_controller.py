@@ -1,4 +1,5 @@
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from conftest import (
     bracket_edge_prices,
     make_problem,
     random_admissible_with_finite_T,
+    random_stable_plant,
 )
 
 
@@ -224,3 +226,29 @@ def test_online_equals_packet_chain_property(seed, x_scale):
     for (i_a, u_a, _, _), (i_b, u_b) in zip(online, chain):
         assert i_a == i_b
         assert np.array_equal(u_a, u_b)
+
+
+def test_online_equals_packet_chain_q50():
+    # the shared operands at BLAS sizes: a q=50, p=10 plant, several windows
+    problem = random_stable_plant(7)
+    ps0 = optimal_period(problem.sys, problem.cost)
+    ps = optimal_period(problem.sys, replace(problem.cost, O=0.3 * ps0.never_threshold), are=ps0.are)
+    assert 2 <= ps.period <= 20
+    H = 4 * ps.period + 3
+    online = drive_plant(ps, problem.x0, H, seed=31)
+    chain = packet_chain_stream(ps, problem.x0, H, seed=31)
+    assert sum(i for i, _ in chain) == 4
+    for (i_a, u_a, _, _), (i_b, u_b) in zip(online, chain):
+        assert i_a == i_b
+        assert np.array_equal(u_a, u_b)
+
+
+def test_closed_loop_operands_are_shared_and_read_only(ps1_O10):
+    loop = ps1_O10._loop
+    assert ps1_O10._loop is loop  # built once per solved policy
+    assert np.array_equal(loop.minus_K, -ps1_O10.are.K) and loop.period == ps1_O10.period
+    for M in (loop.A, loop.B, loop.minus_K, loop.N):
+        assert M.flags.c_contiguous
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
+    assert ps1_O10.are.K.flags.writeable  # the copies leave the solved gain alone

@@ -167,6 +167,17 @@ def test_never_measure_tail_matches_long_sums(plant, beta):
     assert _rel(never.r, E_inf + beta / (1.0 - beta) * noise_rate(p.sys, are.P)) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-14])
+def test_never_measure_threshold_is_linear_in_noise(scale):
+    # phi does not depend on Sigma_S, so the threshold scales with it; the doubling
+    # sums must stop relative to their own size, also far below unit scale
+    p = make_problem(A2, 0.0)
+    are = dare_solve(p.sys, p.cost)
+    base = never_measure_threshold(p.sys, p.cost, are)
+    scaled = replace(p.sys, Sigma_S=scale * p.sys.Sigma_S)
+    assert _rel(never_measure_threshold(scaled, p.cost, are) / scale, base) < 1e-12
+
+
 @pytest.mark.parametrize("A,O", [(A2, 7.0), (A2, 3.0), (A1, 10.0), (A1, 300.0)], ids=["never", "sys2", "sys1", "sys1-T10"])
 def test_phase_table_grows_only_to_T_star(A, O):
     # the never-measure tail is closed-form: no phase is pushed beyond the one T* reads

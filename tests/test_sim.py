@@ -13,9 +13,11 @@ from lqgsched import (
     SimConfig,
     empirical_error_covariance,
     fixed_period,
+    initial_state,
     monte_carlo_value,
     optimal_period,
     simulate,
+    step_decide,
 )
 from lqgsched.model import psd_sqrt
 
@@ -92,8 +94,8 @@ def test_higher_price_longer_period_larger_error():
 
 @pytest.mark.parametrize("A", [A1, A2], ids=["sys1", "sys2"])
 def test_optimal_trajectory_queries_follow_period_on_bracket_edges(A):
-    # the single trajectory (online controller) and the Monte Carlo rollout
-    # (measure_times) run one schedule, also where T* flips between neighbours
+    # the single trajectory queries at measure_times, the multiples of the solved
+    # T*, also where T* flips between neighbours
     are, prices = bracket_edge_prices(A, T_max=8)
     for O in prices:
         p = make_problem(A, O)
@@ -275,6 +277,42 @@ def test_monte_carlo_moments_merge_chunks(ps1_O10, sys1_O10, monkeypatch):
     assert se == pytest.approx(totals.std(ddof=1) / np.sqrt(9), rel=1e-12, abs=0.0)
 
 
+def test_error_covariance_merges_chunks(ps1_O10, sys1_O10, monkeypatch):
+    import lqgsched.sim as sim
+
+    t, n = 4, 7
+    cfg = SimConfig(horizon=10, seed=5, n_runs=n, strategy=fixed_period(3))
+    E = np.concatenate([X - Xbar for _, step, X, Xbar, _, _ in sim._rollout(sys1_O10, ps1_O10, cfg.strategy, 5, n, t + 1)
+                        if step == t])
+    D = E - E.mean(axis=0)
+    two_pass = D.T @ D / (n - 1)
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * (t + 1) * sys1_O10.q)  # chunks of 2, 2, 2 and 1 run
+    streamed = empirical_error_covariance(sys1_O10, ps1_O10, cfg, t)
+    np.testing.assert_allclose(streamed, two_pass, rtol=1e-12, atol=1e-12 * np.max(np.abs(two_pass)))
+
+
+def test_error_covariance_memory_does_not_grow_with_runs(ps1_O10, sys1_O10, monkeypatch):
+    # Ten times the runs, the same chunk: an error row kept per run (and its centred copy) would add 432 kB.
+    import tracemalloc
+
+    import lqgsched.sim as sim
+
+    H = 2
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 500 * H * sys1_O10.q)
+    shared = np.random.default_rng(0)  # the memory under test does not depend on the noise
+    monkeypatch.setattr(sim, "_run_rng", lambda seed, run: shared)
+
+    def peak(n_runs):
+        tracemalloc.start()
+        try:
+            empirical_error_covariance(sys1_O10, ps1_O10, SimConfig(horizon=H, n_runs=n_runs), H - 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(10_000) - peak(1_000)) < 8 * 2_000
+
+
 def rollout_reference(problem, ps, strategy, seed, H):
     """Run ``seed`` of a schedule one vector at a time: x, x_bar, u and i per step."""
     sys, K = problem.sys, ps.are.K
@@ -307,6 +345,33 @@ def test_rollout_streams_match_per_run_reference(plant):
         for got, ref in ((rec.x, x), (rec.x_bar, x_bar), (rec.u, u)):
             scale = np.max(np.abs(ref), axis=0)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale), strategy
+
+
+@pytest.mark.parametrize("plant", ["sys1", "sys2", "q50"])
+def test_optimal_trajectory_matches_online_session(plant):
+    # simulate runs the optimal schedule as run 0 of the batched rollout; the deployed
+    # controller, driven on the same noise, queries at the same steps with the same controls
+    problem = {"sys1": lambda: make_problem(A1, 10.0), "sys2": lambda: make_problem(A2, 3.0),
+               "q50": lambda: random_stable_plant(6)}[plant]()
+    if plant == "q50":
+        threshold = optimal_period(problem.sys, problem.cost).never_threshold
+        problem = replace(problem, cost=replace(problem.cost, O=0.3 * threshold))
+    ps = optimal_period(problem.sys, problem.cost)
+    H, seed = 120, 23
+    rec = simulate(problem, ps, SimConfig(horizon=H, seed=seed, strategy=OPTIMAL))
+
+    sys = problem.sys
+    N = sys.C @ psd_sqrt(sys.Sigma_S)
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal((H, problem.q))
+    x, u, state = problem.x0.copy(), None, initial_state(ps, problem.x0)
+    I, U = np.zeros(H, dtype=int), np.empty((H, problem.p))
+    for t in range(H):
+        I[t], u, state = step_decide(state, x, ps, u)
+        U[t] = u
+        x = sys.A @ x + sys.B @ u + N @ z[t]
+    assert 3 <= I.sum() < H - 1
+    assert np.array_equal(rec.i, I)
+    assert np.all(np.abs(rec.u - U) <= 1e-12 * np.max(np.abs(U), axis=0))
 
 
 def test_csv_text_matches_per_cell_repr():
