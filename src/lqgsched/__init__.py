@@ -17,8 +17,6 @@ from .model import (
     LinearSystem,
     Problem,
     Violation,
-    controllability_check,
-    observability_check,
     validate,
 )
 from .oracle import (
@@ -34,7 +32,6 @@ from .oracle import (
     verify_solution,
 )
 from .policy import (
-    ErrorCovSeq,
     MeasureCase,
     NonFiniteSearch,
     PolicySolution,

@@ -33,7 +33,7 @@ from .sim import (
     simulate,
 )
 
-__all__ = ["main", "entry", "load_problem", "save_problem"]
+__all__ = ["main", "entry", "load_problem", "save_problem", "ProblemFileError"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -45,13 +45,23 @@ EXIT_VERIFICATION = 4
 MAX_SWEEP_PRICES = 100_000
 
 
+class ProblemFileError(ValueError):
+    """A problem file that is missing or unreadable, is not JSON, lacks a key or holds a malformed value."""
+
+
 def load_problem(path: str, O_override: float | None = None) -> Problem:
-    with open(path) as fh:
-        d = json.load(fh)
-    sys_ = LinearSystem(A=d["A"], B=d["B"], C=d["C"], Sigma_S=d["Sigma_S"])
-    O = float(d.get("O", 0.0)) if O_override is None else float(O_override)
-    cost = CostModel(Q=d["Q"], R=d["R"], beta=float(d["beta"]), O=O)
-    return Problem(sys=sys_, cost=cost, x0=d.get("x0"))
+    """Read a problem file; every way the file can be bad raises ProblemFileError."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        sys_ = LinearSystem(A=d["A"], B=d["B"], C=d["C"], Sigma_S=d["Sigma_S"])
+        O = float(d.get("O", 0.0)) if O_override is None else float(O_override)
+        cost = CostModel(Q=d["Q"], R=d["R"], beta=float(d["beta"]), O=O)
+        return Problem(sys=sys_, cost=cost, x0=d.get("x0"))
+    except KeyError as e:
+        raise ProblemFileError(f"{path}: missing key {e.args[0]!r}") from e
+    except (OSError, ValueError, TypeError) as e:
+        raise ProblemFileError(f"{path}: {e}") from e
 
 
 def save_problem(problem: Problem, path: str) -> None:
@@ -117,11 +127,8 @@ class _Failure(Exception):
 def _read_problem(path: str, O_override: float | None = None) -> Problem:
     try:
         return load_problem(path, O_override)
-    except KeyError as e:
-        message = f"{path}: missing key {e.args[0]!r}"
-    except (OSError, ValueError, TypeError) as e:
-        message = f"{path}: {e}"
-    raise _Failure(EXIT_VALIDATION, {"code": "bad_problem", "message": message}, f"bad problem file: {message}")
+    except ProblemFileError as e:
+        raise _Failure(EXIT_VALIDATION, {"code": "bad_problem", "message": str(e)}, f"bad problem file: {e}") from e
 
 
 def _require_valid(problem: Problem) -> None:

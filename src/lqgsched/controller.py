@@ -22,6 +22,7 @@ trajectory. Negating K once, before any product, is exact, so u equals
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,9 +90,8 @@ def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -
     return ControlPacket(T=T, controls=controls)
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Recursive sufficient statistic of the online controller.
+class ControllerState(NamedTuple):
+    """Recursive sufficient statistic of the online controller (immutable).
 
     m      -- steps since the last query (0 right after one); the trigger
               fires when m + 1 reaches T*.
@@ -106,7 +106,7 @@ class ControllerState:
 
 def initial_state(ps: PolicySolution, x0: np.ndarray) -> ControllerState:
     """Session start: the initial state is known for free, so no query is charged."""
-    return ControllerState(m=0, x_bar=np.asarray(x0, dtype=float).ravel().copy(), t=0)
+    return ControllerState(0, np.asarray(x0, dtype=float).ravel().copy(), 0)
 
 
 def step_decide(
@@ -127,15 +127,15 @@ def step_decide(
 
     if state.t == 0:
         # Free initial knowledge: act on x0 without buying a query.
-        return 0, loop.minus_K.dot(state.x_bar), ControllerState(m=0, x_bar=state.x_bar, t=1)
+        return 0, loop.minus_K.dot(state.x_bar), ControllerState(0, state.x_bar, 1)
 
     if 0 < loop.period <= state.m + 1:
         if measurement is None:
             raise MeasurementUnavailable(f"trigger fired at t={state.t} with no measurement")
         x_bar = np.asarray(measurement, dtype=float).ravel().copy()
-        return 1, loop.minus_K.dot(x_bar), ControllerState(m=0, x_bar=x_bar, t=state.t + 1)
+        return 1, loop.minus_K.dot(x_bar), ControllerState(0, x_bar, state.t + 1)
 
     if prev_control is None:
         raise ValueError("prev_control is required when no measurement is taken")
     x_bar = loop.A.dot(state.x_bar) + loop.B.dot(np.asarray(prev_control, dtype=float).ravel())
-    return 0, loop.minus_K.dot(x_bar), ControllerState(m=state.m + 1, x_bar=x_bar, t=state.t + 1)
+    return 0, loop.minus_K.dot(x_bar), ControllerState(state.m + 1, x_bar, state.t + 1)

@@ -4,7 +4,10 @@ Everything downstream (Riccati solvers, measurement scheduling, simulation)
 reads the matrices from these containers. Construction only coerces arrays
 and establishes dimensions; definiteness and well-posedness are checked by
 :func:`validate`, which reports violations instead of raising so that a
-caller can collect all of them at once.
+caller can collect all of them at once. Well-posedness is the condition for
+the discounted Riccati fixed point to exist and stabilize the loop:
+(sqrt(beta) A, B) stabilizable and (sqrt(beta) A, sqrt(Q)) detectable, both
+decided by one Popov-Belevitch-Hautus (PBH) test at the eigenvalues of A.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ __all__ = [
     "Problem",
     "Violation",
     "validate",
-    "controllability_check",
-    "observability_check",
     "psd_sqrt",
 ]
 
-# Relative eigenvalue cutoff used by every definiteness test.
+# Relative eigenvalue cutoff used by every definiteness test and, on singular values, by the PBH test.
 EIG_TOL = 1e-10
 
 
@@ -202,27 +203,34 @@ def validate(problem: Problem) -> list[Violation]:
     if problem.x0.shape != (q,):
         out.append(Violation("x0_shape", f"x0 has shape {problem.x0.shape}, expected ({q},)"))
 
+    # The PBH test needs finite A, B and Q of the right shapes, a PSD Q and beta in (0, 1).
+    if (sys.B.shape[0] == q and cost.Q.shape == (q, q) and 0.0 < cost.beta < 1.0
+            and not {"A", "B", "Q"} & set(non_finite) and "Q_not_psd" not in {v.code for v in out}):
+        out += _pbh(sys.A, sys.B, cost.Q, cost.beta)
+
     return out
 
 
-def controllability_check(sys: LinearSystem) -> bool:
-    """Rank test on [B, AB, ..., A^{q-1}B]."""
-    blocks = []
-    M = sys.B
-    for _ in range(sys.q):
-        blocks.append(M)
-        M = sys.A @ M
-    ctrb = np.hstack(blocks)
-    return int(np.linalg.matrix_rank(ctrb)) == sys.q
+def _rank_deficient(M: np.ndarray) -> bool:
+    """Smallest singular value at or below EIG_TOL times the largest (taken as at least 1)."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[-1] <= EIG_TOL * max(1.0, s[0])
 
 
-def observability_check(sys: LinearSystem, Q: np.ndarray) -> bool:
-    """Rank test on the observability matrix of (A, J) where Q = J'J."""
-    J = psd_sqrt(Q)
-    blocks = []
-    M = J
-    for _ in range(sys.q):
-        blocks.append(M)
-        M = M @ sys.A
-    obsv = np.vstack(blocks)
-    return int(np.linalg.matrix_rank(obsv)) == sys.q
+def _pbh(A: np.ndarray, B: np.ndarray, Q: np.ndarray, beta: float) -> list[Violation]:
+    """PBH test of (sqrt(beta) A, B) and (sqrt(beta) A, sqrt(Q)) at each lambda of A with sqrt(beta)|lambda| >= 1.
+
+    The pair with B is stabilizable iff [A - lambda I, B] has full row rank at
+    every such lambda, and the pair with sqrt(Q) is detectable iff
+    [A - lambda I; Q] has full column rank there: for PSD Q, Q and sqrt(Q)
+    have the same null space.
+    """
+    I = np.eye(A.shape[0])
+    lams = [lam for lam in np.linalg.eigvals(A) if np.sqrt(beta) * abs(lam) >= 1.0]
+    out = []
+    for code, stack, M, reason in (("not_stabilizable", np.hstack, B, "B does not reach it"),
+                                   ("not_detectable", np.vstack, Q, "Q does not weigh it")):
+        lam = next((lam for lam in lams if _rank_deficient(stack([A - lam * I, M]))), None)
+        if lam is not None:
+            out.append(Violation(code, f"the mode of A at eigenvalue {lam:.6g} has sqrt(beta)|lambda| >= 1 and {reason}"))
+    return out

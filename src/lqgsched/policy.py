@@ -39,7 +39,6 @@ from .riccati import AreSolution, UnstableA, dare_solve, dlyap_adjoint, lyapunov
 __all__ = [
     "MeasureCase",
     "PolicySolution",
-    "ErrorCovSeq",
     "ValueSummary",
     "NonFiniteSearch",
     "error_cov_seq",
@@ -87,11 +86,11 @@ class _PhaseTable:
             self._push()
         return self
 
-    def period(self, O: float, T_cap: int) -> int | None:
-        """First T <= T_cap with S[T] > O, or None if there is none."""
-        while len(self.S) <= T_cap and self.S[-1] <= O:
+    def period(self, O: float) -> int | None:
+        """First T <= T_SEARCH_CAP with S[T] > O, or None if there is none."""
+        while len(self.S) <= T_SEARCH_CAP and self.S[-1] <= O:
             self._push()
-        hi = min(len(self.S), T_cap + 1)
+        hi = min(len(self.S), T_SEARCH_CAP + 1)
         T = bisect.bisect_right(self.S, O, 1, hi)
         return T if T < hi else None
 
@@ -178,21 +177,8 @@ def _closed_loop(sys: LinearSystem, ps: PolicySolution) -> _ClosedLoop:
     )
 
 
-@dataclass(frozen=True)
-class ErrorCovSeq:
-    """Planning error-covariance sequence cov[t] for t = 0..T, cov[0] = 0."""
-
-    cov: np.ndarray
-
-    def __len__(self) -> int:
-        return self.cov.shape[0]
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        return self.cov[t]
-
-
-def error_cov_seq(sys: LinearSystem, T: int) -> ErrorCovSeq:
-    """Unmeasured-error covariances under the adjoint recursion.
+def error_cov_seq(sys: LinearSystem, T: int) -> np.ndarray:
+    """Unmeasured-error covariances cov[t], t = 0..T, under the adjoint recursion, shape (T+1, q, q).
 
     cov[0] = 0 and cov[t+1] = A' cov[t] A + C'Sigma_S C, which telescopes to
     sum_{tau=0}^{t-1} (A')^tau C'Sigma_S C A^tau.
@@ -205,7 +191,7 @@ def error_cov_seq(sys: LinearSystem, T: int) -> ErrorCovSeq:
     for t in range(T):
         nxt = sys.A.T @ cov[t] @ sys.A + G
         cov[t + 1] = (nxt + nxt.T) / 2.0
-    return ErrorCovSeq(cov=cov)
+    return cov
 
 
 class NonFiniteSearch(RuntimeError):
@@ -250,27 +236,27 @@ def never_measure_threshold(sys: LinearSystem, cost: CostModel, are: AreSolution
     return _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost)).threshold
 
 
-def _solve_prices(sys: LinearSystem, cost: CostModel, prices: list[float], are: AreSolution | None = None,
-                  T_cap: int = T_SEARCH_CAP) -> list[PolicySolution]:
+def _solve_prices(sys: LinearSystem, cost: CostModel, prices: list[float],
+                  are: AreSolution | None = None) -> list[PolicySolution]:
     """The schedule at each price (cost.O is ignored): one Riccati solve, one table, at most one W_inf."""
     table = _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost))
     try:
         threshold = table.threshold
     except UnstableA:
         threshold = None
-    return [_solve_price(table, replace(cost, O=O), threshold, T_cap) for O in prices]
+    return [_solve_price(table, replace(cost, O=O), threshold) for O in prices]
 
 
-def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None, T_cap: int) -> PolicySolution:
+def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None) -> PolicySolution:
     beta, O = cost.beta, cost.O
     common = dict(sys=table.sys, cost=cost, are=table.are, O=O, never_threshold=threshold, _table=table)
     if threshold is not None and O >= threshold:
         r = table.E_inf + beta / (1.0 - beta) * table.noise
         return PolicySolution(T_star=math.inf, r=r, case_id=MeasureCase.NEVER_MEASURE, **common)
-    T = table.period(O, T_cap)
+    T = table.period(O)
     if T is None:
         raise NonFiniteSearch(
-            f"no waiting time up to {T_cap} exceeded the bracket for O={O}; "
+            f"no waiting time up to {T_SEARCH_CAP} exceeded the bracket for O={O}; "
             "O is within tolerance of the never-measure threshold"
         )
     r = table.E[T] / (1.0 - beta**T) + beta / (1.0 - beta) * table.noise + beta**T * O / (1.0 - beta**T)
@@ -278,21 +264,16 @@ def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None, T
     return PolicySolution(T_star=float(T), r=r, case_id=case, **common)
 
 
-def optimal_period(
-    sys: LinearSystem,
-    cost: CostModel,
-    are: AreSolution | None = None,
-    T_cap: int = T_SEARCH_CAP,
-) -> PolicySolution:
+def optimal_period(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> PolicySolution:
     """Solve for the optimal waiting time T* and the value offset r.
 
     T* is the first T with S(T) > O, which resolves a price sitting exactly
     on a bracket boundary toward the longer wait. For stable A the
-    never-measure threshold is checked first; an exhausted search cap means
-    O sits just under the threshold and is reported as an error rather than
-    a schedule.
+    never-measure threshold is checked first; an exhausted search cap
+    (T_SEARCH_CAP) means O sits just under the threshold and is reported as
+    an error rather than a schedule.
     """
-    return _solve_prices(sys, cost, [cost.O], are, T_cap)[0]
+    return _solve_prices(sys, cost, [cost.O], are)[0]
 
 
 @dataclass(frozen=True)

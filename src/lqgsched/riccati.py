@@ -2,20 +2,21 @@
 
 The discounted algebraic Riccati equation is solved by fixed-point value
 iteration, which converges geometrically for beta < 1; no structured
-eigen-solver is involved. All solves against R + beta*B'LB go through
-numpy's Cholesky factorization, since that matrix is positive definite
-whenever R > 0 and L >= 0; a matrix that is not raises LinAlgError. Only
-numpy is needed at run time.
+eigen-solver is involved. The fixed point exists and stabilizes the loop
+exactly when (sqrt(beta) A, B) is stabilizable and (sqrt(beta) A, sqrt(Q))
+is detectable; model.validate decides that before any solve. All solves
+against R + beta*B'LB go through numpy's Cholesky factorization, since that
+matrix is positive definite whenever R > 0 and L >= 0; a matrix that is not
+raises LinAlgError. Only numpy is needed at run time.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostModel, LinearSystem, controllability_check, observability_check
+from .model import CostModel, LinearSystem
 
 __all__ = [
     "AreSolution",
@@ -29,8 +30,12 @@ __all__ = [
     "dlyap_adjoint",
 ]
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
+# The Riccati iteration stops once the sup-norm step is below ARE_TOL, or fails after ARE_MAX_ITER steps.
+ARE_TOL = 1e-10
+ARE_MAX_ITER = 100_000
+# lyapunov_solve rejects a doubling sum whose residual reaches this; doubling stops after DOUBLING_STEPS rounds.
+LYAPUNOV_RESIDUAL_TOL = 1e-9
+DOUBLING_STEPS = 128
 
 
 class NonConvergence(RuntimeError):
@@ -62,14 +67,18 @@ class AreSolution:
     residual: float
 
 
-def _gain_and_sensitivity(L: np.ndarray, sys: LinearSystem, cost: CostModel):
-    beta, B, A = cost.beta, sys.B, sys.A
-    S = cost.R + beta * (B.T @ L @ B)
+def _step(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Riccati step from L: (riccati_map(L), the gain K and the sensitivity phi at L)."""
+    beta, A, B = cost.beta, sys.A, sys.B
+    BtL, AtL = B.T @ L, A.T @ L
+    S = cost.R + beta * (BtL @ B)
     S = (S + S.T) / 2.0
     Lc = np.linalg.cholesky(S)  # raises LinAlgError unless S is positive definite
-    K = np.linalg.solve(Lc.T, np.linalg.solve(Lc, beta * (B.T @ L @ A)))
-    phi = (beta * (A.T @ L @ B)) @ K
-    return K, (phi + phi.T) / 2.0
+    K = np.linalg.solve(Lc.T, np.linalg.solve(Lc, beta * (BtL @ A)))
+    phi = (beta * (AtL @ B)) @ K
+    phi = (phi + phi.T) / 2.0
+    out = cost.Q + beta * (AtL @ A) - phi
+    return (out + out.T) / 2.0, K, phi
 
 
 def riccati_map(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> np.ndarray:
@@ -81,42 +90,30 @@ def riccati_map(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> np.ndarray
     L = np.asarray(L, dtype=float)
     if L.shape != (sys.q, sys.q):
         raise ValueError(f"L has shape {L.shape}, expected ({sys.q}, {sys.q})")
-    A, beta = sys.A, cost.beta
-    _, phi = _gain_and_sensitivity(L, sys, cost)
-    out = cost.Q + beta * (A.T @ L @ A) - phi
-    return (out + out.T) / 2.0
+    return _step(L, sys, cost)[0]
 
 
-def dare_solve(
-    sys: LinearSystem,
-    cost: CostModel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> AreSolution:
-    """Iterate the Riccati map from L0 = Q until the sup-norm step is below tol.
+def dare_solve(sys: LinearSystem, cost: CostModel) -> AreSolution:
+    """Iterate the Riccati map from L0 = Q until the sup-norm step is below ARE_TOL.
 
-    Controllability of (A, B) and observability of (A, J) with Q = J'J are
-    preconditions for uniqueness; violations warn but do not abort.
+    The fixed point is unique and stabilizing when the problem passes
+    model.validate. A caller that skips validate still gets a NonConvergence
+    on an unstabilizable plant: the iteration stops at its first non-finite step.
     """
-    if not controllability_check(sys):
-        warnings.warn("(A, B) fails the controllability rank test; proceeding anyway", stacklevel=2)
-    if not observability_check(sys, cost.Q):
-        warnings.warn("(A, sqrt(Q)) fails the observability rank test; proceeding anyway", stacklevel=2)
-
     L = (cost.Q + cost.Q.T) / 2.0
     diff = np.inf
-    for it in range(1, max_iter + 1):
-        Ln = riccati_map(L, sys, cost)
+    for it in range(1, ARE_MAX_ITER + 1):
+        Ln = _step(L, sys, cost)[0]
         diff = float(np.max(np.abs(Ln - L)))
         L = Ln
-        if diff < tol:
-            K, phi = _gain_and_sensitivity(L, sys, cost)
-            residual = float(np.max(np.abs(L - riccati_map(L, sys, cost))))
+        if diff < ARE_TOL:
+            L_next, K, phi = _step(L, sys, cost)
+            residual = float(np.max(np.abs(L - L_next)))
             return AreSolution(P=L, K=K, phi=phi, iterations=it, residual=residual)
         if not np.isfinite(diff):  # the iterates overflowed: (sqrt(beta) A, B) is not stabilizable
             break
     raise NonConvergence(
-        f"Riccati iteration did not reach tol={tol} in {it} steps (last step {diff:.3e})",
+        f"Riccati iteration did not reach tol={ARE_TOL} in {it} steps (last step {diff:.3e})",
         residual=diff,
     )
 
@@ -135,11 +132,9 @@ def finite_riccati(
     q = sys.q
     L = np.empty((T + 1, q, q))
     L[0] = (np.asarray(P_terminal, dtype=float) + np.asarray(P_terminal, dtype=float).T) / 2.0
-    for t in range(T):
-        L[t + 1] = riccati_map(L[t], sys, cost)
     phi = np.empty((T, q, q))
     for t in range(T):
-        _, phi[t] = _gain_and_sensitivity(L[T - t - 1], sys, cost)
+        L[t + 1], _, phi[T - t - 1] = _step(L[t], sys, cost)
     return L, phi
 
 
@@ -151,7 +146,7 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def dlyap_adjoint(Phi: np.ndarray, G: np.ndarray, steps: int = 128) -> np.ndarray:
+def dlyap_adjoint(Phi: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Sum of the series G + Phi'G Phi + (Phi')^2 G Phi^2 + ... by doubling.
 
     After k doubling rounds the partial sum covers 2^k terms, so convergence
@@ -161,7 +156,7 @@ def dlyap_adjoint(Phi: np.ndarray, G: np.ndarray, steps: int = 128) -> np.ndarra
     """
     W = (G + G.T) / 2.0
     M = Phi.copy()
-    for _ in range(steps):
+    for _ in range(DOUBLING_STEPS):
         inc = M.T @ W @ M
         W = W + inc
         W = (W + W.T) / 2.0
@@ -171,7 +166,7 @@ def dlyap_adjoint(Phi: np.ndarray, G: np.ndarray, steps: int = 128) -> np.ndarra
     return W
 
 
-def lyapunov_solve(sys: LinearSystem, residual_tol: float = 1e-9) -> np.ndarray:
+def lyapunov_solve(sys: LinearSystem) -> np.ndarray:
     """Solve W - A'WA = C'Sigma_S C for Schur-stable A.
 
     Computed by doubling on the series sum_t (A')^t C'Sigma_S C A^t. Raises
@@ -184,8 +179,8 @@ def lyapunov_solve(sys: LinearSystem, residual_tol: float = 1e-9) -> np.ndarray:
     G = sys.noise_gram()
     W = dlyap_adjoint(sys.A, G)
     residual = float(np.max(np.abs(W - sys.A.T @ W @ sys.A - G)))
-    if residual >= residual_tol:
+    if residual >= LYAPUNOV_RESIDUAL_TOL:
         raise NonConvergence(
-            f"Lyapunov residual {residual:.3e} exceeds {residual_tol:.1e}", residual=residual
+            f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}", residual=residual
         )
     return W

@@ -169,13 +169,13 @@ _CHUNK_VALUES = 2**22
 def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int, n_runs: int, steps: int):
     """The closed loop of runs ``0..n_runs-1`` under ``strategy``, a chunk of runs at a time.
 
-    Yields ``(first_run, t, X, Xbar, U, measured)`` for each chunk and each
-    step ``t < steps``: row j of ``X``, ``Xbar`` and ``U`` is the state,
-    estimate and control of run ``first_run + j`` at step t, before the step's
-    noise enters. The three arrays are buffers that later steps overwrite, so
-    a caller copies what it keeps. Run k draws its noise from substream
-    ``seed + k`` whatever the chunking, and a chunk holds at most
-    ``_CHUNK_VALUES`` noise values (at least one run's).
+    Yields ``(t, X, Xbar, U, measured)`` for each chunk and each step
+    ``t < steps``: row j of ``X``, ``Xbar`` and ``U`` is the state, estimate
+    and control of the chunk's run j at step t, before the step's noise
+    enters; chunks come in run order. The three arrays are buffers that
+    later steps overwrite, so a caller copies what it keeps. Run k draws its
+    noise from substream ``seed + k`` whatever the chunking, and a chunk
+    holds at most ``_CHUNK_VALUES`` noise values (at least one run's).
     """
     # the plant is normally the policy's own model; another plant gets its own operands
     loop = ps._loop if problem.sys is ps.sys else _closed_loop(problem.sys, ps)
@@ -213,7 +213,7 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
                 Xbar_next += BU
                 Xbar, Xbar_next = Xbar_next, Xbar
             np.matmul(minus_K, Xbar, out=U)
-            yield first, t, X.T, Xbar.T, U.T, bool(measure[t])
+            yield t, X.T, Xbar.T, U.T, bool(measure[t])
 
 
 def _state_control_cost(cost: CostModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -254,7 +254,7 @@ def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> Trajectory
     H, q, p = cfg.horizon, problem.q, problem.p
     X, Xbar, U = np.empty((H, q)), np.empty((H, q)), np.empty((H, p))
     I = np.zeros(H, dtype=int)
-    for _, t, Xt, Xbart, Ut, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, 1, H):
+    for t, Xt, Xbart, Ut, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, 1, H):
         X[t], Xbar[t], U[t], I[t] = Xt[0], Xbart[0], Ut[0], measured
     return _record(problem.cost, X, Xbar, U, I)
 
@@ -262,7 +262,7 @@ def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> Trajectory
 def _chunk_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig):
     """Total discounted cost of each run of the rollout, one array per chunk of runs."""
     cost = problem.cost
-    for _, t, X, _, U, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, cfg.horizon):
+    for t, X, _, U, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, cfg.horizon):
         if t == 0:
             totals = np.zeros(len(X))
         disc = cost.beta**t
@@ -325,7 +325,7 @@ def empirical_error_covariance(
     if cfg.n_runs < 2:
         raise ValueError("a sample covariance needs n_runs >= 2")
     acc = (0, 0.0, 0.0)
-    for _, step, X, Xbar, _, _ in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, t + 1):
+    for step, X, Xbar, _, _ in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, t + 1):
         if step == t:
             E = X - Xbar
             mean_b = E.mean(axis=0)

@@ -6,7 +6,6 @@ from lqgsched import (
     CostModel,
     LinearSystem,
     Problem,
-    controllability_check,
     dare_solve,
     never_measure_threshold,
     optimal_period,
@@ -92,6 +91,15 @@ def random_stable_plant(seed: int, q: int = 50, p: int = 10) -> Problem:
     return Problem(sys=sys, cost=cost, x0=rng.normal(size=q))
 
 
+def _controllable(sys: LinearSystem) -> bool:
+    """Rank test on [B, AB, ..., A^{q-1}B]: the sampler's resampling rule, kept so the sampled systems stay fixed."""
+    blocks, M = [], sys.B
+    for _ in range(sys.q):
+        blocks.append(M)
+        M = sys.A @ M
+    return int(np.linalg.matrix_rank(np.hstack(blocks))) == sys.q
+
+
 def random_admissible(rng: np.random.Generator, q_max: int = 3,
                       beta_range=(0.8, 0.99)):
     """A random valid (LinearSystem, CostModel-with-O=0) pair.
@@ -113,7 +121,7 @@ def random_admissible(rng: np.random.Generator, q_max: int = 3,
         beta = float(rng.uniform(*beta_range))
         sys = LinearSystem(A=A, B=Bm, C=C, Sigma_S=sig)
         cost = CostModel(Q=Q, R=R, beta=beta, O=0.0)
-        if not controllability_check(sys):
+        if not _controllable(sys):
             continue
         if validate(Problem(sys=sys, cost=cost)):
             continue

@@ -1,15 +1,17 @@
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import lqgsched
 import lqgsched.cli as cli
 import lqgsched.riccati as riccati
 from lqgsched import NonConvergence, verify_solution
-from lqgsched.cli import load_problem, main, save_problem
+from lqgsched.cli import ProblemFileError, load_problem, main, save_problem
 
 from conftest import make_problem, A1
 
@@ -185,6 +187,17 @@ def _bad_problem_files(tmp_path):
     }
 
 
+@pytest.mark.parametrize("case", ["missing file", "malformed json", "missing key", "list"])
+def test_load_problem_raises_problem_file_error(tmp_path, case):
+    files = {**_bad_problem_files(tmp_path), "list": _write(tmp_path, "list.json", "[1.0, 2.0]")}
+    causes = {"missing file": FileNotFoundError, "malformed json": json.JSONDecodeError,
+              "missing key": KeyError, "list": TypeError}
+    with pytest.raises(ProblemFileError) as info:
+        load_problem(files[case])
+    assert isinstance(info.value.__cause__, causes[case])
+    assert str(info.value).startswith(files[case] + ": ")
+
+
 COMMANDS = [
     ("solve",),
     ("sweep", "--O-min", "0", "--O-max", "10", "--O-step", "5"),
@@ -223,6 +236,45 @@ def test_validation_failure_exits_2(tmp_path, capsys, command, fmt):
         assert [v["code"] for v in doc["violations"]] == ["R_not_pd"]
     else:
         assert out == "" and err.startswith("validation failed:") and "R_not_pd" in err
+
+
+ILL_POSED = {  # A = diag(2, 0.5) is unstable even under the discount
+    "not_stabilizable": {"B": [[0.0], [1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]]},
+    "not_detectable": {"B": [[1.0], [1.0]], "Q": [[0.0, 0.0], [0.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+@pytest.mark.parametrize("violation", list(ILL_POSED))
+def test_ill_posed_plant_exits_2_before_solving(tmp_path, capsys, monkeypatch, violation, command):
+    d = {"A": [[2.0, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0], [0.0, 1.0]], "Sigma_S": [[0.1, 0.0], [0.0, 0.1]],
+         "R": [[1.0]], "beta": 0.95, "O": 1.0, **ILL_POSED[violation]}
+    path = _write(tmp_path, "ill_posed.json", json.dumps(d))
+    for module in [m for n, m in sys.modules.items() if n.startswith("lqgsched")]:
+        if hasattr(module, "dare_solve"):
+            monkeypatch.setattr(module, "dare_solve", lambda *a: pytest.fail("solved an ill-posed plant"))
+    code, out, _ = run(capsys, command[0], "--problem", path, *command[1:], "--format", "json")
+    assert code == 2
+    doc = json.loads(out)["error"]
+    assert doc["code"] == "validation"
+    assert [v["code"] for v in doc["violations"]] == [violation]
+
+
+def _run_cold(args):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's lqgsched."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lqgsched.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_zero_A_solves_with_empty_stderr(tmp_path):
+    # A = 0 is stable, hence stabilizable: no rank-test warning may reach stderr
+    path = tmp_path / "zero_A.json"
+    save_problem(make_problem(np.zeros((3, 3)), 1.0), path)
+    proc = _run_cold(["-m", "lqgsched.cli", "solve", "--problem", str(path), "--format", "json"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["case"] == "never_measure"  # A = 0: a measurement is worth nothing
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -450,10 +502,6 @@ def test_help_documents_exit_codes(capsys):
 
 def test_commands_run_without_scipy(tmp_path):
     # scipy is a test-only dependency (pyproject.toml): the commands must not import it
-    import subprocess
-
-    import lqgsched
-
     problem = os.path.abspath(SYS1)
     script = "\n".join([
         "import json, sys",
@@ -463,8 +511,6 @@ def test_commands_run_without_scipy(tmp_path):
         f"         main(['verify', '--problem', {problem!r}, '--O', '10', '--out', {str(tmp_path / 'v.json')!r}])]",
         "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))",
     ])
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lqgsched.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cold(["-c", script])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0], "scipy": []}

@@ -5,13 +5,11 @@ from lqgsched import (
     CostModel,
     LinearSystem,
     Problem,
-    controllability_check,
-    observability_check,
     validate,
 )
 from lqgsched.model import psd_sqrt
 
-from conftest import A1, B, C3, Q3, R2, SIGMA, make_problem
+from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, make_problem, random_stable_plant
 
 
 def codes(problem):
@@ -75,29 +73,38 @@ def test_psd_sqrt_reconstructs_Q():
         assert np.max(np.abs(Q - S.T @ S)) < 1e-10
 
 
-def test_controllability_sys_matrices():
-    assert controllability_check(LinearSystem(A=A1, B=B, C=C3, Sigma_S=SIGMA))
+@pytest.mark.parametrize("problem", [
+    make_problem(A1, 10.0),
+    make_problem(A2, 10.0),
+    random_stable_plant(5),
+    make_problem(np.zeros((3, 3)), 1.0),  # stable, so stabilizable and detectable whatever B and Q
+    Problem(sys=LinearSystem(A=np.eye(3), B=np.zeros((3, 2)), C=C3, Sigma_S=SIGMA),  # sqrt(beta)|lambda| < 1
+            cost=CostModel(Q=Q3, R=R2, beta=BETA, O=1.0)),
+    Problem(sys=LinearSystem(A=np.diag([0.5, 0.6, 0.7]), B=B, C=C3, Sigma_S=SIGMA),  # Q skips only stable modes
+            cost=CostModel(Q=np.diag([1.0, 0.0, 0.0]), R=R2, beta=BETA, O=1.0)),
+], ids=["sys1", "sys2", "q50", "A=0", "A=I,B=0", "unweighted stable modes"])
+def test_well_posed_plants_pass_pbh(problem):
+    assert validate(problem) == []
 
 
-def test_zero_input_map_uncontrollable():
-    sys = LinearSystem(A=np.eye(3), B=np.zeros((3, 2)), C=C3, Sigma_S=SIGMA)
-    assert not controllability_check(sys)
+def _plant(A, Bm, Q):
+    sys = LinearSystem(A=A, B=Bm, C=np.eye(len(A)), Sigma_S=0.1 * np.eye(len(A)))
+    return Problem(sys=sys, cost=CostModel(Q=Q, R=[[1.0]], beta=0.95, O=1.0))
 
 
-def test_full_rank_Q_always_observable():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        A = rng.normal(size=(3, 3))
-        sys = LinearSystem(A=A, B=B, C=C3, Sigma_S=SIGMA)
-        assert observability_check(sys, 0.1 * np.eye(3))
+@pytest.mark.parametrize("A,Bm", [
+    (np.diag([2.0, 0.5]), [[0.0], [1.0]]),  # B misses the unstable real mode
+    (np.array([[0.0, -1.2, 0.0], [1.2, 0.0, 0.0], [0.0, 0.0, 0.5]]), [[0.0], [0.0], [1.0]]),  # a complex pair
+], ids=["real", "complex"])
+def test_unstabilizable_plant_flagged(A, Bm):
+    got = validate(_plant(A, Bm, np.eye(len(A))))
+    assert [v.code for v in got] == ["not_stabilizable"]
 
 
-def test_rank_deficient_pair_not_observable():
-    # Q weighs only the first coordinate and A keeps coordinates decoupled.
-    A = np.diag([0.5, 0.6, 0.7])
-    sys = LinearSystem(A=A, B=B, C=C3, Sigma_S=SIGMA)
-    Q = np.diag([1.0, 0.0, 0.0])
-    assert not observability_check(sys, Q)
+def test_undetectable_plant_flagged():
+    # Q does not weigh the unstable mode, so its cost can grow unseen
+    got = validate(_plant(np.diag([2.0, 0.5]), [[1.0], [1.0]], np.diag([0.0, 1.0])))
+    assert [v.code for v in got] == ["not_detectable"]
 
 
 def test_nonsquare_A_rejected():

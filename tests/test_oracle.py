@@ -63,8 +63,7 @@ def test_inner_dp_single_step(ps1_O10, sys1_O10):
 def test_inner_dp_zero_A_and_zero_state():
     sys = LinearSystem(A=np.zeros((3, 3)), B=B, C=C3, Sigma_S=SIGMA)
     cost = CostModel(Q=Q3, R=R2, beta=BETA, O=2.0)
-    with pytest.warns(UserWarning):
-        are = dare_solve(sys, cost)
+    are = dare_solve(sys, cost)
     T, r = 4, 3.0
     rep = inner_dp_check(sys, cost, are.P, r, T, np.zeros(3), n_mc=20_000, seed=2)
     # A = 0 kills the gains: only the noise floor and the terminal charge remain

@@ -229,8 +229,7 @@ def test_h_nondecreasing_in_T(ps1_O10):
 def test_h_constant_for_zero_A():
     sys = LinearSystem(A=np.zeros((3, 3)), B=B, C=C3, Sigma_S=SIGMA)
     cost = CostModel(Q=Q3, R=R2, beta=BETA, O=1.0)
-    with pytest.warns(UserWarning):
-        are = dare_solve(sys, cost)
+    are = dare_solve(sys, cost)
     vals = [h_value(T, 2.0, sys, cost, are) for T in range(2, 8)]
     assert max(vals) - min(vals) < 1e-14
 
@@ -291,8 +290,7 @@ def test_threshold_zero_A_equals_single_phase_trace():
     # threshold collapses to Tr(G phi).
     sys = LinearSystem(A=np.zeros((3, 3)), B=B, C=C3, Sigma_S=SIGMA)
     cost = CostModel(Q=Q3, R=R2, beta=BETA, O=0.0)
-    with pytest.warns(UserWarning):
-        are = dare_solve(sys, cost)
+    are = dare_solve(sys, cost)
     thr = never_measure_threshold(sys, cost, are)
     assert thr == pytest.approx(float(np.trace(sys.noise_gram() @ are.phi)), abs=1e-9)
 
