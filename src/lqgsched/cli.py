@@ -150,13 +150,13 @@ def cmd_solve(args) -> int:
     problem = _read_problem(args.problem, args.O)
     ps = _solve_problem(problem)
     vals = value_at(ps, problem.x0)
-    eig_mags = sorted(np.abs(np.linalg.eigvals(problem.sys.A)).tolist(), reverse=True)
+    eig_mags = sorted(np.abs(problem.sys.eigenvalues).tolist(), reverse=True)
     W = None if ps.never_threshold is None else ps._table.W  # solved once with the threshold
 
     if args.format == "json":
         doc = {
             "case": ps.case_id.value,
-            "T_star": None if not ps.finite else ps.period,
+            "T_star": ps.period or None,  # null for a schedule that never measures
             "r": ps.r,
             "O": ps.O,
             "P": _matrix_rows(ps.are.P),
@@ -177,7 +177,7 @@ def cmd_solve(args) -> int:
     else:
         lines = [
             f"case: {ps.case_id.value}",
-            f"T_star: {'inf' if not ps.finite else ps.period}",
+            f"T_star: {ps.period or 'inf'}",
             f"r: {ps.r!r}",
             f"O: {ps.O!r}",
             _fmt_matrix("P", ps.are.P),
@@ -239,12 +239,11 @@ def cmd_sweep(args) -> int:
     beta = cost.beta
     rows = []
     for ps in _solve_prices(problem.sys, cost, prices):
-        O, vals = ps.O, value_at(ps, problem.x0)
-        T = ps.period if ps.finite else None
+        O, T, vals = ps.O, ps.period, value_at(ps, problem.x0)
         saving = beta * O / (1.0 - beta)
-        if T is not None:
+        if T:
             saving -= beta**T * O / (1.0 - beta**T)
-        rows.append({"O": O, "T_star": T, "r": ps.r, "V": vals.V, "V_s": vals.V_s, "V_e": vals.V_e,
+        rows.append({"O": O, "T_star": T or None, "r": ps.r, "V": vals.V, "V_s": vals.V_s, "V_e": vals.V_e,
                      "saving": saving, "V_reported": vals.V_reported, "V_s_reported": vals.V_s_reported})
 
     if args.format == "json":
@@ -257,13 +256,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+_STRATEGIES = {"optimal": OPTIMAL, "always": ALWAYS_MEASURE, "never": NEVER_MEASURE}
+
+
 def _parse_strategy(token: str) -> Strategy:
-    if token == "optimal":
-        return OPTIMAL
-    if token == "always":
-        return ALWAYS_MEASURE
-    if token == "never":
-        return NEVER_MEASURE
+    if token in _STRATEGIES:
+        return _STRATEGIES[token]
     if token.startswith("fixed:"):
         return fixed_period(int(token.split(":", 1)[1]))
     raise ValueError(f"unknown strategy {token!r} (use optimal|always|never|fixed:T)")

@@ -7,7 +7,7 @@ Two implementations of the same policy:
 * ``step_decide`` — run the loop one step at a time, keeping the count of
   steps since the last query and the state estimate. The optimal schedule is
   state-independent and periodic, so the trigger is that count reaching the
-  solved period T*; it reads T* from the policy and derives nothing itself.
+  solved period; it reads ``ps.period`` (0: never) and derives nothing itself.
 
 Both compute controls by propagating the estimate with x_hat <- A x_hat + B u
 and applying u = -K x_hat. Both read the operands that the solved policy
@@ -54,15 +54,6 @@ class ControlPacket:
     T: int
     controls: np.ndarray  # shape (T, p)
 
-    def as_dict(self) -> dict:
-        return {"T": self.T, "controls": [float(v) for v in self.controls.ravel()]}
-
-    @classmethod
-    def from_dict(cls, d: dict, p: int) -> "ControlPacket":
-        T = int(d["T"])
-        controls = np.asarray(d["controls"], dtype=float).reshape(T, p)
-        return cls(T=T, controls=controls)
-
 
 def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -> ControlPacket:
     """Controls for one waiting window starting from measured state x.
@@ -71,15 +62,15 @@ def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -
     estimate. A never-measure schedule has no finite packet; pass ``horizon``
     to truncate it explicitly, otherwise InfinitePeriod is raised.
     """
-    loop = ps._loop
-    if loop.period:
-        T = loop.period if horizon is None else min(loop.period, int(horizon))
+    if ps.period:
+        T = ps.period if horizon is None else min(ps.period, int(horizon))
+    elif horizon is None:
+        raise InfinitePeriod(
+            "schedule never measures; supply horizon= to cap the packet length"
+        )
     else:
-        if horizon is None:
-            raise InfinitePeriod(
-                "schedule never measures; supply horizon= to cap the packet length"
-            )
         T = int(horizon)
+    loop = ps._loop
     A, B, minus_K = loop.A, loop.B, loop.minus_K
     x_hat = np.asarray(x, dtype=float).ravel()
     controls = np.empty((T, ps.sys.p))
@@ -129,7 +120,7 @@ def step_decide(
         # Free initial knowledge: act on x0 without buying a query.
         return 0, loop.minus_K.dot(state.x_bar), ControllerState(0, state.x_bar, 1)
 
-    if 0 < loop.period <= state.m + 1:
+    if 0 < ps.period <= state.m + 1:
         if measurement is None:
             raise MeasurementUnavailable(f"trigger fired at t={state.t} with no measurement")
         x_bar = np.asarray(measurement, dtype=float).ravel().copy()

@@ -13,6 +13,7 @@ decided by one Popov-Belevitch-Hautus (PBH) test at the eigenvalues of A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,9 @@ __all__ = [
 
 # Relative eigenvalue cutoff used by every definiteness test and, on singular values, by the PBH test.
 EIG_TOL = 1e-10
+# Cluster radius of the PBH test, relative to max(1, |lambda|): a defective eigenvalue of multiplicity m
+# is computed only to about eps^(1/m) (a double one splits by about 1e-8, a triple one by about 1e-5).
+PBH_CLUSTER_TOL = 1e-4
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -96,6 +100,11 @@ class LinearSystem:
     @property
     def p(self) -> int:
         return self.B.shape[1]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A, computed on first use and shared by every caller."""
+        return np.linalg.eigvals(self.A)
 
     def noise_gram(self) -> np.ndarray:
         """C' Sigma_S C, the per-step covariance injected into the estimate error."""
@@ -206,7 +215,7 @@ def validate(problem: Problem) -> list[Violation]:
     # The PBH test needs finite A, B and Q of the right shapes, a PSD Q and beta in (0, 1).
     if (sys.B.shape[0] == q and cost.Q.shape == (q, q) and 0.0 < cost.beta < 1.0
             and not {"A", "B", "Q"} & set(non_finite) and "Q_not_psd" not in {v.code for v in out}):
-        out += _pbh(sys.A, sys.B, cost.Q, cost.beta)
+        out += _pbh(sys, cost.Q, cost.beta)
 
     return out
 
@@ -217,16 +226,22 @@ def _rank_deficient(M: np.ndarray) -> bool:
     return s[-1] <= EIG_TOL * max(1.0, s[0])
 
 
-def _pbh(A: np.ndarray, B: np.ndarray, Q: np.ndarray, beta: float) -> list[Violation]:
+def _pbh(sys: LinearSystem, Q: np.ndarray, beta: float) -> list[Violation]:
     """PBH test of (sqrt(beta) A, B) and (sqrt(beta) A, sqrt(Q)) at each lambda of A with sqrt(beta)|lambda| >= 1.
 
     The pair with B is stabilizable iff [A - lambda I, B] has full row rank at
     every such lambda, and the pair with sqrt(Q) is detectable iff
     [A - lambda I; Q] has full column rank there: for PSD Q, Q and sqrt(Q)
-    have the same null space.
+    have the same null space. It runs at each computed eigenvalue and at the
+    mean of each cluster of them (PBH_CLUSTER_TOL), which stays accurate
+    where the computed eigenvalues of a Jordan block scatter.
     """
+    A, B, lams = sys.A, sys.B, sys.eigenvalues
     I = np.eye(A.shape[0])
-    lams = [lam for lam in np.linalg.eigvals(A) if np.sqrt(beta) * abs(lam) >= 1.0]
+    near = np.abs(lams[:, None] - lams[None, :]) <= PBH_CLUSTER_TOL * np.maximum(1.0, np.abs(lams))[:, None]
+    clustered = near.sum(axis=1) > 1
+    means = near[clustered] @ lams / near[clustered].sum(axis=1)
+    lams = [lam for lam in (*lams, *means) if np.sqrt(beta) * abs(lam) >= 1.0]
     out = []
     for code, stack, M, reason in (("not_stabilizable", np.hstack, B, "B does not reach it"),
                                    ("not_detectable", np.vstack, Q, "Q does not weigh it")):

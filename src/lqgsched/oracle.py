@@ -34,6 +34,13 @@ __all__ = [
     "verify_solution",
 ]
 
+# solve_r_fixed_point stops once |delta r| < R_TOL (at most R_MAX_ITER steps); verify_solution's
+# offset_match needs |r_oracle - r| < OFFSET_TOL; policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
+R_TOL = 1e-9
+R_MAX_ITER = 100_000
+OFFSET_TOL = 1e-6
+PROBE_GAIN_SCALES = (1.0 - 1e-3, 1.0 + 1e-3)
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -45,7 +52,6 @@ class OracleReport:
     convergence_iters: int
     grid_capped: bool
     r_deltas: np.ndarray
-    inner_dp_gap: float | None = None
 
 
 def _phase_traces_from_powers(
@@ -71,11 +77,9 @@ def solve_r_fixed_point(
     sys: LinearSystem,
     cost: CostModel,
     T_max: int = 200,
-    tol: float = 1e-9,
     are: AreSolution | None = None,
-    max_iter: int = 100_000,
 ) -> OracleReport:
-    """Iterate r <- min_{1<=T<=T_max} f(T, r) from r = 0 until |delta r| < tol.
+    """Iterate r <- min_{1<=T<=T_max} f(T, r) from r = 0 until |delta r| < R_TOL.
 
     The map is a contraction with modulus at most beta, so convergence is
     geometric. The minimizing T at convergence is reported along with the
@@ -96,10 +100,10 @@ def solve_r_fixed_point(
 
     r = 0.0
     deltas = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, R_MAX_ITER + 1):
         r_next = float(np.min(base + beta_T * (r + O)))
         deltas.append(abs(r_next - r))
-        converged = deltas[-1] < tol
+        converged = deltas[-1] < R_TOL
         r = r_next
         if converged:
             curve_vals = base + beta_T * (r + O)
@@ -113,7 +117,7 @@ def solve_r_fixed_point(
                 r_deltas=np.asarray(deltas),
             )
     raise NonConvergence(
-        f"fixed-point iteration for r did not converge in {max_iter} steps",
+        f"fixed-point iteration for r did not converge in {R_MAX_ITER} steps",
         residual=deltas[-1],
     )
 
@@ -219,7 +223,6 @@ def periodic_strategy_cost(
     gain: np.ndarray,
     period: int,
     x0: np.ndarray,
-    O: float | None = None,
 ) -> float:
     """Exact expected discounted cost of: query every ``period`` steps, u = -gain x_bar.
 
@@ -230,8 +233,7 @@ def periodic_strategy_cost(
     if period < 1:
         raise ValueError("period must be >= 1")
     x0 = np.asarray(x0, dtype=float).ravel()
-    beta = cost.beta
-    O = cost.O if O is None else float(O)
+    beta, O = cost.beta, cost.O
     A, B, C = sys.A, sys.B, sys.C
     Atil = A - B @ gain
     stage_w = cost.Q + gain.T @ cost.R @ gain
@@ -286,18 +288,16 @@ class ProbeReport:
 def policy_suboptimality_probe(
     sys: LinearSystem,
     cost: CostModel,
-    ps: PolicySolution | None = None,
     x0: np.ndarray | None = None,
-    gain_scales: tuple[float, ...] = (1.0 - 1e-3, 1.0 + 1e-3),
 ) -> ProbeReport:
-    """Verify no probed perturbation beats the solved schedule.
+    """Verify no probed perturbation beats the schedule solved for (sys, cost).
 
     Waiting-time perturbations are scored on the oracle's f-curve at the
-    solved offset; gain scalings are scored with the exact periodic-cost
-    evaluator. Positive entries would mean the analytic solution is beaten.
+    solved offset; gain scalings (PROBE_GAIN_SCALES) are scored with the
+    exact periodic-cost evaluator. Positive entries would mean the analytic
+    solution is beaten.
     """
-    if ps is None:
-        ps = optimal_period(sys, cost)
+    ps = optimal_period(sys, cost)
     if not ps.finite:
         raise ValueError("probe requires a finite waiting time")
     T_star = ps.period
@@ -314,7 +314,7 @@ def policy_suboptimality_probe(
             gains.append(g)
 
     base = periodic_strategy_cost(sys, cost, ps.are.K, T_star, x0)
-    for c in gain_scales:
+    for c in PROBE_GAIN_SCALES:
         g = base - periodic_strategy_cost(sys, cost, c * ps.are.K, T_star, x0)
         details[f"gain_x{c}"] = g
         gains.append(g)
@@ -342,15 +342,13 @@ def verify_solution(
     problem_sys: LinearSystem,
     problem_cost: CostModel,
     ps: PolicySolution,
-    T_max: int | None = None,
-    r_tol: float = 1e-6,
     x_probe: np.ndarray | None = None,
 ) -> VerifyReport:
     """Run the oracle against a solved schedule and score the agreement checks.
 
     Checks (documented tolerances):
       fixed_point_residual  |f(T*, r) - r| < 1e-8          (finite schedules)
-      offset_match          |r_oracle - r| < r_tol
+      offset_match          |r_oracle - r| < OFFSET_TOL
       period_match          T_oracle == T*                  (finite schedules)
       f_curve_minimum       argmin of the f-curve sits at T*
       bracket               h(T*-1, r) <= 0 < h(T*, r)
@@ -362,8 +360,7 @@ def verify_solution(
     checks: list = []
     note = None
 
-    if T_max is None:
-        T_max = max(200, 4 * ps.period) if ps.finite else 500
+    T_max = max(200, 4 * ps.period) if ps.finite else 500
     rep = solve_r_fixed_point(sys, cost, T_max=T_max, are=ps.are)
 
     if ps.finite:
@@ -371,7 +368,7 @@ def verify_solution(
         resid = abs(f_value(T_star, ps.r, sys, cost, ps.are) - ps.r)
         checks.append(("fixed_point_residual", resid < 1e-8, f"|f(T*,r)-r| = {resid:.3e}"))
         checks.append(
-            ("offset_match", abs(rep.r_oracle - ps.r) < r_tol,
+            ("offset_match", abs(rep.r_oracle - ps.r) < OFFSET_TOL,
              f"|r_oracle - r| = {abs(rep.r_oracle - ps.r):.3e}")
         )
         checks.append(
@@ -399,7 +396,7 @@ def verify_solution(
             ("curve_decreasing", bool(np.all(diffs < 0.0)), "f strictly decreasing over grid")
         )
         checks.append(
-            ("offset_match", abs(rep.r_oracle - ps.r) < max(r_tol, 10 * cost.beta**T_max * (ps.r + cost.O)),
+            ("offset_match", abs(rep.r_oracle - ps.r) < max(OFFSET_TOL, 10 * cost.beta**T_max * (ps.r + cost.O)),
              f"|r_oracle - r| = {abs(rep.r_oracle - ps.r):.3e}")
         )
         checks.append(("grid_capped", rep.grid_capped, "minimizer on grid boundary"))

@@ -9,13 +9,15 @@ sums in one table per (sys, beta, are):
     E[T]  = sum_{t<T} beta^t tr[t].
 
 The optimal waiting time T* is the first T with S(T) > O; the table grows
-only to T*. For Schur-stable A, S(inf) is the never-measure threshold: any O
-at or above it makes waiting forever optimal. Writing (1 - beta^{t+1})/(1 -
-beta) as sum_{k<=t} beta^k and swapping the sums gives it in closed form,
-S(inf) = Tr(X phi) with X = sum_k beta^k (A')^k W_inf A^k, a sum of positive
-terms; then E[inf] = Tr(W_inf phi)/(1 - beta) - S(inf). The value offset r
-solves r = min_T f(T, r) and is read off the table per case (the oracle
-module iterates it by brute force). A sweep shares one Riccati solve and table.
+only to T*. The solved schedule is one integer, PolicySolution.period: T*,
+or 0 when measuring is never worth the price. For Schur-stable A, S(inf) is
+the never-measure threshold: any O at or above it makes waiting forever
+optimal. Writing (1 - beta^{t+1})/(1 - beta) as sum_{k<=t} beta^k and
+swapping the sums gives it in closed form, S(inf) = Tr(X phi) with
+X = sum_k beta^k (A')^k W_inf A^k, a sum of positive terms; then
+E[inf] = Tr(W_inf phi)/(1 - beta) - S(inf). The value offset r solves
+r = min_T f(T, r) and is read off the table per case (the oracle module
+iterates it by brute force). A sweep shares one Riccati solve and table.
 
 Covariance convention: P_t follows the adjoint recursion P_{t+1} = A' P_t A + G
 (error_cov_seq builds these matrices; the tests check the table against it).
@@ -112,31 +114,40 @@ class _PhaseTable:
 
 @dataclass(frozen=True)
 class PolicySolution:
-    """Solved schedule: waiting time T_star, value offset r, and inputs.
+    """Solved schedule: the query period, the value offset r, and the inputs.
 
-    T_star is an integer for finite schedules and math.inf when measuring is
-    never worth the price (possible only for Schur-stable A).
+    period is T*, or 0 when measuring is never worth the price (possible
+    only for Schur-stable A); T_star, finite, case_id and O are views.
     """
 
     sys: LinearSystem
     cost: CostModel
     are: AreSolution
-    T_star: float
+    period: int
     r: float
-    O: float
-    case_id: MeasureCase
-    never_threshold: float | None = None
-    _table: _PhaseTable | None = field(default=None, repr=False, compare=False)
+    never_threshold: float | None
+    _table: _PhaseTable = field(repr=False, compare=False)
+
+    @property
+    def T_star(self) -> float:
+        """T* as a number: the period, or math.inf for a schedule that never measures."""
+        return float(self.period) if self.period else math.inf
 
     @property
     def finite(self) -> bool:
-        return math.isfinite(self.T_star)
+        return self.period > 0
 
     @property
-    def period(self) -> int:
-        if not self.finite:
-            raise ValueError("schedule never measures; no finite period exists")
-        return int(self.T_star)
+    def O(self) -> float:
+        return self.cost.O
+
+    @property
+    def case_id(self) -> MeasureCase:
+        if not self.period:
+            return MeasureCase.NEVER_MEASURE
+        if self.period == 1:
+            return MeasureCase.MEASURE_EVERY_STEP
+        return MeasureCase.FINITE_PERIOD
 
     @cached_property
     def _loop(self) -> _ClosedLoop:
@@ -159,21 +170,20 @@ class _ClosedLoop:
     u = minus_K x_hat. The batch rollout keeps one run per column and makes
     the same products on its matrix of runs, adding the noise N z with
     N = C Sigma_S^{1/2}; on a single run they are the very BLAS calls of the
-    online step. period is T*, or 0 for a schedule that never measures.
+    online step.
     """
 
     A: np.ndarray
     B: np.ndarray
     minus_K: np.ndarray
     N: np.ndarray
-    period: int
 
 
 def _closed_loop(sys: LinearSystem, ps: PolicySolution) -> _ClosedLoop:
-    """The plant ``sys`` closed by the gain and schedule of ``ps``."""
+    """The plant ``sys`` closed by the gain of ``ps``."""
     return _ClosedLoop(
         A=_frozen(sys.A), B=_frozen(sys.B), minus_K=_frozen(-ps.are.K),
-        N=_frozen(sys.C @ psd_sqrt(sys.Sigma_S)), period=ps.period if ps.finite else 0,
+        N=_frozen(sys.C @ psd_sqrt(sys.Sigma_S)),
     )
 
 
@@ -249,10 +259,10 @@ def _solve_prices(sys: LinearSystem, cost: CostModel, prices: list[float],
 
 def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None) -> PolicySolution:
     beta, O = cost.beta, cost.O
-    common = dict(sys=table.sys, cost=cost, are=table.are, O=O, never_threshold=threshold, _table=table)
+    common = dict(sys=table.sys, cost=cost, are=table.are, never_threshold=threshold, _table=table)
     if threshold is not None and O >= threshold:
         r = table.E_inf + beta / (1.0 - beta) * table.noise
-        return PolicySolution(T_star=math.inf, r=r, case_id=MeasureCase.NEVER_MEASURE, **common)
+        return PolicySolution(period=0, r=r, **common)
     T = table.period(O)
     if T is None:
         raise NonFiniteSearch(
@@ -260,8 +270,7 @@ def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None) -
             "O is within tolerance of the never-measure threshold"
         )
     r = table.E[T] / (1.0 - beta**T) + beta / (1.0 - beta) * table.noise + beta**T * O / (1.0 - beta**T)
-    case = MeasureCase.MEASURE_EVERY_STEP if T == 1 else MeasureCase.FINITE_PERIOD
-    return PolicySolution(T_star=float(T), r=r, case_id=case, **common)
+    return PolicySolution(period=T, r=r, **common)
 
 
 def optimal_period(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> PolicySolution:
@@ -301,8 +310,7 @@ class ValueSummary:
 def value_at(ps: PolicySolution, x: np.ndarray) -> ValueSummary:
     """Evaluate the schedule's value function and comparison figures at x."""
     x = np.asarray(x, dtype=float).ravel()
-    beta, O = ps.cost.beta, ps.O
-    table = ps._table or _PhaseTable(ps.sys, beta, ps.are)
+    beta, O, table = ps.cost.beta, ps.cost.O, ps._table
     xPx = float(x @ ps.are.P @ x)
 
     V = xPx + ps.r
@@ -310,24 +318,15 @@ def value_at(ps: PolicySolution, x: np.ndarray) -> ValueSummary:
     V_e = V_c + beta * O / (1.0 - beta)
     V_e_bare = xPx + beta * O / (1.0 - beta)
 
-    if not ps.finite:
-        return ValueSummary(
-            V=V, V_s=V, V_c=V_c, V_e=V_e, V_e_excluding_noise=V_e_bare,
-            V_reported=V, V_s_reported=V,
-        )
-
     T = ps.period
-    outlay = beta**T * O / (1.0 - beta**T)
-    V_s = V - outlay
-
-    if T >= 2:
-        table.grow(T)
-        V_s_rep = V_c + table.E[T - 1] / (1.0 - beta ** (T - 1))
-    else:
+    outlay, V_s_rep = 0.0, V  # a schedule that never measures pays no outlay
+    if T:
+        outlay = beta**T * O / (1.0 - beta**T)
         V_s_rep = V_c
-    V_rep = V_s_rep + outlay
+        if T >= 2:  # the table holds T* phases: it was grown to find T*
+            V_s_rep += table.E[T - 1] / (1.0 - beta ** (T - 1))
 
     return ValueSummary(
-        V=V, V_s=V_s, V_c=V_c, V_e=V_e, V_e_excluding_noise=V_e_bare,
-        V_reported=V_rep, V_s_reported=V_s_rep,
+        V=V, V_s=V - outlay, V_c=V_c, V_e=V_e, V_e_excluding_noise=V_e_bare,
+        V_reported=V_s_rep + outlay, V_s_reported=V_s_rep,
     )

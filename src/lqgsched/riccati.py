@@ -7,11 +7,12 @@ exactly when (sqrt(beta) A, B) is stabilizable and (sqrt(beta) A, sqrt(Q))
 is detectable; model.validate decides that before any solve. All solves
 against R + beta*B'LB go through numpy's Cholesky factorization, since that
 matrix is positive definite whenever R > 0 and L >= 0; a matrix that is not
-raises LinAlgError. Only numpy is needed at run time.
+raises LinAlgError (NonConvergence from dare_solve). Only numpy is needed at run time.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,20 +99,22 @@ def dare_solve(sys: LinearSystem, cost: CostModel) -> AreSolution:
 
     The fixed point is unique and stabilizing when the problem passes
     model.validate. A caller that skips validate still gets a NonConvergence
-    on an unstabilizable plant: the iteration stops at its first non-finite step.
+    on an unstabilizable plant: the iteration stops at its first non-finite
+    step or its first R + beta B'LB that is not positive definite.
     """
     L = (cost.Q + cost.Q.T) / 2.0
     diff = np.inf
-    for it in range(1, ARE_MAX_ITER + 1):
-        Ln = _step(L, sys, cost)[0]
-        diff = float(np.max(np.abs(Ln - L)))
-        L = Ln
-        if diff < ARE_TOL:
-            L_next, K, phi = _step(L, sys, cost)
-            residual = float(np.max(np.abs(L - L_next)))
-            return AreSolution(P=L, K=K, phi=phi, iterations=it, residual=residual)
-        if not np.isfinite(diff):  # the iterates overflowed: (sqrt(beta) A, B) is not stabilizable
-            break
+    with contextlib.suppress(np.linalg.LinAlgError):
+        for it in range(1, ARE_MAX_ITER + 1):
+            Ln = _step(L, sys, cost)[0]
+            diff = float(np.max(np.abs(Ln - L)))
+            L = Ln
+            if diff < ARE_TOL:
+                L_next, K, phi = _step(L, sys, cost)
+                residual = float(np.max(np.abs(L - L_next)))
+                return AreSolution(P=L, K=K, phi=phi, iterations=it, residual=residual)
+            if not np.isfinite(diff):  # the iterates overflowed: (sqrt(beta) A, B) is not stabilizable
+                break
     raise NonConvergence(
         f"Riccati iteration did not reach tol={ARE_TOL} in {it} steps (last step {diff:.3e})",
         residual=diff,
@@ -173,7 +176,7 @@ def lyapunov_solve(sys: LinearSystem) -> np.ndarray:
     UnstableA when the spectral radius of A is not strictly inside the unit
     circle, and NonConvergence if the residual check fails.
     """
-    rho = spectral_radius(sys.A)
+    rho = float(np.max(np.abs(sys.eigenvalues)))
     if rho >= 1.0 - 1e-9:
         raise UnstableA(f"spectral radius of A is {rho:.6f}; the series diverges")
     G = sys.noise_gram()

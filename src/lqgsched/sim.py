@@ -1,7 +1,7 @@
 """Seeded closed-loop simulation with discounted cost accounting.
 
-Every schedule here fixes its query times in advance (the optimal trigger
-too: it is state-independent and periodic), so one batched rollout,
+A ``Strategy`` is just a query period fixed in advance (the optimal trigger
+is state-independent and periodic too, with period T*), so one batched rollout,
 ``_rollout``, serves them all: Monte Carlo costs, the sampled error
 covariance and the single trajectory of every schedule, which is run 0 of
 the rollout. The rollout multiplies by the operands the solved policy
@@ -23,7 +23,7 @@ noiseless test modes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,37 +46,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Strategy:
-    """Measurement schedule selector: optimal trigger, always, never, or fixed-T."""
+    """Query period of a simulated schedule: None for the policy's own period, 0 for never, T for every T steps."""
 
-    kind: str
     period: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("optimal", "always", "never", "fixed"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "fixed" and (self.period is None or self.period < 1):
-            raise ValueError("fixed strategy needs period >= 1")
+        if self.period is not None and self.period < 0:
+            raise ValueError(f"a query period must be >= 0, got {self.period}")
 
     def measure_times(self, ps: PolicySolution, horizon: int) -> np.ndarray:
         """Deterministic query steps within [0, horizon); step 0 is always free."""
-        if self.kind == "always":
-            return np.arange(1, horizon)
-        if self.kind == "never":
+        T = ps.period if self.period is None else self.period
+        if not T:
             return np.empty(0, dtype=int)
-        if self.kind == "fixed":
-            return np.arange(self.period, horizon, self.period)
-        if not ps.finite:
-            return np.empty(0, dtype=int)
-        return np.arange(ps.period, horizon, ps.period)
+        return np.arange(T, horizon, T)
 
 
-OPTIMAL = Strategy("optimal")
-ALWAYS_MEASURE = Strategy("always")
-NEVER_MEASURE = Strategy("never")
+OPTIMAL = Strategy()
+ALWAYS_MEASURE = Strategy(1)
+NEVER_MEASURE = Strategy(0)
 
 
 def fixed_period(T: int) -> Strategy:
-    return Strategy("fixed", period=int(T))
+    """Query every T steps, T >= 1."""
+    if T < 1:
+        raise ValueError("fixed strategy needs period >= 1")
+    return Strategy(int(T))
 
 
 # The most Monte Carlo runs one simulation takes. A million runs of 500 steps
@@ -96,7 +91,7 @@ class SimConfig:
     horizon: int = 500
     seed: int = 0
     n_runs: int = 1
-    strategy: Strategy = field(default_factory=lambda: OPTIMAL)
+    strategy: Strategy = OPTIMAL
 
     def __post_init__(self):
         if self.horizon < 1:

@@ -91,6 +91,26 @@ def random_stable_plant(seed: int, q: int = 50, p: int = 10) -> Problem:
     return Problem(sys=sys, cost=cost, x0=rng.normal(size=q))
 
 
+def jordan_plant(violation: str) -> Problem:
+    """An ill-posed plant whose unstable eigenvalue 2 sits in a 2x2 Jordan block, A = T J T^-1.
+
+    ``"not_stabilizable"``: B = T [1; 0; 1] misses the block's left
+    eigenvector. ``"not_detectable"``: B = I and Q = T^-T diag(0, 1, 1) T^-1
+    does not weigh its right eigenvector. eigvals puts the double eigenvalue
+    at 2 +- 3.7e-8i, where neither rank test is near deficient.
+    """
+    T = np.random.default_rng(0).normal(size=(3, 3))
+    Ti = np.linalg.inv(T)
+    A = T @ np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]) @ Ti
+    if violation == "not_stabilizable":
+        Bm, Q, R = T @ np.array([[1.0], [0.0], [1.0]]), np.eye(3), np.eye(1)
+    else:
+        Q = Ti.T @ np.diag([0.0, 1.0, 1.0]) @ Ti
+        Bm, Q, R = np.eye(3), (Q + Q.T) / 2.0, np.eye(3)
+    sys = LinearSystem(A=A, B=Bm, C=np.eye(3), Sigma_S=0.1 * np.eye(3))
+    return Problem(sys=sys, cost=CostModel(Q=Q, R=R, beta=BETA, O=1.0))
+
+
 def _controllable(sys: LinearSystem) -> bool:
     """Rank test on [B, AB, ..., A^{q-1}B]: the sampler's resampling rule, kept so the sampled systems stay fixed."""
     blocks, M = [], sys.B

@@ -13,7 +13,7 @@ import lqgsched.riccati as riccati
 from lqgsched import NonConvergence, verify_solution
 from lqgsched.cli import ProblemFileError, load_problem, main, save_problem
 
-from conftest import make_problem, A1
+from conftest import jordan_plant, make_problem, A1
 
 SYS1 = os.path.join(os.path.dirname(__file__), "..", "configs", "sys1.json")
 SYS2 = os.path.join(os.path.dirname(__file__), "..", "configs", "sys2.json")
@@ -260,6 +260,31 @@ def test_ill_posed_plant_exits_2_before_solving(tmp_path, capsys, monkeypatch, v
     assert [v["code"] for v in doc["violations"]] == [violation]
 
 
+@pytest.mark.parametrize("violation", ["not_stabilizable", "not_detectable"])
+def test_jordan_block_plant_exits_2(tmp_path, capsys, violation):
+    # the rank tests run at the mean of the eigenvalues that eigvals scatters about the double one
+    path = str(tmp_path / "jordan.json")
+    save_problem(jordan_plant(violation), path)
+    code, out, _ = run(capsys, "solve", "--problem", path, "--format", "json")
+    assert code == 2
+    assert [v["code"] for v in json.loads(out)["error"]["violations"]] == [violation]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+@pytest.mark.parametrize("problem", [SYS1, SYS2])
+def test_eigenvalues_of_A_computed_once_per_command(capsys, monkeypatch, problem, command):
+    original, calls = np.linalg.eigvals, []
+
+    def counted(M):
+        calls.append(M.shape)
+        return original(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    code, _, _ = run(capsys, command[0], "--problem", problem, *command[1:])
+    assert code == 0
+    assert calls == [(3, 3)]
+
+
 def _run_cold(args):
     """Run ``python *args`` in a fresh interpreter that imports this checkout's lqgsched."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lqgsched.__file__)))
@@ -444,6 +469,23 @@ def test_simulate_multi_run_summary(tmp_path, capsys):
     summary = json.loads(out)
     assert "mc_mean" in summary and "mc_std_error" in summary
     assert summary["n_runs"] == 50
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("token", ["fixed:0", "fixed:-2"])
+def test_simulate_rejects_fixed_period_below_one(capsys, token, fmt):
+    code, out, err = run(capsys, "simulate", "--problem", SYS1, "--strategy", token, "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "bad_strategy"
+    else:
+        assert out == "" and "period >= 1" in err
+
+
+def test_always_is_fixed_period_one(capsys):
+    csvs = [run(capsys, "simulate", "--problem", SYS1, "--horizon", "40", "--seed", "5", "--strategy", s)[1]
+            for s in ("always", "fixed:1")]
+    assert csvs[0] == csvs[1]
 
 
 def test_simulate_rejects_unknown_strategy(capsys):

@@ -101,6 +101,13 @@ def test_unstabilizable_plant_flagged(A, Bm):
     assert [v.code for v in got] == ["not_stabilizable"]
 
 
+@pytest.mark.parametrize("gap", [1e-5, 1e-7])
+def test_unreached_mode_next_to_a_reached_one_flagged(gap):
+    # two distinct eigenvalues inside one PBH cluster: the test at the eigenvalue itself still sees B miss it
+    got = validate(_plant(np.diag([2.0, 2.0 + gap, 0.5]), [[0.0], [1.0], [1.0]], np.eye(3)))
+    assert [v.code for v in got] == ["not_stabilizable"]
+
+
 def test_undetectable_plant_flagged():
     # Q does not weigh the unstable mode, so its cost can grow unseen
     got = validate(_plant(np.diag([2.0, 0.5]), [[1.0], [1.0]], np.diag([0.0, 1.0])))

@@ -271,6 +271,21 @@ def test_case_one_boundary():
         assert optimal_period(p.sys, CostModel(Q3, R2, BETA, O), are=are).period == T + 1
 
 
+@pytest.mark.parametrize("A,O,period,case", [
+    (A1, 10.0, 6, MeasureCase.FINITE_PERIOD),
+    (A2, 7.0, 0, MeasureCase.NEVER_MEASURE),
+    (A1, 0.05, 1, MeasureCase.MEASURE_EVERY_STEP),
+], ids=["sys1-O10", "sys2-O7", "sys1-O0.05"])
+def test_schedule_views_read_the_period(A, O, period, case):
+    p = make_problem(A, O)
+    ps = optimal_period(p.sys, p.cost)
+    assert ps.period == period
+    assert ps.T_star == (period or math.inf)
+    assert ps.finite == (period > 0)
+    assert ps.case_id is case
+    assert ps.O == O
+
+
 def test_stable_system_never_measures_above_threshold(ps2_O7):
     assert ps2_O7.case_id is MeasureCase.NEVER_MEASURE
     assert not ps2_O7.finite

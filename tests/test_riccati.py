@@ -16,7 +16,7 @@ from lqgsched import (
     spectral_radius,
 )
 
-from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, make_problem, random_admissible
+from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, jordan_plant, make_problem, random_admissible
 
 
 def scalar_system(a=1.0, b=1.0, q=1.0, r=1.0, beta=0.95, sig=1.0):
@@ -56,6 +56,15 @@ def test_unstabilizable_plant_stops_early():
             dare_solve(sys, cost)
     assert not math.isfinite(info.value.residual)
     assert "in 100000 steps" not in str(info.value)
+
+
+def test_unstabilizable_jordan_plant_raises_non_convergence():
+    # Rounding leaves R + beta B'LB not positive definite before the iterates
+    # overflow; the Cholesky failure comes out as NonConvergence, not LinAlgError.
+    problem = jordan_plant("not_stabilizable")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergence):
+            dare_solve(problem.sys, problem.cost)
 
 
 def test_riccati_map_trivial_cases():
