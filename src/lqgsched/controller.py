@@ -60,8 +60,11 @@ def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -
 
     Entry j equals -K (A - BK)^j x, generated by propagating the noiseless
     estimate. A never-measure schedule has no finite packet; pass ``horizon``
-    to truncate it explicitly, otherwise InfinitePeriod is raised.
+    to truncate it explicitly, otherwise InfinitePeriod is raised. A
+    ``horizon`` below 1 raises ValueError.
     """
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if ps.period:
         T = ps.period if horizon is None else min(ps.period, int(horizon))
     elif horizon is None:

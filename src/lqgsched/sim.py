@@ -212,18 +212,20 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
 
 
 def _state_control_cost(cost: CostModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Undiscounted x'Qx + u'Ru of each row.
+    """Undiscounted x'Qx + u'Ru of each column: one state and control per column, as the rollout keeps them.
 
-    Each term is one matrix product and a row dot, ``(X @ Q) . X``: a
-    three-operand einsum would run as a plain C loop, without BLAS.
+    Each term is one matrix product and a column dot, ``(Q @ X) . X``: a
+    three-operand einsum would run as a plain C loop, without BLAS. On the
+    rollout's C-contiguous buffers the column dot runs along rows of memory,
+    about twice as fast as a row dot over their transposes.
     """
-    return np.einsum("ij,ij->i", X @ cost.Q, X) + np.einsum("ij,ij->i", U @ cost.R, U)
+    return np.einsum("ij,ij->j", cost.Q @ X, X) + np.einsum("ij,ij->j", cost.R @ U, U)
 
 
 def _record(cost: CostModel, X: np.ndarray, Xbar: np.ndarray, U: np.ndarray, I: np.ndarray) -> TrajectoryRecord:
     """Discounted cost accounting of one trajectory."""
     disc = cost.beta ** np.arange(len(X))
-    sc = disc * _state_control_cost(cost, X, U)
+    sc = disc * _state_control_cost(cost, X.T, U.T)
     ms = disc * cost.O * I
     cum_sc, cum_ms = np.cumsum(sc), np.cumsum(ms)
     return TrajectoryRecord(
@@ -263,7 +265,7 @@ def _chunk_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig):
         disc = cost.beta**t
         if measured:
             totals += disc * cost.O
-        totals += disc * _state_control_cost(cost, X, U)
+        totals += disc * _state_control_cost(cost, X.T, U.T)  # the rollout's own (q, n) buffers
         if t == cfg.horizon - 1:
             yield totals
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -286,9 +287,13 @@ def test_eigenvalues_of_A_computed_once_per_command(capsys, monkeypatch, problem
 
 
 def _run_cold(args):
-    """Run ``python *args`` in a fresh interpreter that imports this checkout's lqgsched."""
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's lqgsched.
+
+    PYTHONUNBUFFERED is dropped, so the child's output to its pipes is block-buffered, as a user's is.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(lqgsched.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -556,3 +561,47 @@ def test_commands_run_without_scipy(tmp_path):
     proc = _run_cold(["-c", script])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0], "scipy": []}
+
+
+def test_entry_freezes_the_import_heap_before_main(monkeypatch):
+    # both calls are recorded, not made, so the pytest process itself is never frozen
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert calls == ["freeze", "main"]
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, "solve", "--problem", SYS1, "--O", "10")
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, to_file", [
+    (("sweep", "--O-min", "0", "--O-max", "300", "--O-step", "10"), False),
+    (("simulate", "--O", "10", "--runs", "50"), True),
+], ids=["sweep", "simulate-out"])
+def test_cold_command_matches_main(tmp_path, capsys, argv, to_file):
+    # the entry point exits with the import heap frozen; everything must still be flushed,
+    # down to the short summary that simulate --out leaves in stdout's buffer until exit
+    def out_args(name):
+        return ["--out", str(tmp_path / name)] if to_file else []
+
+    common = [argv[0], "--problem", os.path.abspath(SYS1), *argv[1:]]
+    proc = _run_cold(["-m", "lqgsched.cli", *common, *out_args("cold.txt")])
+    code, out, err = run(capsys, *common, *out_args("main.txt"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == 0 and (out or to_file)
+    if to_file:
+        assert (tmp_path / "cold.txt").read_bytes() == (tmp_path / "main.txt").read_bytes()
+
+
+def test_console_script_runs_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"lqgsched": "lqgsched.cli:entry"}

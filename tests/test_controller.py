@@ -77,6 +77,13 @@ def test_packet_requires_cap_for_never_measure(ps2_O7):
     assert pkt.T == 12
 
 
+@pytest.mark.parametrize("schedule, horizon", [("finite", 0), ("finite", -3), ("never", 0)])
+def test_packet_rejects_horizon_below_one(ps1_O10, ps2_O7, schedule, horizon):
+    ps = {"finite": ps1_O10, "never": ps2_O7}[schedule]
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        make_packet(X0, ps, horizon=horizon)
+
+
 def test_first_step_is_free(ps1_O10):
     state = initial_state(ps1_O10, X0)
     i, u, state = step_decide(state, X0, ps1_O10, None)

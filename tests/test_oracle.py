@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from lqgsched import (
     CostModel,
@@ -10,6 +11,7 @@ from lqgsched import (
     dare_solve,
     inner_dp_check,
     never_measure_cost,
+    optimal_period,
     periodic_strategy_cost,
     policy_suboptimality_probe,
     solve_r_fixed_point,
@@ -17,7 +19,10 @@ from lqgsched import (
     verify_solution,
 )
 
-from conftest import A1, B, BETA, C3, Q3, R2, SIGMA, X0, make_problem, random_admissible_with_finite_T
+from conftest import (
+    A1, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
+    random_admissible_with_finite_T,
+)
 
 
 def test_fixed_point_agrees_with_closed_form(sys1_O10, ps1_O10):
@@ -134,6 +139,27 @@ def test_oracle_battery_randomized():
         rep = solve_r_fixed_point(sys, cost, T_max=max(200, 4 * ps.period), are=ps.are)
         assert rep.T_oracle == ps.period
         assert abs(rep.r_oracle - ps.r) < 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), pick=st.floats(0.0, 1.0, exclude_max=True), u=st.floats(0.1, 0.9))
+def test_oracle_agrees_inside_brackets_property(seed, pick, u):
+    # T* = T for any price in [S[T-1], S[T]); a price a fraction u into the bracket keeps clear of
+    # its edges, where f(T) ties with a neighbour. The oracle iterates r to an absolute step of
+    # 1e-9, so it cannot place a price inside a bracket narrower than about 1e-6, and a double of
+    # r's size resolves 1e-6 only while the prices stay well below 1e9.
+    sys, cost = random_admissible(np.random.default_rng(seed))
+    ps0 = optimal_period(sys, cost)
+    S = ps0._table.grow(12).S
+    periods = [T for T in range(1, 13) if S[T] - S[T - 1] > 1e-6 and S[T] < 1e6]
+    assume(periods)
+    T = periods[int(pick * len(periods))]
+    cost = dataclasses.replace(cost, O=S[T - 1] + u * (S[T] - S[T - 1]))
+    ps = optimal_period(sys, cost, are=ps0.are)
+    assert ps.period == T
+    rep = solve_r_fixed_point(sys, cost, T_max=max(200, 4 * ps.period), are=ps.are)
+    assert rep.T_oracle == ps.period
+    assert abs(rep.r_oracle - ps.r) < 1e-6
 
 
 def test_verify_passes_on_benchmarks(sys1_O10, ps1_O10, sys2_O7, ps2_O7):

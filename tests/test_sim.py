@@ -123,7 +123,8 @@ def test_state_control_cost_matches_per_row_quadratic_forms():
     X, U = rng.normal(size=(40, problem.q)), rng.normal(size=(40, problem.p))
     Q, R = problem.cost.Q, problem.cost.R
     expected = [x @ Q @ x + u @ R @ u for x, u in zip(X, U)]
-    np.testing.assert_allclose(_state_control_cost(problem.cost, X, U), expected, rtol=1e-12, atol=0.0)
+    # one state and control per column, the rollout's layout
+    np.testing.assert_allclose(_state_control_cost(problem.cost, X.T, U.T), expected, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize(
