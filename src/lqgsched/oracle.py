@@ -34,9 +34,9 @@ __all__ = [
     "verify_solution",
 ]
 
-# solve_r_fixed_point stops once |delta r| < R_TOL (at most R_MAX_ITER steps); verify_solution's
-# offset_match needs |r_oracle - r| < OFFSET_TOL; policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
-R_TOL = 1e-9
+# solve_r_fixed_point stops once |delta r| <= R_TOL |r| (at most R_MAX_ITER steps); verify_solution's
+# offset_match needs |r_oracle - r| < OFFSET_TOL |r|; policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
+R_TOL = 1e-12
 R_MAX_ITER = 100_000
 OFFSET_TOL = 1e-6
 PROBE_GAIN_SCALES = (1.0 - 1e-3, 1.0 + 1e-3)
@@ -79,7 +79,7 @@ def solve_r_fixed_point(
     T_max: int = 200,
     are: AreSolution | None = None,
 ) -> OracleReport:
-    """Iterate r <- min_{1<=T<=T_max} f(T, r) from r = 0 until |delta r| < R_TOL.
+    """Iterate r <- min_{1<=T<=T_max} f(T, r) from r = 0 until |delta r| <= R_TOL |r|.
 
     The map is a contraction with modulus at most beta, so convergence is
     geometric. The minimizing T at convergence is reported along with the
@@ -98,14 +98,11 @@ def solve_r_fixed_point(
     beta_T = beta**Ts
     base = err_prefix + noise_rate * beta * (1.0 - beta_T) / (1.0 - beta)
 
-    r = 0.0
-    deltas = []
+    r, deltas = 0.0, []
     for it in range(1, R_MAX_ITER + 1):
-        r_next = float(np.min(base + beta_T * (r + O)))
-        deltas.append(abs(r_next - r))
-        converged = deltas[-1] < R_TOL
-        r = r_next
-        if converged:
+        r, r_prev = float(np.min(base + beta_T * (r + O))), r
+        deltas.append(abs(r - r_prev))
+        if deltas[-1] <= R_TOL * abs(r):
             curve_vals = base + beta_T * (r + O)
             T_star = int(Ts[int(np.argmin(curve_vals))])
             return OracleReport(
@@ -347,8 +344,8 @@ def verify_solution(
     """Run the oracle against a solved schedule and score the agreement checks.
 
     Checks (documented tolerances):
-      fixed_point_residual  |f(T*, r) - r| < 1e-8          (finite schedules)
-      offset_match          |r_oracle - r| < OFFSET_TOL
+      fixed_point_residual  |f(T*, r) - r| < 1e-8 |r|       (finite schedules)
+      offset_match          |r_oracle - r| < OFFSET_TOL |r|
       period_match          T_oracle == T*                  (finite schedules)
       f_curve_minimum       argmin of the f-curve sits at T*
       bracket               h(T*-1, r) <= 0 < h(T*, r)
@@ -366,9 +363,9 @@ def verify_solution(
     if ps.finite:
         T_star = ps.period
         resid = abs(f_value(T_star, ps.r, sys, cost, ps.are) - ps.r)
-        checks.append(("fixed_point_residual", resid < 1e-8, f"|f(T*,r)-r| = {resid:.3e}"))
+        checks.append(("fixed_point_residual", resid < 1e-8 * abs(ps.r), f"|f(T*,r)-r| = {resid:.3e}"))
         checks.append(
-            ("offset_match", abs(rep.r_oracle - ps.r) < OFFSET_TOL,
+            ("offset_match", abs(rep.r_oracle - ps.r) < OFFSET_TOL * abs(ps.r),
              f"|r_oracle - r| = {abs(rep.r_oracle - ps.r):.3e}")
         )
         checks.append(
@@ -396,7 +393,7 @@ def verify_solution(
             ("curve_decreasing", bool(np.all(diffs < 0.0)), "f strictly decreasing over grid")
         )
         checks.append(
-            ("offset_match", abs(rep.r_oracle - ps.r) < max(OFFSET_TOL, 10 * cost.beta**T_max * (ps.r + cost.O)),
+            ("offset_match", abs(rep.r_oracle - ps.r) < max(OFFSET_TOL * abs(ps.r), 10 * cost.beta**T_max * (ps.r + cost.O)),
              f"|r_oracle - r| = {abs(rep.r_oracle - ps.r):.3e}")
         )
         checks.append(("grid_capped", rep.grid_capped, "minimizer on grid boundary"))

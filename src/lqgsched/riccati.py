@@ -1,18 +1,17 @@
-"""Matrix-equation machinery: discounted Riccati iteration, gains, Lyapunov sums.
+"""Matrix-equation machinery: discounted Riccati doubling, gains, Lyapunov sums.
 
-The discounted algebraic Riccati equation is solved by fixed-point value
-iteration, which converges geometrically for beta < 1; no structured
-eigen-solver is involved. The fixed point exists and stabilizes the loop
-exactly when (sqrt(beta) A, B) is stabilizable and (sqrt(beta) A, sqrt(Q))
-is detectable; model.validate decides that before any solve. All solves
-against R + beta*B'LB go through numpy's Cholesky factorization, since that
-matrix is positive definite whenever R > 0 and L >= 0; a matrix that is not
-raises LinAlgError (NonConvergence from dare_solve). Only numpy is needed at run time.
+The discounted algebraic Riccati equation is solved by structure-preserving
+doubling (SDA; Chu, Fan and Lin, Linear Algebra Appl. 396, 2005). Its fixed
+point exists and stabilizes the loop exactly when (sqrt(beta) A, B) is
+stabilizable and (sqrt(beta) A, sqrt(Q)) detectable, as model.validate checks.
+Every doubling stops on one relative rule, so scaling the data by a power of 4
+scales each result exactly. Solves against R + beta*B'LB use Cholesky, which
+raises LinAlgError unless it is positive definite. Only numpy is needed at run time.
 """
 
 from __future__ import annotations
 
-import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +30,16 @@ __all__ = [
     "dlyap_adjoint",
 ]
 
-# The Riccati iteration stops once the sup-norm step is below ARE_TOL, or fails after ARE_MAX_ITER steps.
-ARE_TOL = 1e-10
-ARE_MAX_ITER = 100_000
-# lyapunov_solve rejects a doubling sum whose residual reaches this; doubling stops after DOUBLING_STEPS rounds.
-LYAPUNOV_RESIDUAL_TOL = 1e-9
+# A doubling stops at max|step| <= DOUBLING_STOP max|sum| or a non-finite step (_converged), else after DOUBLING_STEPS.
+DOUBLING_STOP = 1e-16
 DOUBLING_STEPS = 128
+# Relative residuals above these are rejected; an ill-posed plant's diverging sums stop at order 1 or more.
+DARE_RESIDUAL_TOL = 1e-6
+LYAPUNOV_RESIDUAL_TOL = 1e-9
 
 
 class NonConvergence(RuntimeError):
-    """Iteration budget exhausted; carries the last residual."""
+    """A solve that did not reach its fixed point; carries its relative residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -94,31 +93,38 @@ def riccati_map(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> np.ndarray
     return _step(L, sys, cost)[0]
 
 
-def dare_solve(sys: LinearSystem, cost: CostModel) -> AreSolution:
-    """Iterate the Riccati map from L0 = Q until the sup-norm step is below ARE_TOL.
+def _converged(step: np.ndarray, total: np.ndarray) -> bool:
+    return not float(np.max(np.abs(step))) > DOUBLING_STOP * float(np.max(np.abs(total)))
 
-    The fixed point is unique and stabilizing when the problem passes
-    model.validate. A caller that skips validate still gets a NonConvergence
-    on an unstabilizable plant: the iteration stops at its first non-finite
-    step or its first R + beta B'LB that is not positive definite.
+
+def dare_solve(sys: LinearSystem, cost: CostModel) -> AreSolution:
+    """Stabilizing fixed point of the discounted Riccati map by structure-preserving doubling.
+
+    On A = sqrt(beta) A, G = beta B R^-1 B', H = Q and W = I + G H, a round sets A <- A W^-1 A,
+    G <- G + A W^-1 G A', H <- H + A' H W^-1 A, doubling the horizon that H covers. K, phi and the
+    residual max|riccati_map(P) - P| / max|P| come from one final Riccati step. An ill-posed plant
+    (model.validate skipped) raises NonConvergence: its residual exceeds DARE_RESIDUAL_TOL.
     """
-    L = (cost.Q + cost.Q.T) / 2.0
-    diff = np.inf
-    with contextlib.suppress(np.linalg.LinAlgError):
-        for it in range(1, ARE_MAX_ITER + 1):
-            Ln = _step(L, sys, cost)[0]
-            diff = float(np.max(np.abs(Ln - L)))
-            L = Ln
-            if diff < ARE_TOL:
-                L_next, K, phi = _step(L, sys, cost)
-                residual = float(np.max(np.abs(L - L_next)))
-                return AreSolution(P=L, K=K, phi=phi, iterations=it, residual=residual)
-            if not np.isfinite(diff):  # the iterates overflowed: (sqrt(beta) A, B) is not stabilizable
+    A, H = math.sqrt(cost.beta) * sys.A, (cost.Q + cost.Q.T) / 2.0
+    try:
+        Y = np.linalg.solve(np.linalg.cholesky(cost.R), math.sqrt(cost.beta) * sys.B.T)
+        G = Y.T @ Y
+        for it in range(1, DOUBLING_STEPS + 1):
+            W = np.eye(sys.q) + G @ H
+            WiA, WiG = np.linalg.solve(W, A), np.linalg.solve(W, G)
+            step = A.T @ H @ WiA
+            G, H, A = G + A @ WiG @ A.T, H + step, A @ WiA
+            G, H = (G + G.T) / 2.0, (H + H.T) / 2.0
+            if _converged(step, H):
                 break
-    raise NonConvergence(
-        f"Riccati iteration did not reach tol={ARE_TOL} in {it} steps (last step {diff:.3e})",
-        residual=diff,
-    )
+        H_next, K, phi = _step(H, sys, cost)
+        residual = float(np.max(np.abs(H_next - H)) / (np.max(np.abs(H)) or 1.0))  # max|H| = 0 only when P = 0
+    except np.linalg.LinAlgError:
+        residual = math.inf
+    if not residual <= DARE_RESIDUAL_TOL:
+        raise NonConvergence(f"Riccati doubling ended at relative residual {residual:.3e}, above "
+                             f"{DARE_RESIDUAL_TOL:.0e}; does the problem pass model.validate?", residual=residual)
+    return AreSolution(P=H, K=K, phi=phi, iterations=it, residual=residual)
 
 
 def finite_riccati(
@@ -153,19 +159,17 @@ def dlyap_adjoint(Phi: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Sum of the series G + Phi'G Phi + (Phi')^2 G Phi^2 + ... by doubling.
 
     After k doubling rounds the partial sum covers 2^k terms, so convergence
-    is geometric whenever spectral_radius(Phi) < 1. The stop is relative to
-    the sum, so scaling G scales the result and nothing else; G = 0 stops at
-    once.
+    is geometric whenever spectral_radius(Phi) < 1. The stop (_converged) is
+    relative, so scaling G scales the result and nothing else; G = 0 stops.
     """
     W = (G + G.T) / 2.0
-    M = Phi.copy()
     for _ in range(DOUBLING_STEPS):
-        inc = M.T @ W @ M
+        inc = Phi.T @ W @ Phi
         W = W + inc
         W = (W + W.T) / 2.0
-        if float(np.max(np.abs(inc))) <= 1e-16 * float(np.max(np.abs(W))):
+        if _converged(inc, W):
             break
-        M = M @ M
+        Phi = Phi @ Phi
     return W
 
 
@@ -174,16 +178,15 @@ def lyapunov_solve(sys: LinearSystem) -> np.ndarray:
 
     Computed by doubling on the series sum_t (A')^t C'Sigma_S C A^t. Raises
     UnstableA when the spectral radius of A is not strictly inside the unit
-    circle, and NonConvergence if the residual check fails.
+    circle, and NonConvergence if the residual over max|W| is too large.
     """
     rho = float(np.max(np.abs(sys.eigenvalues)))
     if rho >= 1.0 - 1e-9:
         raise UnstableA(f"spectral radius of A is {rho:.6f}; the series diverges")
     G = sys.noise_gram()
     W = dlyap_adjoint(sys.A, G)
-    residual = float(np.max(np.abs(W - sys.A.T @ W @ sys.A - G)))
+    residual = float(np.max(np.abs(W - sys.A.T @ W @ sys.A - G))) / float(np.max(np.abs(W)))
     if residual >= LYAPUNOV_RESIDUAL_TOL:
-        raise NonConvergence(
-            f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}", residual=residual
-        )
+        raise NonConvergence(f"relative Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}",
+                             residual=residual)
     return W

@@ -11,10 +11,10 @@ import pytest
 import lqgsched
 import lqgsched.cli as cli
 import lqgsched.riccati as riccati
-from lqgsched import NonConvergence, verify_solution
+from lqgsched import NonConvergence, Problem, verify_solution
 from lqgsched.cli import ProblemFileError, load_problem, main, save_problem
 
-from conftest import jordan_plant, make_problem, A1
+from conftest import jordan_plant, make_problem, random_admissible, A1, A2
 
 SYS1 = os.path.join(os.path.dirname(__file__), "..", "configs", "sys1.json")
 SYS2 = os.path.join(os.path.dirname(__file__), "..", "configs", "sys2.json")
@@ -305,6 +305,28 @@ def test_zero_A_solves_with_empty_stderr(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["case"] == "never_measure"  # A = 0: a measurement is worth nothing
+
+
+def _ill_conditioned_plant():
+    sys_, cost = random_admissible(np.random.default_rng(3962091121))  # max|P| about 1e7
+    return Problem(sys=sys_, cost=dataclasses.replace(cost, O=1.0))
+
+
+def _sys2_with_large_noise():
+    p, c = make_problem(A2, 7.0), 4.0**12
+    return dataclasses.replace(p, sys=dataclasses.replace(p.sys, Sigma_S=c * p.sys.Sigma_S),
+                               cost=dataclasses.replace(p.cost, O=c * p.cost.O))
+
+
+@pytest.mark.parametrize("problem, case", [(_ill_conditioned_plant, "measure_every_step"),
+                                           (_sys2_with_large_noise, "never_measure")])
+def test_valid_plant_of_any_scale_solves(tmp_path, capsys, problem, case):
+    # Absolute stops failed both with exit 3: the Riccati step on a large P, the Lyapunov residual on a large W.
+    path = str(tmp_path / "p.json")
+    save_problem(problem(), path)
+    code, out, _ = run(capsys, "solve", "--problem", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["case"] == case
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -11,6 +11,7 @@ from lqgsched import (
     dare_solve,
     inner_dp_check,
     never_measure_cost,
+    never_measure_threshold,
     optimal_period,
     periodic_strategy_cost,
     policy_suboptimality_probe,
@@ -20,7 +21,7 @@ from lqgsched import (
 )
 
 from conftest import (
-    A1, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
+    A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
     random_admissible_with_finite_T,
 )
 
@@ -145,9 +146,9 @@ def test_oracle_battery_randomized():
 @given(seed=st.integers(0, 2**32 - 1), pick=st.floats(0.0, 1.0, exclude_max=True), u=st.floats(0.1, 0.9))
 def test_oracle_agrees_inside_brackets_property(seed, pick, u):
     # T* = T for any price in [S[T-1], S[T]); a price a fraction u into the bracket keeps clear of
-    # its edges, where f(T) ties with a neighbour. The oracle iterates r to an absolute step of
-    # 1e-9, so it cannot place a price inside a bracket narrower than about 1e-6, and a double of
-    # r's size resolves 1e-6 only while the prices stay well below 1e9.
+    # its edges, where f(T) ties with a neighbour. Brackets wider than 1e-6 and prices below 1e6
+    # keep the absolute 1e-6 asked of r here within reach of the oracle, which stops at a step of
+    # 1e-12 |r|, and of a double of r's size.
     sys, cost = random_admissible(np.random.default_rng(seed))
     ps0 = optimal_period(sys, cost)
     S = ps0._table.grow(12).S
@@ -175,3 +176,75 @@ def test_verify_names_corrupted_fixed_point(sys1_O10, ps1_O10):
     rep = verify_solution(sys1_O10.sys, sys1_O10.cost, tampered, x_probe=X0)
     assert not rep.passed
     assert "fixed_point_residual" in rep.failures()
+
+
+def _second_plant_at_3_S1_small_weights():
+    rng = np.random.default_rng(11)
+    random_admissible(rng)
+    sys, cost = random_admissible(rng)
+    cost = dataclasses.replace(cost, Q=cost.Q * 4.0**-10, R=cost.R * 4.0**-10)
+    S1 = float(np.trace(sys.noise_gram() @ dare_solve(sys, cost).phi))
+    return sys, dataclasses.replace(cost, O=3 * S1)
+
+
+def _small_weights_below_threshold():
+    sys, cost = random_admissible(np.random.default_rng(20261018))
+    cost = dataclasses.replace(cost, Q=0.1 * cost.Q, R=0.1 * cost.R)
+    return sys, dataclasses.replace(cost, O=0.8 * never_measure_threshold(sys, cost))
+
+
+def _large_offset():
+    sys, cost = random_admissible(np.random.default_rng(629059995))
+    return sys, dataclasses.replace(cost, O=24147392715.292496)
+
+
+@pytest.mark.parametrize("case, T_star", [
+    # r = 2.67e9, where one ulp (4.8e-7) exceeded the absolute 1e-8 of fixed_point_residual.
+    (_large_offset, 11),
+    # r = 3e-7: an absolute stop left the oracle's r unconverged, and period_match failed.
+    (_second_plant_at_3_S1_small_weights, 3),
+    # An absolute Riccati stop left P off by 1e-10 relative; inner_collapse failed at 7.3e-10.
+    (_small_weights_below_threshold, 197),
+])
+def test_verify_passes_at_any_scale_of_r(case, T_star):
+    sys, cost = case()
+    ps = optimal_period(sys, cost)
+    assert ps.period == T_star
+    rep = verify_solution(sys, cost, ps)
+    assert rep.passed, rep.failures()
+
+
+@PROPERTY_SETTINGS
+@given(plant=st.one_of(st.sampled_from(["sys1", "sys2"]), st.integers(0, 2**32 - 1)),
+       k=st.integers(-10, 10), T=st.integers(1, 12), u=st.floats(0.1, 0.9))
+def test_scaling_is_exact_property(plant, k, T, u):
+    # The problem is homogeneous: scaling (Q, R, O) by c scales P, phi and r by c, and scaling
+    # (Sigma_S, O) by c scales r by c; K and T* stay. With c = 4^k every rounding scales too,
+    # so any absolute tolerance in the solve shows as a bit that differs. The price sits a
+    # fraction u into the bracket of T, clear of the edges where f(T) ties with a neighbour;
+    # a stable plant's bracket may lie above its never-measure threshold.
+    if isinstance(plant, str):
+        p = make_problem(A1 if plant == "sys1" else A2, 0.0)
+        sys, cost = p.sys, p.cost
+    else:
+        sys, cost = random_admissible(np.random.default_rng(plant))
+    ps0 = optimal_period(sys, cost)
+    S = ps0._table.grow(T).S
+    assume(S[T] - S[T - 1] > 1e-6 * S[T])
+    cost = dataclasses.replace(cost, O=S[T - 1] + u * (S[T] - S[T - 1]))
+    ps = optimal_period(sys, cost, are=ps0.are)
+    c = 4.0**k
+
+    costs = dataclasses.replace(cost, Q=c * cost.Q, R=c * cost.R, O=c * cost.O)
+    scaled = optimal_period(sys, costs)
+    assert np.array_equal(scaled.are.P, c * ps.are.P) and np.array_equal(scaled.are.phi, c * ps.are.phi)
+    assert np.array_equal(scaled.are.K, ps.are.K)
+    assert (scaled.period, scaled.r) == (ps.period, c * ps.r)
+    if scaled.finite:
+        rep = verify_solution(sys, costs, scaled)
+        assert rep.passed, rep.failures()
+
+    noisy = dataclasses.replace(sys, Sigma_S=c * sys.Sigma_S)
+    scaled = optimal_period(noisy, dataclasses.replace(cost, O=c * cost.O))
+    assert np.array_equal(scaled.are.P, ps.are.P) and np.array_equal(scaled.are.K, ps.are.K)
+    assert (scaled.period, scaled.r) == (ps.period, c * ps.r)

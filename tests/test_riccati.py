@@ -46,9 +46,16 @@ def test_zero_A_converges_in_one_step():
     assert np.allclose(sol.P, Q3, atol=1e-14)
 
 
+def test_zero_Q_on_stable_plant_gives_zero_P():
+    # Nothing is weighed, so P = 0 exactly; its residual is 0, not 0/0.
+    sys = LinearSystem(A=A2, B=B, C=C3, Sigma_S=SIGMA)
+    sol = dare_solve(sys, CostModel(Q=np.zeros((3, 3)), R=R2, beta=BETA, O=0.0))
+    assert not sol.P.any() and not sol.K.any() and sol.residual == 0.0
+
+
 def test_unstabilizable_plant_stops_early():
-    # The unstable mode 2 cannot be reached from B, so the iterates overflow;
-    # the solver stops there instead of running out its iteration budget.
+    # The unstable mode 2 cannot be reached from B, so the doubled sums overflow;
+    # the non-finite step stops the doubling instead of its round budget.
     sys = LinearSystem(A=np.diag([2.0, 0.5]), B=[[0.0], [1.0]], C=np.eye(2), Sigma_S=0.1 * np.eye(2))
     cost = CostModel(Q=np.eye(2), R=[[1.0]], beta=0.95, O=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -84,11 +91,16 @@ def test_riccati_map_dimension_mismatch():
         riccati_map(np.eye(2), sys, cost)
 
 
+def _relative_residual(sol, sys, cost):
+    return np.max(np.abs(riccati_map(sol.P, sys, cost) - sol.P)) / np.max(np.abs(sol.P))
+
+
 @pytest.mark.parametrize("A", [A1, A2])
 def test_benchmark_fixed_point(A):
     p = make_problem(A, 0.0)
     sol = dare_solve(p.sys, p.cost)
-    assert np.max(np.abs(riccati_map(sol.P, p.sys, p.cost) - sol.P)) < 10 * 1e-10
+    assert _relative_residual(sol, p.sys, p.cost) <= 1e-12
+    assert sol.residual == _relative_residual(sol, p.sys, p.cost)
 
 
 def test_randomized_fixed_point_and_stability():
@@ -96,7 +108,7 @@ def test_randomized_fixed_point_and_stability():
     for _ in range(20):
         sys, cost = random_admissible(rng, q_max=4)
         sol = dare_solve(sys, cost)
-        assert np.max(np.abs(riccati_map(sol.P, sys, cost) - sol.P)) < 10 * 1e-10
+        assert _relative_residual(sol, sys, cost) <= 1e-12
         # P positive definite and phi PSD
         assert np.min(np.linalg.eigvalsh(sol.P)) > 0.0
         assert np.min(np.linalg.eigvalsh(sol.phi)) > -1e-10
@@ -131,6 +143,20 @@ def test_agrees_with_scipy_on_discount_scaled_problem():
         sb = math.sqrt(cost.beta)
         P_ref = solve_discrete_are(sb * sys.A, sb * sys.B, cost.Q, cost.R)
         assert np.max(np.abs(sol.P - P_ref)) < 1e-7 * max(1.0, np.max(np.abs(P_ref)))
+
+
+def test_ill_conditioned_plant_solves_in_few_doublings():
+    # A nearly unreachable unstable mode (PBH singular value 6.3e-4) makes max|P| about 1e7; value
+    # iteration with an absolute 1e-10 stop never stopped here. The relative residual that
+    # riccati_map shows at scipy's own P (3.5e-9, against 1e-16 on the benchmark plants) measures how
+    # well a double poses this problem, so the two solutions must agree to within ten times it.
+    sys, cost = random_admissible(np.random.default_rng(3962091121))
+    sol = dare_solve(sys, cost)
+    assert sol.iterations <= 10
+    sb = math.sqrt(cost.beta)
+    P_ref = solve_discrete_are(sb * sys.A, sb * sys.B, cost.Q, cost.R)
+    scipy_residual = np.max(np.abs(riccati_map(P_ref, sys, cost) - P_ref)) / np.max(np.abs(P_ref))
+    assert np.max(np.abs(sol.P - P_ref)) <= 10 * scipy_residual * np.max(np.abs(P_ref))
 
 
 def test_monotone_iterates_from_zero_and_Q():
