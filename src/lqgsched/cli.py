@@ -299,11 +299,10 @@ def cmd_simulate(args) -> int:
 
     out = _resolve_out(args.out)
     if out is None:
-        _sys.stdout.write(rec.csv_text())
+        rec.write_csv(_sys.stdout)
         _sys.stderr.write(json.dumps(summary) + "\n")
     else:
-        with open(out, "w") as fh:
-            fh.write(rec.csv_text())
+        rec.write_csv(out)
         _sys.stdout.write(json.dumps(summary) + "\n")
     return EXIT_OK
 

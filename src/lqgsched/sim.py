@@ -9,12 +9,16 @@ prepares once.
 
 Noise is drawn from numpy's PCG64 generator; run k of a Monte Carlo batch
 uses the substream seeded with ``seed + k`` whatever the chunking, so any
-single run can be reproduced bit-for-bit in isolation. The rollout holds the
-noise of one chunk of runs at a time (at most ``_CHUNK_VALUES`` values),
-run-major, each run's draws written straight into its block of the chunk
-buffer. Monte Carlo costs and the sampled error covariance merge each
-chunk's moments into running totals, so memory does not grow with the
-number of runs (at most ``MAX_RUNS``). Gaussian plant noise
+single run can be reproduced bit-for-bit in isolation. Each run draws its
+noise a block of steps at a time (about ``_DRAW_VALUES`` values a draw; a
+substream drawn in pieces gives the same numbers as in one draw), and the
+rollout holds one block of one chunk of runs at a time (at most
+``_CHUNK_VALUES`` values), run-major, each run's draws written straight into
+its rows of the chunk buffer, so memory does not grow with the horizon.
+Monte Carlo costs and the sampled error covariance merge each chunk's
+moments into running totals, so memory does not grow with the number of
+runs (at most ``MAX_RUNS``) either, and ``TrajectoryRecord.write_csv``
+formats a few hundred rows at a time. Gaussian plant noise
 w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with the symmetric PSD
 square root, which also supports degenerate covariances (useful for
 noiseless test modes).
@@ -102,6 +106,10 @@ class SimConfig:
             raise ValueError(f"n_runs must be <= {MAX_RUNS}")
 
 
+# Trajectory rows write_csv formats at a time.
+_CSV_ROWS = 256
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Per-step closed-loop trace with discounted cost accounting.
@@ -129,28 +137,39 @@ class TrajectoryRecord:
     def n_measurements(self) -> int:
         return int(self.i.sum())
 
-    def csv_text(self) -> str:
-        q = self.x.shape[1]
-        p = self.u.shape[1]
-        header = (
-            ["t"]
-            + [f"x_{k+1}" for k in range(q)]
-            + [f"xbar_{k+1}" for k in range(q)]
-            + [f"err_{k+1}" for k in range(q)]
-            + [f"u_{k+1}" for k in range(p)]
-            + ["i", "stage_cost", "cum_cost"]
-        )
+    def csv_text(self, start: int = 0, stop: int | None = None) -> str:
+        """Rows ``start..stop-1`` of the trajectory CSV, with the header line when ``start`` is 0."""
+        rows = slice(start, stop)
         # Python floats and ints, so each cell is one repr: the same text as repr(float(v))
-        reals = np.hstack([self.x, self.x_bar, self.err, self.u]).tolist()
-        columns = zip(self.t.astype(int).tolist(), reals, self.i.astype(int).tolist(),
-                      self.stage_cost.tolist(), self.cum_cost.tolist())
-        lines = [",".join(header)]
-        lines += [",".join([str(t), *map(repr, row), str(i), repr(sc), repr(cc)]) for t, row, i, sc, cc in columns]
-        return "\n".join(lines) + "\n"
+        reals = np.hstack([self.x[rows], self.x_bar[rows], self.err[rows], self.u[rows]]).tolist()
+        columns = zip(self.t[rows].astype(int).tolist(), reals, self.i[rows].astype(int).tolist(),
+                      self.stage_cost[rows].tolist(), self.cum_cost[rows].tolist())
+        lines = [",".join([str(t), *map(repr, row), str(i), repr(sc), repr(cc)]) for t, row, i, sc, cc in columns]
+        if start == 0:
+            q, p = self.x.shape[1], self.u.shape[1]
+            header = (
+                ["t"]
+                + [f"x_{k+1}" for k in range(q)]
+                + [f"xbar_{k+1}" for k in range(q)]
+                + [f"err_{k+1}" for k in range(q)]
+                + [f"u_{k+1}" for k in range(p)]
+                + ["i", "stage_cost", "cum_cost"]
+            )
+            lines.insert(0, ",".join(header))
+        return "".join(line + "\n" for line in lines)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
+    def write_csv(self, dest) -> None:
+        """Write ``csv_text()`` to a path or an open text stream, ``_CSV_ROWS`` rows at a time.
+
+        Only one block of rows is formatted at once, so memory does not grow
+        with the horizon.
+        """
+        if not hasattr(dest, "write"):
+            with open(dest, "w") as fh:
+                self.write_csv(fh)
+            return
+        for start in range(0, len(self.t), _CSV_ROWS):
+            dest.write(self.csv_text(start, start + _CSV_ROWS))
 
 
 def _run_rng(seed: int, run: int) -> np.random.Generator:
@@ -159,6 +178,10 @@ def _run_rng(seed: int, run: int) -> np.random.Generator:
 
 # Noise values one chunk of Monte Carlo runs holds at once: 2**22 doubles (32 MB).
 _CHUNK_VALUES = 2**22
+# Noise values one run draws per generator call. A standard_normal call costs
+# about 1.5 us on top of about 20 ns a value, so each call draws enough values
+# to hide that overhead; a run draws its noise a block of steps at a time.
+_DRAW_VALUES = 2048
 
 
 def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int, n_runs: int, steps: int):
@@ -169,8 +192,12 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     and control of the chunk's run j at step t, before the step's noise
     enters; chunks come in run order. The three arrays are buffers that
     later steps overwrite, so a caller copies what it keeps. Run k draws its
-    noise from substream ``seed + k`` whatever the chunking, and a chunk
-    holds at most ``_CHUNK_VALUES`` noise values (at least one run's).
+    noise from substream ``seed + k`` whatever the chunking, a block of
+    ``block = min(steps, ceil(_DRAW_VALUES / q))`` steps at a time (one
+    substream drawn in pieces gives the same numbers as in one draw), and a
+    chunk holds the noise of one block of its runs, at most
+    ``_CHUNK_VALUES`` values (at least one run's block), so memory does not
+    grow with ``steps``.
     """
     # the plant is normally the policy's own model; another plant gets its own operands
     loop = ps._loop if problem.sys is ps.sys else _closed_loop(problem.sys, ps)
@@ -179,16 +206,18 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     measure = np.zeros(steps, dtype=bool)
     measure[strategy.measure_times(ps, steps)] = True  # never step 0: it is free
 
+    block = min(steps, -(-_DRAW_VALUES // q))
     # Chunks of equal size: a small remainder chunk would take BLAS's small-matrix
     # path, whose last bits differ from those of the full-size products.
-    n_chunks = -(-n_runs // max(1, _CHUNK_VALUES // (steps * q)))
+    n_chunks = -(-n_runs // max(1, _CHUNK_VALUES // (block * q)))
     chunk = -(-n_runs // n_chunks)
-    Z = np.empty((chunk, steps, q))  # run-major: run r's standard normals are the block Z[r]
+    Z = np.empty((chunk, block, q))  # run-major: run r's standard normals for the block are Z[r]
     states, controls = np.empty((5, q, chunk)), np.empty((problem.p, chunk))
     for first in range(0, n_runs, chunk):
         n = min(chunk, n_runs - first)
-        for r in range(n):
-            _run_rng(seed, first + r).standard_normal(out=Z[r])
+        # A generator is about 2 kB, so the chunk keeps its runs' generators only
+        # when each run draws more than once.
+        rngs = [_run_rng(seed, first + r) for r in range(n)] if block < steps else None
         # One run per column, so on a single run every product is the online
         # controller's matrix-vector product, bit for bit. X and Xbar are each
         # updated into a spare and swapped with it; BU holds B U.
@@ -199,8 +228,12 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
             if t > 0:  # the step from t - 1; its B U serves the estimate too
                 np.matmul(A, X, out=X_next)
                 X_next += np.matmul(B, U, out=BU)
-                X_next += np.matmul(N, Z[:n, t - 1].T, out=Xbar_next)  # a spare until the estimate update
+                X_next += np.matmul(N, Z[:n, (t - 1) % block].T, out=Xbar_next)  # a spare until the estimate update
                 X, X_next = X_next, X
+            if t % block == 0:  # step t - 1's noise is spent: draw each run's block from step t on
+                rows = min(block, steps - t)
+                for r in range(n):
+                    (_run_rng(seed, first + r) if rngs is None else rngs[r]).standard_normal(out=Z[r, :rows])
             if t == 0 or measure[t]:  # x0 is known at step 0
                 np.copyto(Xbar, X)
             else:

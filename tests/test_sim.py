@@ -375,18 +375,24 @@ def test_optimal_trajectory_matches_online_session(plant):
     assert np.all(np.abs(rec.u - U) <= 1e-12 * np.max(np.abs(U), axis=0))
 
 
-def test_csv_text_matches_per_cell_repr():
+def random_record(H, q, p, seed=12, odd_rows=(3, 5, 9, 4)):
+    """A trajectory record of random values with -0.0, inf, -inf and a -0.0 stage cost at ``odd_rows``."""
     from lqgsched.sim import TrajectoryRecord
 
-    rng = np.random.default_rng(12)
-    H, q, p = 40, 50, 10
+    rng = np.random.default_rng(seed)
     x, x_bar, u = rng.normal(size=(H, q)) * 1e3, rng.normal(size=(H, q)), rng.normal(size=(H, p)) * 1e-7
-    x[3, 7], x_bar[5, 0], u[9, 2] = -0.0, np.inf, -np.inf
+    x[odd_rows[0], q // 7], x_bar[odd_rows[1], 0], u[odd_rows[2], p // 5] = -0.0, np.inf, -np.inf
     i = (rng.random(H) < 0.3).astype(int)
     stage = rng.random(H)
-    stage[4] = -0.0
-    rec = TrajectoryRecord(t=np.arange(H), x=x, x_bar=x_bar, err=x - x_bar, u=u, i=i, stage_cost=stage,
-                           cum_cost=np.cumsum(stage), cum_state_control=np.cumsum(stage), cum_measure=np.zeros(H))
+    stage[odd_rows[3]] = -0.0
+    return TrajectoryRecord(t=np.arange(H), x=x, x_bar=x_bar, err=x - x_bar, u=u, i=i, stage_cost=stage,
+                            cum_cost=np.cumsum(stage), cum_state_control=np.cumsum(stage),
+                            cum_measure=np.zeros(H))
+
+
+def test_csv_text_matches_per_cell_repr():
+    H, q, p = 40, 50, 10
+    rec = random_record(H, q, p)
     lines = [",".join(["t", *(f"{n}_{k + 1}" for n, m in (("x", q), ("xbar", q), ("err", q), ("u", p))
                               for k in range(m)), "i", "stage_cost", "cum_cost"])]
     for k in range(H):
@@ -396,3 +402,96 @@ def test_csv_text_matches_per_cell_repr():
     text = rec.csv_text()
     assert text == "\n".join(lines) + "\n"
     assert ",-0.0," in text and ",inf," in text and ",-inf," in text
+
+
+def test_streamed_csv_matches_csv_text_across_blocks(tmp_path):
+    import io
+
+    from lqgsched.sim import _CSV_ROWS
+
+    # the odd cells sit on both sides of the first block boundary
+    edge = _CSV_ROWS
+    rec = random_record(2 * _CSV_ROWS + 1, 5, 2, odd_rows=(edge - 1, edge, edge - 1, edge))
+    text = rec.csv_text()
+    assert text.count("\n") == 2 * _CSV_ROWS + 2
+    assert ",-0.0," in text and ",inf," in text and ",-inf," in text
+    path = tmp_path / "traj.csv"
+    rec.write_csv(path)
+    assert path.read_bytes() == text.encode()
+    stream = io.StringIO()
+    rec.write_csv(stream)
+    assert stream.getvalue() == text
+    # a range of rows has the header only when it starts at row 0
+    assert rec.csv_text(0, edge) + rec.csv_text(edge, edge + 1) + rec.csv_text(edge + 1) == text
+    assert not rec.csv_text(edge, edge + 1).startswith("t,")
+
+
+def test_streamed_csv_memory_does_not_grow_with_horizon(tmp_path):
+    # Ten blocks of rows against two: a CSV formatted whole would add about 6.6 MB.
+    import tracemalloc
+
+    from lqgsched.sim import _CSV_ROWS
+
+    def peak(H):
+        rec = random_record(H, 10, 2)
+        tracemalloc.start()
+        try:
+            rec.write_csv(tmp_path / f"traj{H}.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10 * _CSV_ROWS) - peak(2 * _CSV_ROWS) < 100_000
+
+
+# Draw sizes that cut sys1's 40 steps (q = 3) into blocks of 7 steps (the last of 5)
+# and of 3 steps (the last of one step).
+BLOCK_DRAWS = {"block7": 7 * 3, "block3": 3 * 3}
+
+
+@pytest.mark.parametrize("draw", BLOCK_DRAWS.values(), ids=BLOCK_DRAWS.keys())
+@pytest.mark.parametrize(
+    "strategy", [OPTIMAL, fixed_period(3), NEVER_MEASURE], ids=["optimal", "fixed3", "never"]
+)
+def test_noise_blocks_give_the_same_costs(ps1_O10, sys1_O10, monkeypatch, strategy, draw):
+    import lqgsched.sim as sim
+
+    cfg = SimConfig(horizon=40, seed=31, n_runs=5, strategy=strategy)
+    whole = sim._batch_costs(sys1_O10, ps1_O10, cfg)  # one draw covers the horizon
+    monkeypatch.setattr(sim, "_DRAW_VALUES", draw)
+    assert np.array_equal(sim._batch_costs(sys1_O10, ps1_O10, cfg), whole)
+    # with chunks of two runs as well, each keeping its own runs' generators
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * draw)
+    np.testing.assert_allclose(sim._batch_costs(sys1_O10, ps1_O10, cfg), whole, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("draw", BLOCK_DRAWS.values(), ids=BLOCK_DRAWS.keys())
+def test_noise_blocks_give_the_same_error_covariance(ps1_O10, sys1_O10, monkeypatch, draw):
+    import lqgsched.sim as sim
+
+    cfg = SimConfig(horizon=40, seed=13, n_runs=6, strategy=fixed_period(9))
+    t = 34  # in the fifth block of 7 steps, the twelfth of 3
+    whole = empirical_error_covariance(sys1_O10, ps1_O10, cfg, t)
+    monkeypatch.setattr(sim, "_DRAW_VALUES", draw)
+    assert np.array_equal(empirical_error_covariance(sys1_O10, ps1_O10, cfg, t), whole)
+    assert np.max(np.abs(whole)) > 0.0
+
+
+def test_monte_carlo_memory_does_not_grow_with_horizon():
+    # Ten times the steps, the same runs: noise held for the whole horizon would add
+    # 1800 steps x 50 values x 4 runs, 2.9 MB.
+    import tracemalloc
+
+    problem = random_stable_plant(6)
+    ps = optimal_period(problem.sys, problem.cost)
+
+    def peak(H):
+        tracemalloc.start()
+        try:
+            monte_carlo_value(problem, ps, SimConfig(horizon=H, seed=2, n_runs=4, strategy=fixed_period(3)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # the policy's cached closed-loop operands are built here, outside the comparison
+    assert peak(2000) - peak(200) < 100_000
