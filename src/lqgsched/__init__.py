@@ -33,7 +33,6 @@ from .oracle import (
 )
 from .policy import (
     MeasureCase,
-    NonFiniteSearch,
     PolicySolution,
     ValueSummary,
     error_cov_seq,

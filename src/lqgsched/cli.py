@@ -11,6 +11,7 @@ the same way. Set LQGSCHED_OUT_DIR to prefix relative --out paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -21,7 +22,7 @@ import numpy as np
 
 from .model import CostModel, LinearSystem, Problem, validate
 from .oracle import verify_solution
-from .policy import NonFiniteSearch, _solve_prices, optimal_period, value_at
+from .policy import _solve_prices, optimal_period, value_at
 from .riccati import NonConvergence
 from .sim import (
     ALWAYS_MEASURE,
@@ -108,13 +109,15 @@ def _fail(args, code: int, payload: dict, human: str) -> int:
     return code
 
 
-def _matrix_rows(M: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(M)]
-
-
-def _fmt_matrix(name: str, M: np.ndarray) -> str:
-    rows = "\n".join("    [" + ", ".join(repr(float(v)) for v in row) + "]" for row in np.atleast_2d(M))
-    return f"{name}:\n{rows}"
+def _text_entry(key: str, value) -> str:
+    """One entry of solve's JSON document as a line of its text report."""
+    if isinstance(value, np.ndarray):
+        return f"{key}:\n" + "\n".join("    [" + ", ".join(repr(float(v)) for v in row) + "]" for row in value)
+    if isinstance(value, list):
+        return f"{key}: " + ", ".join(repr(v) for v in value)
+    if key == "T_star" or isinstance(value, str):
+        return f"{key}: {value or 'inf'}"
+    return f"{key}(x0): {value!r}" if key.startswith("V") else f"{key}: {value!r}"
 
 
 class _Failure(Exception):
@@ -150,74 +153,44 @@ def _solve_problem(problem: Problem):
 def cmd_solve(args) -> int:
     problem = _read_problem(args.problem, args.O)
     ps = _solve_problem(problem)
-    vals = value_at(ps, problem.x0)
-    eig_mags = sorted(np.abs(problem.sys.eigenvalues).tolist(), reverse=True)
-    W = None if ps.never_threshold is None else ps._table.W  # solved once with the threshold
-
-    if args.format == "json":
-        doc = {
-            "case": ps.case_id.value,
-            "T_star": ps.period or None,  # null for a schedule that never measures
-            "r": ps.r,
-            "O": ps.O,
-            "P": _matrix_rows(ps.are.P),
-            "K": _matrix_rows(ps.are.K),
-            "phi": _matrix_rows(ps.are.phi),
-            "eigenvalue_magnitudes": eig_mags,
-            "V": vals.V,
-            "V_s": vals.V_s,
-            "V_c": vals.V_c,
-            "V_e": vals.V_e,
-            "V_e_excluding_noise": vals.V_e_excluding_noise,
-            "V_reported": vals.V_reported,
-            "V_s_reported": vals.V_s_reported,
-            "never_measure_threshold": ps.never_threshold,
-            "W_infinity": None if W is None else _matrix_rows(W),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"case: {ps.case_id.value}",
-            f"T_star: {ps.period or 'inf'}",
-            f"r: {ps.r!r}",
-            f"O: {ps.O!r}",
-            _fmt_matrix("P", ps.are.P),
-            _fmt_matrix("K", ps.are.K),
-            _fmt_matrix("phi", ps.are.phi),
-            "eigenvalue_magnitudes: " + ", ".join(repr(v) for v in eig_mags),
-            f"V(x0): {vals.V!r}",
-            f"V_s(x0): {vals.V_s!r}",
-            f"V_c(x0): {vals.V_c!r}",
-            f"V_e(x0): {vals.V_e!r}",
-            f"V_e_excluding_noise(x0): {vals.V_e_excluding_noise!r}",
-            f"V_reported(x0): {vals.V_reported!r}",
-            f"V_s_reported(x0): {vals.V_s_reported!r}",
-        ]
-        if ps.never_threshold is not None:
-            lines.append(f"never_measure_threshold: {ps.never_threshold!r}")
-        if W is not None:
-            lines.append(_fmt_matrix("W_infinity", W))
-        _emit("\n".join(lines) + "\n", args.out)
+    doc = {
+        "case": ps.case_id.value,
+        "T_star": ps.period or None,
+        "r": ps.r,
+        "O": ps.O,
+        "P": ps.are.P,
+        "K": ps.are.K,
+        "phi": ps.are.phi,
+        "eigenvalue_magnitudes": sorted(np.abs(problem.sys.eigenvalues).tolist(), reverse=True),
+        **dataclasses.asdict(value_at(ps, problem.x0)),
+        "never_measure_threshold": ps.never_threshold,
+        "W_infinity": None if ps.never_threshold is None else ps._table.limit.sums[0],  # solved with the threshold
+    }
+    if args.format == "json":  # T_star is null for a schedule that never measures
+        text = json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}, indent=2)
+    else:  # T_star is inf, and a schedule with no threshold has no line for it or for W_infinity
+        text = "\n".join(_text_entry(k, v) for k, v in doc.items() if v is not None or k == "T_star")
+    _emit(text + "\n", args.out)
     return EXIT_OK
 
 
 def _sweep_prices(args) -> list[float]:
-    if args.O_log is not None:
-        if args.O_min is None or args.O_max is None:
-            raise ValueError("--O-log requires --O-min and --O-max")
-        if not all(map(np.isfinite, (args.O_min, args.O_max))):
-            raise ValueError("--O-min and --O-max must be finite")
-        if args.O_min <= 0:
-            raise ValueError("--O-min must be positive for a log sweep")
-        if args.O_log > MAX_SWEEP_PRICES:
-            raise ValueError(f"--O-log asks for {args.O_log} prices; a sweep tabulates at most {MAX_SWEEP_PRICES}")
-        return [float(O) for O in np.geomspace(args.O_min, args.O_max, int(args.O_log))]
-    if args.O_min is None or args.O_max is None or args.O_step is None:
+    log = args.O_log is not None
+    if args.O_min is None or args.O_max is None or not (log or args.O_step is not None):
         raise ValueError("sweep needs --O-min, --O-max and --O-step (or --O-log)")
+    if not all(map(np.isfinite, (args.O_min, args.O_max) + (() if log else (args.O_step,)))):
+        raise ValueError(("--O-min and --O-max" if log else "--O-min, --O-max and --O-step") + " must be finite")
+    if not 0 <= args.O_min <= args.O_max:
+        raise ValueError("a sweep needs 0 <= --O-min <= --O-max: a measurement price is never negative")
+    if log:
+        if args.O_min == 0:
+            raise ValueError("--O-min must be positive for a log sweep")
+        if not 1 <= args.O_log <= MAX_SWEEP_PRICES:
+            raise ValueError(f"--O-log asks for {args.O_log} prices; a sweep tabulates at most {MAX_SWEEP_PRICES} "
+                             "and at least 1")
+        return [float(O) for O in np.geomspace(args.O_min, args.O_max, args.O_log)]
     if args.O_step <= 0:
         raise ValueError("--O-step must be positive")
-    if not all(map(np.isfinite, (args.O_min, args.O_max, args.O_step))):
-        raise ValueError("--O-min, --O-max and --O-step must be finite")
     if (args.O_max - args.O_min) / args.O_step >= MAX_SWEEP_PRICES:
         raise ValueError(f"the grid has more than {MAX_SWEEP_PRICES} prices; a sweep tabulates at most {MAX_SWEEP_PRICES}")
     # O_min + k*step in decimal, so a step of 0.1 prints 0.3 and not 0.30000000000000004.
@@ -345,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_O:
             p.add_argument("--O", type=float, default=None, help="per-measurement price (overrides file)")
         p.add_argument("--out", default=None, help="output path (relative paths honor LQGSCHED_OUT_DIR)")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("solve", help="solve the schedule and report values")
     common(p)
@@ -380,7 +353,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _Failure as e:
         return _fail(args, e.code, e.payload, e.human)
-    except (NonConvergence, NonFiniteSearch) as e:
+    except NonConvergence as e:
         return _fail(args, EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
 
 

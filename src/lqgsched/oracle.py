@@ -60,16 +60,18 @@ def _phase_traces_from_powers(
     """err_trace[t] = Tr(P_t phi) with P_t = sum_{tau<t} (A')^tau G A^tau.
 
     Built from explicitly accumulated powers of A rather than the planning
-    recursion, so agreement with the scheduler is a genuine cross-check.
+    recursion, so agreement with the scheduler is a genuine cross-check. On a
+    long grid the powers of an unstable A may overflow to inf or NaN.
     """
     G = sys.noise_gram()
     A_pow = np.eye(sys.q)
     P_sum = np.zeros((sys.q, sys.q))
     out = np.empty(n)
-    for t in range(n):
-        out[t] = float(np.trace(P_sum @ phi))
-        P_sum = P_sum + A_pow.T @ G @ A_pow
-        A_pow = A_pow @ sys.A
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n):
+            out[t] = float(np.trace(P_sum @ phi))
+            P_sum = P_sum + A_pow.T @ G @ A_pow
+            A_pow = A_pow @ sys.A
     return out
 
 
@@ -85,6 +87,7 @@ def solve_r_fixed_point(
     geometric. The minimizing T at convergence is reported along with the
     whole f-curve; ``grid_capped`` flags a minimizer sitting on the boundary
     (no interior minimum found, consistent with a never-measure schedule).
+    An r that is not finite (overflowed phase traces) raises NonConvergence.
     """
     if are is None:
         are = dare_solve(sys, cost)
@@ -101,6 +104,9 @@ def solve_r_fixed_point(
     r, deltas = 0.0, []
     for it in range(1, R_MAX_ITER + 1):
         r, r_prev = float(np.min(base + beta_T * (r + O))), r
+        if not math.isfinite(r):
+            raise NonConvergence(f"r = {r} at step {it}: the explicit powers of A overflow on the oracle's grid of "
+                                 f"{T_max} waiting times", residual=math.inf)
         deltas.append(abs(r - r_prev))
         if deltas[-1] <= R_TOL * abs(r):
             curve_vals = base + beta_T * (r + O)

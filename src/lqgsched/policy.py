@@ -1,23 +1,23 @@
 """Optimal measurement scheduling for the discounted LQG loop with paid queries.
 
-Every scheduling quantity is a prefix sum over one price-independent phase
-sequence g[t] = Tr((A')^t G A^t phi), G = C' Sigma_S C, held with its prefix
-sums in one table per (sys, beta, are):
+Every scheduling quantity is a sum over one price-independent sequence of
+phases M_t = (A')^t G A^t, G = C' Sigma_S C. With c_t = sum_{k<=t} beta^k,
+tr[T] = Tr(W_T phi), S(T) = Tr(Y_T phi) and E[T] = Tr(Ehat_T phi), where
 
-    tr[T] = sum_{t<T} g[t] = Tr(P_T phi),
-    S[T]  = sum_{t<T} (1 - beta^{t+1})/(1 - beta) g[t],
-    E[T]  = sum_{t<T} beta^t tr[t].
+    W_T = sum_{t<T} M_t,  Y_T = sum_{t<T} c_t M_t,  Ehat_T = sum_{t<T} beta^t W_t.
 
-The optimal waiting time T* is the first T with S(T) > O; the table grows
-only to T*. The solved schedule is one integer, PolicySolution.period: T*,
-or 0 when measuring is never worth the price. For Schur-stable A, S(inf) is
-the never-measure threshold: any O at or above it makes waiting forever
-optimal. Writing (1 - beta^{t+1})/(1 - beta) as sum_{k<=t} beta^k and
-swapping the sums gives it in closed form, S(inf) = Tr(X phi) with
-X = sum_k beta^k (A')^k W_inf A^k, a sum of positive terms; then
-E[inf] = Tr(W_inf phi)/(1 - beta) - S(inf). The value offset r solves
-r = min_T f(T, r) and is read off the table per case (the oracle module
-iterates it by brute force). A sweep shares one Riccati solve and table.
+One table per (sys, beta, are) holds them for blocks of 2^j phases, each
+block two of the one below joined (_PhaseTable._join), and at any T folds in
+the blocks of T's set bits, highest first; it keeps the sums per T, so a T
+has one value whichever price asked for it. The optimal waiting time T* is
+the first T with S(T) > O: T doubles until S passes O, then bisects back
+down, O(log T*) joins at any distance from the never-measure threshold. The
+solved schedule is one integer, PolicySolution.period: T*, or 0 when
+measuring is never worth the price. For Schur-stable A the blocks converge;
+their limit gives W_inf, E[inf] and the threshold S(inf), itself a block's
+S, so every price below it has a finite T*. The value offset r solves
+r = min_T f(T, r) and is read off the sums per case (the oracle module
+iterates it by brute force). A sweep shares one Riccati solve and one table.
 
 Covariance convention: P_t follows the adjoint recursion P_{t+1} = A' P_t A + G
 (error_cov_seq builds these matrices; the tests check the table against it).
@@ -27,22 +27,22 @@ differs on non-normal A; the simulator and oracle modules quantify that gap.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import CostModel, LinearSystem, psd_sqrt
-from .riccati import AreSolution, UnstableA, dare_solve, dlyap_adjoint, lyapunov_solve
+from .riccati import (DOUBLING_STEPS, AreSolution, NonConvergence, UnstableA, _check_lyapunov, _converged,
+                      _require_schur_stable, dare_solve)
 
 __all__ = [
     "MeasureCase",
     "PolicySolution",
     "ValueSummary",
-    "NonFiniteSearch",
     "error_cov_seq",
     "f_value",
     "h_value",
@@ -51,9 +51,6 @@ __all__ = [
     "value_at",
 ]
 
-# Waiting times beyond this are treated as a search failure, not a policy.
-T_SEARCH_CAP = 10_000
-
 
 class MeasureCase(Enum):
     MEASURE_EVERY_STEP = "measure_every_step"
@@ -61,55 +58,82 @@ class MeasureCase(Enum):
     NEVER_MEASURE = "never_measure"
 
 
-class _PhaseTable:
-    """Prefix sums tr, S and E of the phase sequence of one (sys, beta, are).
+class _Span(NamedTuple):
+    """n phases: An = A^n, b = beta^n, c = sum_{k<n} beta^k, sums = (W_n, Y_n, Ehat_n) and their traces with phi.
 
-    Index T of each list sums the first T phases, so every list starts at 0.0.
-    The lists grow on demand; W_inf and the threshold are solved once, on first use.
-    """
+    Each trace has the bits of np.trace(X @ phi), so S(1) is exactly Tr(G phi)."""
+
+    An: np.ndarray
+    b: float
+    c: float
+    sums: np.ndarray
+    tr: float
+    S: float  # inf once a block of an unstable A overflows
+    E: float
+
+
+class _PhaseTable:
+    """The phase sums of one (sys, beta, are), kept per number of phases T; their limit is solved on first use."""
 
     def __init__(self, sys: LinearSystem, beta: float, are: AreSolution):
-        self.sys, self.beta, self.are = sys, beta, are
+        self.sys, self.are = sys, are
         self.noise = float(np.trace(sys.Sigma_S @ sys.C.T @ are.P @ sys.C))  # Tr(Sigma_S C'PC)
-        self.tr, self.S, self.E = [0.0], [0.0], [0.0]
-        self._M = sys.noise_gram()  # (A')^n G A^n for the next phase n
+        G, q = sys.noise_gram(), sys.q
+        self._memo = {0: self._span(np.eye(q), 1.0, 0.0, np.zeros((3, q, q))),
+                      1: self._span(sys.A, beta, 1.0, np.array([G, G, np.zeros((q, q))]))}
 
-    def _push(self) -> None:
-        t, beta = len(self.tr) - 1, self.beta
-        g = float(np.trace(self._M @ self.are.phi))
-        self._M = self.sys.A.T @ self._M @ self.sys.A
-        self.E.append(self.E[-1] + beta**t * self.tr[-1])
-        self.S.append(self.S[-1] + (1.0 - beta ** (t + 1)) / (1.0 - beta) * g)
-        self.tr.append(self.tr[-1] + g)
+    def _span(self, An: np.ndarray, b: float, c: float, sums: np.ndarray) -> _Span:
+        tr, S, E = (sums @ self.are.phi).trace(axis1=1, axis2=2).tolist()
+        return _Span(An, b, c, sums, tr, S if math.isfinite(S) else math.inf, E)
 
-    def grow(self, n: int) -> _PhaseTable:
-        """Hold at least n phases."""
-        while len(self.tr) <= n:
-            self._push()
-        return self
+    def _join(self, p: _Span, s: _Span) -> _Span:
+        """The m phases of p followed by the n phases of s; every term is positive.
 
-    def period(self, O: float) -> int | None:
-        """First T <= T_SEARCH_CAP with S[T] > O, or None if there is none."""
-        while len(self.S) <= T_SEARCH_CAP and self.S[-1] <= O:
-            self._push()
-        hi = min(len(self.S), T_SEARCH_CAP + 1)
-        T = bisect.bisect_right(self.S, O, 1, hi)
-        return T if T < hi else None
+        W_{m+n} = W_m + (A')^m W_n A^m, Y_{m+n} = Y_m + (A')^m (c_{m-1} W_n + beta^m Y_n) A^m,
+        Ehat_{m+n} = Ehat_m + beta^m (c_{n-1} W_m + (A')^m Ehat_n A^m).
+        """
+        W, Y, E = s.sums
+        with np.errstate(over="ignore", invalid="ignore"):  # an unstable A^m may overflow: S then reads inf
+            Z = p.An.T @ np.array([W, p.c * W + p.b * Y, E]) @ p.An
+            Z[2] = p.b * (s.c * p.sums[0] + Z[2])
+            return self._span(p.An @ s.An, p.b * s.b, p.c + p.b * s.c, p.sums + Z)
+
+    def at(self, T: int) -> _Span:
+        """The first T phases: a block of 2^j joins two of 2^(j-1), any other T its rest to its lowest bit's block."""
+        span = self._memo.get(T)
+        if span is None:
+            low = T & -T
+            head = low // 2 if T == low else T - low
+            span = self._memo[T] = self._join(self.at(head), self.at(T - head))
+        return span
+
+    def period(self, O: float) -> int:
+        """T*, the first T with S(T) > O: T doubles until S passes O, then bisects back down."""
+        n = 1
+        while not (S := self.at(n).S) > O:
+            if n == 1 << DOUBLING_STEPS:
+                raise NonConvergence(f"S(T) = {S!r} is still at or below O = {O!r} at T = 2^{DOUBLING_STEPS}: the "
+                                     "phase sums are bounded, but A has no never-measure threshold (its spectral "
+                                     "radius is not below 1 - 1e-9)", residual=math.inf)
+            n *= 2
+        T, step = n // 2, n // 4  # S(T) <= O < S(T + 2 step)
+        while step:
+            if not self.at(T + step).S > O:
+                T += step
+            step //= 2
+        return T + 1
 
     @cached_property
-    def W(self) -> np.ndarray:
-        """sum_t (A')^t G A^t; raises UnstableA unless A is Schur-stable."""
-        return lyapunov_solve(self.sys)
-
-    @cached_property
-    def threshold(self) -> float:
-        """S(inf) = Tr(X phi), X = dlyap_adjoint(sqrt(beta) A, W_inf); raises UnstableA unless A is Schur-stable."""
-        return float(np.trace(dlyap_adjoint(math.sqrt(self.beta) * self.sys.A, self.W) @ self.are.phi))
-
-    @property
-    def E_inf(self) -> float:
-        """E[inf] = sum_t beta^t Tr(P_t phi); needs the threshold, so a stable A."""
-        return float(np.trace(self.W @ self.are.phi)) / (1.0 - self.beta) - self.threshold
+    def limit(self) -> _Span:
+        """The blocks' limit, the sums of every phase (W_inf is sums[0]); raises UnstableA unless A is Schur-stable."""
+        _require_schur_stable(self.sys)
+        span = self.at(1)
+        for _ in range(DOUBLING_STEPS):  # the memo is left to the search: a price far below S(inf) needs few blocks
+            span, old = self._join(span, span), span
+            if all(map(_converged, span.sums - old.sums, span.sums)):
+                break
+        _check_lyapunov(self.sys, span.sums[0])
+        return span
 
 
 @dataclass(frozen=True)
@@ -204,16 +228,6 @@ def error_cov_seq(sys: LinearSystem, T: int) -> np.ndarray:
     return cov
 
 
-class NonFiniteSearch(RuntimeError):
-    """Bracket search exhausted its cap without locating a finite waiting time."""
-
-
-def _table_for(T: int, sys: LinearSystem, cost: CostModel, are: AreSolution) -> _PhaseTable:
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    return _PhaseTable(sys, cost.beta, are).grow(T)
-
-
 def f_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:
     """Cycle cost of waiting T steps and then paying for a query.
 
@@ -222,9 +236,11 @@ def f_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSoluti
             + beta^T (r + O).
     The offset r solves r = min_{T >= 1} f(T, r).
     """
-    table, beta = _table_for(T, sys, cost, are), cost.beta
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    table, beta = _PhaseTable(sys, cost.beta, are), cost.beta
     noise_sum = table.noise * beta * (1.0 - beta**T) / (1.0 - beta)
-    return table.E[T] + noise_sum + beta**T * (r + cost.O)
+    return table.at(T).E + noise_sum + beta**T * (r + cost.O)
 
 
 def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:
@@ -233,25 +249,27 @@ def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSoluti
     h(T, r) = Tr(P_T phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O), and is
     nondecreasing in T, so the sign change of h locates the minimizer of f.
     """
-    table, beta = _table_for(T, sys, cost, are), cost.beta
-    return table.tr[T] + beta * table.noise - (1.0 - beta) * (r + cost.O)
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    table, beta = _PhaseTable(sys, cost.beta, are), cost.beta
+    return table.at(T).tr + beta * table.noise - (1.0 - beta) * (r + cost.O)
 
 
 def never_measure_threshold(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> float:
     """Price above which a Schur-stable loop should never buy a measurement.
 
-    Equals S(inf) = sum_k beta^k Tr((A')^k W_inf A^k phi); requires
-    spectral_radius(A) < 1 and raises UnstableA otherwise.
+    Equals S(inf), the limit of the phase sums; requires spectral_radius(A)
+    < 1 - 1e-9 and raises UnstableA otherwise.
     """
-    return _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost)).threshold
+    return _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost)).limit.S
 
 
 def _solve_prices(sys: LinearSystem, cost: CostModel, prices: list[float],
                   are: AreSolution | None = None) -> list[PolicySolution]:
-    """The schedule at each price (cost.O is ignored): one Riccati solve, one table, at most one W_inf."""
+    """The schedule at each price (cost.O is ignored): one Riccati solve and one table."""
     table = _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost))
     try:
-        threshold = table.threshold
+        threshold = table.limit.S
     except UnstableA:
         threshold = None
     return [_solve_price(table, replace(cost, O=O), threshold) for O in prices]
@@ -261,15 +279,10 @@ def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None) -
     beta, O = cost.beta, cost.O
     common = dict(sys=table.sys, cost=cost, are=table.are, never_threshold=threshold, _table=table)
     if threshold is not None and O >= threshold:
-        r = table.E_inf + beta / (1.0 - beta) * table.noise
+        r = table.limit.E + beta / (1.0 - beta) * table.noise
         return PolicySolution(period=0, r=r, **common)
     T = table.period(O)
-    if T is None:
-        raise NonFiniteSearch(
-            f"no waiting time up to {T_SEARCH_CAP} exceeded the bracket for O={O}; "
-            "O is within tolerance of the never-measure threshold"
-        )
-    r = table.E[T] / (1.0 - beta**T) + beta / (1.0 - beta) * table.noise + beta**T * O / (1.0 - beta**T)
+    r = table.at(T).E / (1.0 - beta**T) + beta / (1.0 - beta) * table.noise + beta**T * O / (1.0 - beta**T)
     return PolicySolution(period=T, r=r, **common)
 
 
@@ -278,9 +291,9 @@ def optimal_period(sys: LinearSystem, cost: CostModel, are: AreSolution | None =
 
     T* is the first T with S(T) > O, which resolves a price sitting exactly
     on a bracket boundary toward the longer wait. For stable A the
-    never-measure threshold is checked first; an exhausted search cap
-    (T_SEARCH_CAP) means O sits just under the threshold and is reported as
-    an error rather than a schedule.
+    never-measure threshold is checked first, and every price below it has a
+    finite T*. Where S(T) stays bounded without a threshold (spectral radius
+    of A within 1e-9 of 1), a price above its bound raises NonConvergence.
     """
     return _solve_prices(sys, cost, [cost.O], are)[0]
 
@@ -323,8 +336,8 @@ def value_at(ps: PolicySolution, x: np.ndarray) -> ValueSummary:
     if T:
         outlay = beta**T * O / (1.0 - beta**T)
         V_s_rep = V_c
-        if T >= 2:  # the table holds T* phases: it was grown to find T*
-            V_s_rep += table.E[T - 1] / (1.0 - beta ** (T - 1))
+        if T >= 2:  # the search left the sums at T* - 1 in the table
+            V_s_rep += table.at(T - 1).E / (1.0 - beta ** (T - 1))
 
     return ValueSummary(
         V=V, V_s=V - outlay, V_c=V_c, V_e=V_e, V_e_excluding_noise=V_e_bare,

@@ -173,6 +173,19 @@ def dlyap_adjoint(Phi: np.ndarray, G: np.ndarray) -> np.ndarray:
     return W
 
 
+def _require_schur_stable(sys: LinearSystem) -> None:
+    rho = float(np.max(np.abs(sys.eigenvalues)))
+    if rho >= 1.0 - 1e-9:
+        raise UnstableA(f"spectral radius of A is {rho:.6f}; the series diverges")
+
+
+def _check_lyapunov(sys: LinearSystem, W: np.ndarray) -> None:
+    residual = float(np.max(np.abs(W - sys.A.T @ W @ sys.A - sys.noise_gram()))) / float(np.max(np.abs(W)))
+    if residual >= LYAPUNOV_RESIDUAL_TOL:
+        raise NonConvergence(f"relative Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}",
+                             residual=residual)
+
+
 def lyapunov_solve(sys: LinearSystem) -> np.ndarray:
     """Solve W - A'WA = C'Sigma_S C for Schur-stable A.
 
@@ -180,13 +193,7 @@ def lyapunov_solve(sys: LinearSystem) -> np.ndarray:
     UnstableA when the spectral radius of A is not strictly inside the unit
     circle, and NonConvergence if the residual over max|W| is too large.
     """
-    rho = float(np.max(np.abs(sys.eigenvalues)))
-    if rho >= 1.0 - 1e-9:
-        raise UnstableA(f"spectral radius of A is {rho:.6f}; the series diverges")
-    G = sys.noise_gram()
-    W = dlyap_adjoint(sys.A, G)
-    residual = float(np.max(np.abs(W - sys.A.T @ W @ sys.A - G))) / float(np.max(np.abs(W)))
-    if residual >= LYAPUNOV_RESIDUAL_TOL:
-        raise NonConvergence(f"relative Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}",
-                             residual=residual)
+    _require_schur_stable(sys)
+    W = dlyap_adjoint(sys.A, sys.noise_gram())
+    _check_lyapunov(sys, W)
     return W

@@ -63,6 +63,15 @@ def ps2_O7(sys2_O7):
     return optimal_period(sys2_O7.sys, sys2_O7.cost)
 
 
+def scalar_problem(a: float, O: float) -> Problem:
+    """The scalar plant x <- a x + u + w with B = C = Q = R = 1, Sigma_S = 0.1 and beta = 0.95.
+
+    At a = 0.9999 its never-measure threshold is 9160.8; a = 1 has none, and T* grows without bound in O.
+    """
+    sys = LinearSystem(A=[[a]], B=[[1.0]], C=[[1.0]], Sigma_S=[[0.1]])
+    return Problem(sys=sys, cost=CostModel(Q=[[1.0]], R=[[1.0]], beta=0.95, O=O), x0=[1.0])
+
+
 def bracket_edge_prices(A: np.ndarray, T_max: int = 29):
     """ARE solution and bracket-edge prices of the benchmark plant with matrix A.
 
@@ -72,7 +81,7 @@ def bracket_edge_prices(A: np.ndarray, T_max: int = 29):
     """
     p = make_problem(A, 0.0)
     ps = optimal_period(p.sys, p.cost)
-    S = ps._table.grow(T_max).S
+    S = [ps._table.at(T).S for T in range(T_max + 1)]
     prices = []
     for T in range(1, T_max + 1):
         if ps.never_threshold is None or S[T] < ps.never_threshold:

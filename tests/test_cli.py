@@ -1,9 +1,11 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +13,10 @@ import pytest
 import lqgsched
 import lqgsched.cli as cli
 import lqgsched.riccati as riccati
-from lqgsched import NonConvergence, Problem, verify_solution
+from lqgsched import NonConvergence, Problem, never_measure_threshold, verify_solution
 from lqgsched.cli import ProblemFileError, load_problem, main, save_problem
 
-from conftest import jordan_plant, make_problem, random_admissible, A1, A2
+from conftest import jordan_plant, make_problem, random_admissible, scalar_problem, A1, A2
 
 SYS1 = os.path.join(os.path.dirname(__file__), "..", "configs", "sys1.json")
 SYS2 = os.path.join(os.path.dirname(__file__), "..", "configs", "sys2.json")
@@ -459,6 +461,87 @@ def test_huge_sweep_exits_2(capsys, monkeypatch, grid, fmt):
         assert json.loads(out)["error"]["code"] == "bad_range"
     else:
         assert out == ""
+
+
+ORDER = "a sweep needs 0 <= --O-min <= --O-max: a measurement price is never negative"
+TABULATES = "a sweep tabulates at most 100000 and at least 1"
+
+
+@pytest.mark.parametrize("grid, message", [
+    (("--O-min", "-5", "--O-max", "1", "--O-step", "1"), ORDER),
+    (("--O-min", "10", "--O-max", "5", "--O-step", "1"), ORDER),
+    (("--O-min", "10", "--O-max", "5", "--O-log", "3"), ORDER),
+    (("--O-min", "1", "--O-max", "10", "--O-log", "0"), "--O-log asks for 0 prices; " + TABULATES),
+    (("--O-min", "1", "--O-max", "10", "--O-log", "-2"), "--O-log asks for -2 prices; " + TABULATES),
+], ids=["negative", "reversed", "log-reversed", "log-empty", "log-negative"])
+def test_sweep_rejects_negative_or_empty_grid(capsys, grid, message):
+    # a negative price would solve as T* = 1, and the other grids tabulate no price at all
+    code, out, _ = run(capsys, "sweep", "--problem", SYS1, *grid, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "bad_range", "message": message}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_format_csv_is_not_an_option(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command[0], "--problem", SYS1, *command[1:], "--format", "csv"])
+    assert info.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def _solve_json(capsys, tmp_path, problem, O):
+    path = str(tmp_path / "p.json")
+    save_problem(problem, path)
+    code, out, err = run(capsys, "solve", "--problem", path, "--O", repr(O), "--format", "json")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("a, O, T_star", [
+    (0.9999, 0.5, 3485), (0.9999, 0.8, 8066), (0.9999, 0.9, 11532), (0.9999, 0.99, 23044),
+    (1.0, 1e4, 5455), (1.0, 1e5, 54378),
+], ids=["0.5thr", "0.8thr", "0.9thr", "0.99thr", "marginal-1e4", "marginal-1e5"])
+def test_solve_far_from_and_near_the_threshold(capsys, tmp_path, a, O, T_star):
+    # a = 0.9999 at fractions of its threshold (9160.8), a = 1 at absolute prices: the search
+    # has no cap, and T* agrees with a direct float64 sum of the brackets
+    problem = scalar_problem(a, 0.0)
+    if a < 1.0:
+        O *= never_measure_threshold(problem.sys, problem.cost)
+    assert _solve_json(capsys, tmp_path, problem, O)["T_star"] == T_star
+
+
+def test_cold_solve_at_a_long_period(tmp_path):
+    path = str(tmp_path / "marginal.json")
+    save_problem(scalar_problem(1.0, 1e5), path)
+    proc = _run_cold(["-m", "lqgsched.cli", "solve", "--problem", path, "--format", "json"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["T_star"] == 54378
+
+
+def test_solve_at_a_huge_price_overflows_silently(capsys, tmp_path):
+    # sys1 is unstable: the blocks of 2^11 phases and more overflow, and read as S = inf > O
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        doc = _solve_json(capsys, tmp_path, load_problem(SYS1), 1e300)
+    assert doc["T_star"] == 1133 and math.isfinite(doc["r"])
+
+
+def test_bounded_sums_above_the_price_exit_3(capsys, tmp_path):
+    # spectral radius 1 - 1e-10: no threshold is set, and S(T) stays below this O for every T
+    path = str(tmp_path / "p.json")
+    save_problem(scalar_problem(1.0 - 1e-10, 1e30), path)
+    code, out, err = run(capsys, "solve", "--problem", path)
+    assert (code, out) == (3, "")
+    assert "is still at or below O = 1e+30 at T = 2^128" in err
+
+
+def test_verify_reports_overflow_of_the_oracle_grid(capsys):
+    # the oracle's explicit powers of A overflow on its 4 T* grid; the first r is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--problem", SYS1, "--O", "1e100")
+    assert (code, out) == (3, "")
+    assert "the explicit powers of A overflow on the oracle's grid of" in err
 
 
 def test_simulate_csv_and_summary(tmp_path, capsys):

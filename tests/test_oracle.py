@@ -151,7 +151,7 @@ def test_oracle_agrees_inside_brackets_property(seed, pick, u):
     # 1e-12 |r|, and of a double of r's size.
     sys, cost = random_admissible(np.random.default_rng(seed))
     ps0 = optimal_period(sys, cost)
-    S = ps0._table.grow(12).S
+    S = [ps0._table.at(t).S for t in range(13)]
     periods = [T for T in range(1, 13) if S[T] - S[T - 1] > 1e-6 and S[T] < 1e6]
     assume(periods)
     T = periods[int(pick * len(periods))]
@@ -229,7 +229,7 @@ def test_scaling_is_exact_property(plant, k, T, u):
     else:
         sys, cost = random_admissible(np.random.default_rng(plant))
     ps0 = optimal_period(sys, cost)
-    S = ps0._table.grow(T).S
+    S = [ps0._table.at(t).S for t in range(T + 1)]
     assume(S[T] - S[T - 1] > 1e-6 * S[T])
     cost = dataclasses.replace(cost, O=S[T - 1] + u * (S[T] - S[T - 1]))
     ps = optimal_period(sys, cost, are=ps0.are)
