@@ -42,8 +42,9 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
-# The most prices one sweep tabulates (each keeps its solved schedule until the
-# table is written); a larger grid exits 2 before it is built.
+# The most prices one sweep tabulates (each keeps its solved schedule, a few
+# numbers beside the shared Riccati solution and W_inf, until the table is
+# written); a larger grid exits 2 before it is built.
 MAX_SWEEP_PRICES = 100_000
 
 
@@ -164,7 +165,7 @@ def cmd_solve(args) -> int:
         "eigenvalue_magnitudes": sorted(np.abs(problem.sys.eigenvalues).tolist(), reverse=True),
         **dataclasses.asdict(value_at(ps, problem.x0)),
         "never_measure_threshold": ps.never_threshold,
-        "W_infinity": None if ps.never_threshold is None else ps._table.limit.sums[0],  # solved with the threshold
+        "W_infinity": ps.W_inf,
     }
     if args.format == "json":  # T_star is null for a schedule that never measures
         text = json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}, indent=2)
@@ -191,14 +192,11 @@ def _sweep_prices(args) -> list[float]:
         return [float(O) for O in np.geomspace(args.O_min, args.O_max, args.O_log)]
     if args.O_step <= 0:
         raise ValueError("--O-step must be positive")
-    if (args.O_max - args.O_min) / args.O_step >= MAX_SWEEP_PRICES:
+    if (args.O_max - args.O_min) / args.O_step >= MAX_SWEEP_PRICES:  # a float estimate, before any Decimal
         raise ValueError(f"the grid has more than {MAX_SWEEP_PRICES} prices; a sweep tabulates at most {MAX_SWEEP_PRICES}")
-    # O_min + k*step in decimal, so a step of 0.1 prints 0.3 and not 0.30000000000000004.
+    # O_min + k*step in decimal, counted exactly, so a step of 0.1 prints 0.3 and not 0.30000000000000004.
     lo, step = Decimal(repr(args.O_min)), Decimal(repr(args.O_step))
-    out = []
-    while (O := float(lo + len(out) * step)) <= args.O_max + 1e-12:
-        out.append(O)
-    return out
+    return [float(lo + k * step) for k in range(int((Decimal(repr(args.O_max)) - lo) // step) + 1)]
 
 
 def cmd_sweep(args) -> int:

@@ -17,7 +17,8 @@ measuring is never worth the price. For Schur-stable A the blocks converge;
 their limit gives W_inf, E[inf] and the threshold S(inf), itself a block's
 S, so every price below it has a finite T*. The value offset r solves
 r = min_T f(T, r) and is read off the sums per case (the oracle module
-iterates it by brute force). A sweep shares one Riccati solve and one table.
+iterates it by brute force). A sweep shares one Riccati solve and one table,
+which lives only for the solve: a PolicySolution keeps W_inf and two numbers.
 
 Covariance convention: P_t follows the adjoint recursion P_{t+1} = A' P_t A + G
 (error_cov_seq builds these matrices; the tests check the table against it).
@@ -138,10 +139,12 @@ class _PhaseTable:
 
 @dataclass(frozen=True)
 class PolicySolution:
-    """Solved schedule: the query period, the value offset r, and the inputs.
+    """Solved schedule: the query period, the value offset r, what value_at reads, and the inputs.
 
     period is T*, or 0 when measuring is never worth the price (possible
     only for Schur-stable A); T_star, finite, case_id and O are views.
+    noise is Tr(Sigma_S C'PC), window the reported window's E[T*-1]/(1 - beta^(T*-1)) (0 for T* <= 1),
+    and W_inf the read-only sum of every phase (None without a threshold), one array for a whole sweep.
     """
 
     sys: LinearSystem
@@ -150,7 +153,9 @@ class PolicySolution:
     period: int
     r: float
     never_threshold: float | None
-    _table: _PhaseTable = field(repr=False, compare=False)
+    noise: float
+    window: float
+    W_inf: np.ndarray | None = field(repr=False, compare=False)
 
     @property
     def T_star(self) -> float:
@@ -269,21 +274,23 @@ def _solve_prices(sys: LinearSystem, cost: CostModel, prices: list[float],
     """The schedule at each price (cost.O is ignored): one Riccati solve and one table."""
     table = _PhaseTable(sys, cost.beta, are or dare_solve(sys, cost))
     try:
-        threshold = table.limit.S
+        threshold, W_inf = table.limit.S, _frozen(table.limit.sums[0])  # one copy, shared by every price
     except UnstableA:
-        threshold = None
-    return [_solve_price(table, replace(cost, O=O), threshold) for O in prices]
+        threshold = W_inf = None
+    return [_solve_price(table, replace(cost, O=O), threshold, W_inf) for O in prices]
 
 
-def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None) -> PolicySolution:
+def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None,
+                 W_inf: np.ndarray | None) -> PolicySolution:
     beta, O = cost.beta, cost.O
-    common = dict(sys=table.sys, cost=cost, are=table.are, never_threshold=threshold, _table=table)
+    common = dict(sys=table.sys, cost=cost, are=table.are, never_threshold=threshold, noise=table.noise, W_inf=W_inf)
     if threshold is not None and O >= threshold:
         r = table.limit.E + beta / (1.0 - beta) * table.noise
-        return PolicySolution(period=0, r=r, **common)
+        return PolicySolution(period=0, r=r, window=0.0, **common)
     T = table.period(O)
     r = table.at(T).E / (1.0 - beta**T) + beta / (1.0 - beta) * table.noise + beta**T * O / (1.0 - beta**T)
-    return PolicySolution(period=T, r=r, **common)
+    window = table.at(T - 1).E / (1.0 - beta ** (T - 1)) if T >= 2 else 0.0  # the search visited T* - 1
+    return PolicySolution(period=T, r=r, window=window, **common)
 
 
 def optimal_period(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> PolicySolution:
@@ -323,11 +330,11 @@ class ValueSummary:
 def value_at(ps: PolicySolution, x: np.ndarray) -> ValueSummary:
     """Evaluate the schedule's value function and comparison figures at x."""
     x = np.asarray(x, dtype=float).ravel()
-    beta, O, table = ps.cost.beta, ps.cost.O, ps._table
+    beta, O = ps.cost.beta, ps.cost.O
     xPx = float(x @ ps.are.P @ x)
 
     V = xPx + ps.r
-    V_c = xPx + beta / (1.0 - beta) * table.noise
+    V_c = xPx + beta / (1.0 - beta) * ps.noise
     V_e = V_c + beta * O / (1.0 - beta)
     V_e_bare = xPx + beta * O / (1.0 - beta)
 
@@ -335,9 +342,7 @@ def value_at(ps: PolicySolution, x: np.ndarray) -> ValueSummary:
     outlay, V_s_rep = 0.0, V  # a schedule that never measures pays no outlay
     if T:
         outlay = beta**T * O / (1.0 - beta**T)
-        V_s_rep = V_c
-        if T >= 2:  # the search left the sums at T* - 1 in the table
-            V_s_rep += table.at(T - 1).E / (1.0 - beta ** (T - 1))
+        V_s_rep = V_c + ps.window  # the solve summed the window from the sums at T* - 1
 
     return ValueSummary(
         V=V, V_s=V - outlay, V_c=V_c, V_e=V_e, V_e_excluding_noise=V_e_bare,

@@ -89,7 +89,7 @@ class SimConfig:
 
     The default horizon of 500 leaves a discount tail of beta^500 (about
     7e-12 at beta = 0.95), far below Monte Carlo noise. n_runs may be at
-    most MAX_RUNS.
+    most MAX_RUNS, and seed is at least 0 (run k draws from seed + k).
     """
 
     horizon: int = 500
@@ -104,6 +104,8 @@ class SimConfig:
             raise ValueError("n_runs must be >= 1")
         if self.n_runs > MAX_RUNS:
             raise ValueError(f"n_runs must be <= {MAX_RUNS}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # Trajectory rows write_csv formats at a time.

@@ -12,6 +12,7 @@ from lqgsched import (
     spectral_radius,
     validate,
 )
+from lqgsched.policy import _PhaseTable
 
 # The two benchmark plants used throughout the suite: same input/noise
 # structure, one Schur-unstable A and one Schur-stable A.
@@ -81,7 +82,8 @@ def bracket_edge_prices(A: np.ndarray, T_max: int = 29):
     """
     p = make_problem(A, 0.0)
     ps = optimal_period(p.sys, p.cost)
-    S = [ps._table.at(T).S for T in range(T_max + 1)]
+    table = _PhaseTable(p.sys, p.cost.beta, ps.are)
+    S = [table.at(T).S for T in range(T_max + 1)]
     prices = []
     for T in range(1, T_max + 1):
         if ps.never_threshold is None or S[T] < ps.never_threshold:

@@ -117,12 +117,16 @@ def test_log_sweep_growth_shape(capsys):
 
 
 def test_sweep_prices_do_not_drift(capsys):
-    code, out, _ = run(
-        capsys, "sweep", "--problem", SYS1, "--O-min", "0", "--O-max", "1", "--O-step", "0.1"
-    )
-    assert code == 0
-    prices = [l.split(",")[0] for l in out.strip().split("\n")[1:]]
-    assert prices == [repr(k / 10) for k in range(11)]
+    # O_min + k step in decimal, counted exactly: no slack adds a price past O_max, however small the step
+    for (lo, hi, step), prices in [
+        (("0", "1", "0.1"), [k / 10 for k in range(11)]),
+        (("0", "1e-13", "1e-13"), [0.0, 1e-13]),
+        (("0", "1e-16", "1e-17"), [float(f"{k}e-17") for k in range(11)]),
+        (("1e10", "1e10", "1e-12"), [1e10]),
+    ]:
+        code, out, _ = run(capsys, "sweep", "--problem", SYS1, "--O-min", lo, "--O-max", hi, "--O-step", step)
+        assert code == 0
+        assert [l.split(",")[0] for l in out.strip().split("\n")[1:]] == [repr(O) for O in prices]
 
 
 @pytest.mark.parametrize("sweep_args", [
@@ -347,14 +351,19 @@ def test_non_convergence_exits_3(capsys, monkeypatch, command, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("sizes", [("--runs", "0"), ("--runs", "-3"), ("--horizon", "0")], ids=" ".join)
-def test_bad_simulation_size_exits_2(capsys, sizes, fmt):
+@pytest.mark.parametrize("sizes, message", [
+    (("--runs", "0"), "n_runs must be >= 1"),
+    (("--runs", "-3"), "n_runs must be >= 1"),
+    (("--horizon", "0"), "horizon must be >= 1"),
+    (("--seed", "-1"), "seed must be >= 0"),
+], ids=["--runs 0", "--runs -3", "--horizon 0", "--seed -1"])
+def test_bad_simulation_size_exits_2(capsys, sizes, message, fmt):
     code, out, err = run(capsys, "simulate", "--problem", SYS1, *sizes, "--format", fmt)
     assert code == 2
     if fmt == "json":
-        assert json.loads(out)["error"]["code"] == "bad_simulation"
+        assert json.loads(out)["error"] == {"code": "bad_simulation", "message": message}
     else:
-        assert out == "" and "must be >= 1" in err
+        assert out == "" and err == message + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

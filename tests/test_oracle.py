@@ -19,6 +19,7 @@ from lqgsched import (
     value_at,
     verify_solution,
 )
+from lqgsched.policy import _PhaseTable
 
 from conftest import (
     A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
@@ -151,7 +152,8 @@ def test_oracle_agrees_inside_brackets_property(seed, pick, u):
     # 1e-12 |r|, and of a double of r's size.
     sys, cost = random_admissible(np.random.default_rng(seed))
     ps0 = optimal_period(sys, cost)
-    S = [ps0._table.at(t).S for t in range(13)]
+    table = _PhaseTable(sys, cost.beta, ps0.are)
+    S = [table.at(t).S for t in range(13)]
     periods = [T for T in range(1, 13) if S[T] - S[T - 1] > 1e-6 and S[T] < 1e6]
     assume(periods)
     T = periods[int(pick * len(periods))]
@@ -229,7 +231,8 @@ def test_scaling_is_exact_property(plant, k, T, u):
     else:
         sys, cost = random_admissible(np.random.default_rng(plant))
     ps0 = optimal_period(sys, cost)
-    S = [ps0._table.at(t).S for t in range(T + 1)]
+    table = _PhaseTable(sys, cost.beta, ps0.are)
+    S = [table.at(t).S for t in range(T + 1)]
     assume(S[T] - S[T - 1] > 1e-6 * S[T])
     cost = dataclasses.replace(cost, O=S[T - 1] + u * (S[T] - S[T - 1]))
     ps = optimal_period(sys, cost, are=ps0.are)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,8 @@ from lqgsched import (
     value_at,
 )
 
-from lqgsched.policy import _PhaseTable
+import lqgsched.policy as policy
+from lqgsched.policy import _PhaseTable, _solve_prices
 
 from conftest import (
     A1,
@@ -199,12 +202,21 @@ def test_block_sums_match_sequential_sums_property(seed, T):
 @pytest.mark.parametrize("p", [make_problem(A2, 7.0), make_problem(A2, 3.0), make_problem(A1, 10.0),
                                make_problem(A1, 300.0), scalar_problem(1.0, 1e5)],
                          ids=["never", "sys2", "sys1", "sys1-T10", "marginal-T54378"])
-def test_phase_table_memo_is_logarithmic(p):
+def test_phase_table_memo_is_logarithmic(p, monkeypatch):
     # The table keeps the blocks of 2^j phases up to the first whose S passes O (the limit's are not
     # kept) and one more sum for each bit of T* at most: the candidates the search bisects through.
+    # The table that solved the price is caught as the solve builds it.
+    tables = []
+
+    def built(*args):
+        tables.append(_PhaseTable(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(policy, "_PhaseTable", built)
     ps = optimal_period(p.sys, p.cost)
     value_at(ps, p.x0)
-    memo, T_star = ps._table._memo, max(ps.period, 1)
+    (table,) = tables
+    memo, T_star = table._memo, max(ps.period, 1)
     assert max(memo) < 2 * T_star
     assert len([T for T in memo if T & (T - 1)]) <= T_star.bit_length()
     assert len(memo) <= 3 * T_star.bit_length()
@@ -434,10 +446,10 @@ def test_bracket_tends_to_threshold_for_stable_A_property(seed):
     # tail(T) = Tr((A')^T W_inf A^T phi)/(1 - beta), which falls to 0 as T grows
     sys, cost, ps = random_admissible_with_finite_T(np.random.default_rng(seed))
     assume(ps.never_threshold is not None)
-    table, beta = ps._table, cost.beta
+    table, beta = _PhaseTable(sys, cost.beta, ps.are), cost.beta
     # S[T] is a sum of terms up to Tr(W_inf phi)/(1 - beta) in size: rounding only
-    slack = 1e-12 * float(np.trace(table.limit.sums[0] @ ps.are.phi)) / (1.0 - beta)
-    T, M = 0, table.limit.sums[0]
+    slack = 1e-12 * float(np.trace(ps.W_inf @ ps.are.phi)) / (1.0 - beta)
+    T, M = 0, ps.W_inf
     while True:
         tail = float(np.trace(M @ ps.are.phi)) / (1.0 - beta)
         gap = ps.never_threshold - table.at(T).S
@@ -474,3 +486,52 @@ def test_measure_every_step_reported_equals_classic():
     vals = value_at(ps, X0)
     assert vals.V_s_reported == pytest.approx(vals.V_c, rel=1e-12)
     assert vals.V_s == pytest.approx(vals.V_c, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def q50():
+    """A seeded Schur-stable q=50, p=10 plant and its never-measure threshold."""
+    p = random_stable_plant(1)
+    return p, never_measure_threshold(p.sys, p.cost)
+
+
+def _retained(build):
+    """What build() returns and the bytes of it still allocated after a collection, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        return kept, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fraction, T_star", [(0.9, 12), (2.0, 0)], ids=["T12", "never"])
+def test_solution_retains_no_phase_table(q50, fraction, T_star):
+    # A solution keeps P, phi and W_inf (20 kB each at q=50), K and a few numbers. One span of the
+    # phase table is four 50x50 matrices (80 kB), so a solution that kept the table would pass the bound.
+    p, threshold = q50
+    ps, kept = _retained(lambda: optimal_period(p.sys, replace(p.cost, O=fraction * threshold)))
+    assert ps.period == T_star
+    assert kept <= 100_000
+
+
+def test_sweep_shares_one_W_inf(q50):
+    p, threshold = q50
+    prices = [float(O) for O in np.linspace(0.0, 2.0 * threshold, 61)]
+    sols, kept = _retained(lambda: _solve_prices(p.sys, p.cost, prices))
+    assert {ps.period for ps in sols} >= {0, 1, 12}
+    assert all(ps.W_inf is sols[0].W_inf for ps in sols) and not sols[0].W_inf.flags.writeable
+    assert kept <= 200_000
+
+
+def test_value_at_does_no_table_work(q50, monkeypatch):
+    p, threshold = q50
+    sols = _solve_prices(p.sys, p.cost, [0.0, 0.9 * threshold, 2.0 * threshold])
+    assert [ps.period for ps in sols] == [1, 12, 0]
+    for name in ("_join", "at"):
+        monkeypatch.setattr(_PhaseTable, name, lambda *a, name=name: pytest.fail(f"value_at called {name}"))
+    for ps in sols:
+        value_at(ps, p.x0)
