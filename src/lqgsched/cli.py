@@ -192,11 +192,15 @@ def _sweep_prices(args) -> list[float]:
         return [float(O) for O in np.geomspace(args.O_min, args.O_max, args.O_log)]
     if args.O_step <= 0:
         raise ValueError("--O-step must be positive")
+    too_many = f"the grid has more than {MAX_SWEEP_PRICES} prices; a sweep tabulates at most {MAX_SWEEP_PRICES}"
     if (args.O_max - args.O_min) / args.O_step >= MAX_SWEEP_PRICES:  # a float estimate, before any Decimal
-        raise ValueError(f"the grid has more than {MAX_SWEEP_PRICES} prices; a sweep tabulates at most {MAX_SWEEP_PRICES}")
+        raise ValueError(too_many)
     # O_min + k*step in decimal, counted exactly, so a step of 0.1 prints 0.3 and not 0.30000000000000004.
     lo, step = Decimal(repr(args.O_min)), Decimal(repr(args.O_step))
-    return [float(lo + k * step) for k in range(int((Decimal(repr(args.O_max)) - lo) // step) + 1)]
+    n = int((Decimal(repr(args.O_max)) - lo) // step) + 1
+    if n > MAX_SWEEP_PRICES:  # the estimate can round an exact quotient of MAX_SWEEP_PRICES down
+        raise ValueError(too_many)
+    return [float(lo + k * step) for k in range(n)]
 
 
 def cmd_sweep(args) -> int:
@@ -361,11 +365,28 @@ def entry() -> None:
     The objects the imports created (numpy's and this package's, about
     22,000 tracked by the garbage collector) live until the process exits.
     Freezing them moves them into the collector's permanent generation, so
-    neither a full collection during the command nor the collections at exit
-    walk them again. main() leaves the collector alone for library callers.
+    a full collection during the command does not walk them again.
+
+    Once the command has returned, entry() flushes stdout and stderr and ends
+    the process with ``os._exit``: the interpreter's teardown, which would
+    free those objects one by one, is skipped. So are atexit handlers (the
+    package registers none) and the flushing of files left open (every
+    command closes the files it writes). A reader that closes stdout early,
+    as ``| head`` does, ends the command quietly with exit code 1: the rest of
+    the output goes to os.devnull, as the Python documentation recommends.
+    A usage error or --help from argparse, and an unexpected exception, leave
+    through the normal interpreter exit. main() does none of this, and leaves
+    the collector alone, for library callers.
     """
     gc.freeze()
-    raise SystemExit(main())
+    try:
+        code = main()
+        _sys.stdout.flush()
+        _sys.stderr.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -21,11 +21,11 @@ trajectory. Negating K once, before any product, is exact, so u equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .model import record
 from .policy import PolicySolution
 
 __all__ = [
@@ -47,7 +47,7 @@ class MeasurementUnavailable(ValueError):
     """The trigger fired but no measurement value was supplied."""
 
 
-@dataclass(frozen=True)
+@record
 class ControlPacket:
     """Waiting time and the open-loop controls to apply until the next query."""
 

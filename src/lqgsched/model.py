@@ -8,12 +8,15 @@ caller can collect all of them at once. Well-posedness is the condition for
 the discounted Riccati fixed point to exist and stabilize the loop:
 (sqrt(beta) A, B) stabilizable and (sqrt(beta) A, sqrt(Q)) detectable, both
 decided by one Popov-Belevitch-Hautus (PBH) test at the eigenvalues of A.
+Every frozen record of the package, these containers included, is declared
+with :func:`record`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
+from reprlib import recursive_repr
 
 import numpy as np
 
@@ -31,6 +34,106 @@ EIG_TOL = 1e-10
 # Cluster radius of the PBH test, relative to max(1, |lambda|): a defective eigenvalue of multiplicity m
 # is computed only to about eps^(1/m) (a double one splits by about 1e-8, a triple one by about 1e-5).
 PBH_CLUSTER_TOL = 1e-4
+
+
+class _RecordSpec:
+    """What the shared record methods read of one class: field names by role, defaults and __post_init__."""
+
+    __slots__ = ("qualname", "names", "defaults", "factories", "post_init", "repr_names", "compare_names", "hash_names")
+
+    def __init__(self, cls):
+        fs = fields(cls)
+        self.qualname = cls.__qualname__
+        self.names = tuple(f.name for f in fs)
+        self.defaults = {f.name: f.default for f in fs if f.default is not MISSING}
+        self.factories = {f.name: f.default_factory for f in fs if f.default_factory is not MISSING}
+        self.post_init = getattr(cls, "__post_init__", None)
+        self.repr_names = tuple(f.name for f in fs if f.repr)
+        self.compare_names = tuple(f.name for f in fs if f.compare)
+        self.hash_names = tuple(f.name for f in fs if (f.compare if f.hash is None else f.hash))
+
+    def bind(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in field order, from the arguments, the defaults and the default factories."""
+        if len(args) > len(self.names):
+            raise TypeError(f"{self.qualname}() takes {len(self.names)} positional arguments but {len(args)} were given")
+        values = list(args)
+        for name in self.names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in self.defaults:
+                values.append(self.defaults[name])
+            elif name in self.factories:
+                values.append(self.factories[name]())
+            else:
+                raise TypeError(f"{self.qualname}() missing required argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "got multiple values for argument" if name in self.names else "got an unexpected keyword argument"
+            raise TypeError(f"{self.qualname}() {problem} {name!r}")
+        return values
+
+
+def _record_init(self, *args, **kwargs):
+    spec = type(self)._record_spec
+    if kwargs or len(args) != len(spec.names):
+        args = spec.bind(args, kwargs)
+    for name, value in zip(spec.names, args):
+        object.__setattr__(self, name, value)
+    if spec.post_init is not None:
+        spec.post_init(self)
+
+
+def _record_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@recursive_repr()
+def _record_repr(self):
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_spec.repr_names)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    names = self._record_spec.compare_names
+    return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+
+def _record_hash(self):
+    return hash(tuple(getattr(self, n) for n in self._record_spec.hash_names))
+
+
+def record(cls):
+    """Make ``cls`` a frozen dataclass without generating code for it.
+
+    ``dataclass(frozen=True)`` writes and compiles six methods for every
+    class, which made up most of the package's import time. This decorator
+    runs ``dataclass(init=False, repr=False, eq=False)``, so ``fields``,
+    ``replace``, ``asdict`` and ``is_dataclass`` see an ordinary dataclass,
+    and installs the same six hand-written functions on every record:
+
+    - ``__init__`` binds positional and keyword arguments, then fills the
+      rest from each field's default or ``default_factory``, raises
+      ``TypeError`` for a missing, duplicate or unknown argument, and calls
+      ``__post_init__`` if the class has one. It stores each field with
+      ``object.__setattr__``, as a frozen dataclass does.
+    - ``__setattr__`` and ``__delattr__`` raise ``FrozenInstanceError``.
+    - ``__repr__``, ``__eq__`` and ``__hash__`` read the fields whose
+      ``repr``, ``compare`` (and ``hash``) flags select them, and give the
+      results of the frozen dataclass they replace.
+
+    The six overwrite any of the same names that the class defines.
+    """
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    cls._record_spec = _RecordSpec(cls)
+    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = _record_init, _record_repr, _record_eq, _record_hash
+    cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
+    return cls
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -72,7 +175,7 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
-@dataclass(frozen=True)
+@record
 class LinearSystem:
     """Plant x_{t+1} = A x_t + B u_t + C w_t with w_t ~ N(0, Sigma_S).
 
@@ -112,7 +215,7 @@ class LinearSystem:
         return (G + G.T) / 2.0
 
 
-@dataclass(frozen=True)
+@record
 class CostModel:
     """Stage cost x'Qx + u'Ru + i*O discounted by beta per step.
 
@@ -131,7 +234,7 @@ class CostModel:
         object.__setattr__(self, "O", float(self.O))
 
 
-@dataclass(frozen=True)
+@record
 class Problem:
     """A plant, its cost model, and the known initial state."""
 
@@ -152,8 +255,10 @@ class Problem:
         return self.sys.p
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
+    """One failed standing assumption: a stable machine-readable code and a message for people."""
+
     code: str
     message: str
 

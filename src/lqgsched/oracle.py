@@ -13,11 +13,11 @@ the suboptimality probes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
-from .model import CostModel, LinearSystem, psd_sqrt
+from .model import CostModel, LinearSystem, psd_sqrt, record
 from .policy import PolicySolution, f_value, h_value, optimal_period
 from .riccati import AreSolution, NonConvergence, dare_solve, dlyap_adjoint, finite_riccati, spectral_radius
 
@@ -42,7 +42,7 @@ OFFSET_TOL = 1e-6
 PROBE_GAIN_SCALES = (1.0 - 1e-3, 1.0 + 1e-3)
 
 
-@dataclass(frozen=True)
+@record
 class OracleReport:
     """Result of the grid fixed-point iteration for the value offset."""
 
@@ -125,7 +125,7 @@ def solve_r_fixed_point(
     )
 
 
-@dataclass(frozen=True)
+@record
 class InnerDpReport:
     """Closed-form window cost vs. a Monte Carlo estimate of the same controls.
 
@@ -280,7 +280,7 @@ def never_measure_cost(sys: LinearSystem, cost: CostModel, gain: np.ndarray, x0:
     return float(x0 @ H @ x0) + beta / (1.0 - beta) * float(np.trace(cost.Q @ Hw))
 
 
-@dataclass(frozen=True)
+@record
 class ProbeReport:
     """Best improvement any probed perturbation achieved (<= 0 means none)."""
 
@@ -325,7 +325,7 @@ def policy_suboptimality_probe(
     return ProbeReport(max_gain=max(gains), details=details)
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     """Named agreement checks between the analytic schedule and the oracle."""
 

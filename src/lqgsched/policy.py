@@ -29,14 +29,14 @@ differs on non-normal A; the simulator and oracle modules quantify that gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import CostModel, LinearSystem, psd_sqrt
+from .model import CostModel, LinearSystem, psd_sqrt, record
 from .riccati import (DOUBLING_STEPS, AreSolution, NonConvergence, UnstableA, _check_lyapunov, _converged,
                       _require_schur_stable, dare_solve)
 
@@ -137,7 +137,7 @@ class _PhaseTable:
         return span
 
 
-@dataclass(frozen=True)
+@record
 class PolicySolution:
     """Solved schedule: the query period, the value offset r, what value_at reads, and the inputs.
 
@@ -191,7 +191,7 @@ def _frozen(M: np.ndarray) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@record
 class _ClosedLoop:
     """What the controller and the simulator multiply by: C-contiguous, read-only copies.
 
@@ -277,20 +277,19 @@ def _solve_prices(sys: LinearSystem, cost: CostModel, prices: list[float],
         threshold, W_inf = table.limit.S, _frozen(table.limit.sums[0])  # one copy, shared by every price
     except UnstableA:
         threshold = W_inf = None
-    return [_solve_price(table, replace(cost, O=O), threshold, W_inf) for O in prices]
+    return [_solve_price(table, CostModel(cost.Q, cost.R, cost.beta, O), threshold, W_inf) for O in prices]
 
 
 def _solve_price(table: _PhaseTable, cost: CostModel, threshold: float | None,
                  W_inf: np.ndarray | None) -> PolicySolution:
     beta, O = cost.beta, cost.O
-    common = dict(sys=table.sys, cost=cost, are=table.are, never_threshold=threshold, noise=table.noise, W_inf=W_inf)
     if threshold is not None and O >= threshold:
         r = table.limit.E + beta / (1.0 - beta) * table.noise
-        return PolicySolution(period=0, r=r, window=0.0, **common)
+        return PolicySolution(table.sys, cost, table.are, 0, r, threshold, table.noise, 0.0, W_inf)
     T = table.period(O)
     r = table.at(T).E / (1.0 - beta**T) + beta / (1.0 - beta) * table.noise + beta**T * O / (1.0 - beta**T)
     window = table.at(T - 1).E / (1.0 - beta ** (T - 1)) if T >= 2 else 0.0  # the search visited T* - 1
-    return PolicySolution(period=T, r=r, window=window, **common)
+    return PolicySolution(table.sys, cost, table.are, T, r, threshold, table.noise, window, W_inf)
 
 
 def optimal_period(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> PolicySolution:
@@ -305,7 +304,7 @@ def optimal_period(sys: LinearSystem, cost: CostModel, are: AreSolution | None =
     return _solve_prices(sys, cost, [cost.O], are)[0]
 
 
-@dataclass(frozen=True)
+@record
 class ValueSummary:
     """Value of the solved schedule from a given state, with comparison figures.
 
@@ -344,7 +343,4 @@ def value_at(ps: PolicySolution, x: np.ndarray) -> ValueSummary:
         outlay = beta**T * O / (1.0 - beta**T)
         V_s_rep = V_c + ps.window  # the solve summed the window from the sums at T* - 1
 
-    return ValueSummary(
-        V=V, V_s=V - outlay, V_c=V_c, V_e=V_e, V_e_excluding_noise=V_e_bare,
-        V_reported=V_s_rep + outlay, V_s_reported=V_s_rep,
-    )
+    return ValueSummary(V, V - outlay, V_c, V_e, V_e_bare, V_s_rep + outlay, V_s_rep)

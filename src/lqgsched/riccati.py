@@ -12,11 +12,10 @@ raises LinAlgError unless it is positive definite. Only numpy is needed at run t
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostModel, LinearSystem
+from .model import CostModel, LinearSystem, record
 
 __all__ = [
     "AreSolution",
@@ -50,7 +49,7 @@ class UnstableA(ValueError):
     """Raised when an operation requires a Schur-stable A."""
 
 
-@dataclass(frozen=True)
+@record
 class AreSolution:
     """Fixed point of the discounted Riccati map with derived matrices.
 

@@ -27,11 +27,10 @@ noiseless test modes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostModel, Problem
+from .model import CostModel, Problem, record
 from .policy import PolicySolution, _closed_loop
 
 __all__ = [
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Strategy:
     """Query period of a simulated schedule: None for the policy's own period, 0 for never, T for every T steps."""
 
@@ -83,7 +82,7 @@ def fixed_period(T: int) -> Strategy:
 MAX_RUNS = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class SimConfig:
     """Simulation parameters.
 
@@ -112,7 +111,7 @@ class SimConfig:
 _CSV_ROWS = 256
 
 
-@dataclass(frozen=True)
+@record
 class TrajectoryRecord:
     """Per-step closed-loop trace with discounted cost accounting.
 

@@ -292,15 +292,20 @@ def test_eigenvalues_of_A_computed_once_per_command(capsys, monkeypatch, problem
     assert calls == [(3, 3)]
 
 
-def _run_cold(args):
-    """Run ``python *args`` in a fresh interpreter that imports this checkout's lqgsched.
+def _cold_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's lqgsched.
 
     PYTHONUNBUFFERED is dropped, so the child's output to its pipes is block-buffered, as a user's is.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(lqgsched.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return env
+
+
+def _run_cold(args):
+    """Run ``python *args`` in a fresh interpreter (see _cold_env)."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_cold_env(), timeout=120)
 
 
 def test_zero_A_solves_with_empty_stderr(tmp_path):
@@ -470,6 +475,21 @@ def test_huge_sweep_exits_2(capsys, monkeypatch, grid, fmt):
         assert json.loads(out)["error"]["code"] == "bad_range"
     else:
         assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("grid", [("--O-max", "110000", "--O-step", "1.1"), ("--O-max", "7000", "--O-step", "0.07")],
+                         ids=["110000", "7000"])
+def test_sweep_of_one_price_too_many_exits_2(capsys, monkeypatch, grid, fmt):
+    # exactly 100000 steps: the float estimate rounds below the limit, and the exact count in decimal catches it
+    monkeypatch.setattr(cli, "_read_problem", lambda *a: pytest.fail("_read_problem called for a rejected sweep"))
+    code, out, err = run(capsys, "sweep", "--problem", SYS1, "--O-min", "0", *grid, "--format", fmt)
+    assert code == 2
+    message = "the grid has more than 100000 prices; a sweep tabulates at most 100000"
+    if fmt == "json":
+        assert json.loads(out)["error"] == {"code": "bad_range", "message": message}
+    else:
+        assert (out, err) == ("", message + "\n")
 
 
 ORDER = "a sweep needs 0 <= --O-min <= --O-max: a measurement price is never negative"
@@ -678,14 +698,13 @@ def test_commands_run_without_scipy(tmp_path):
 
 
 def test_entry_freezes_the_import_heap_before_main(monkeypatch):
-    # both calls are recorded, not made, so the pytest process itself is never frozen
+    # every call is recorded, not made, so the pytest process itself is never frozen or ended
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 0)
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert exc.value.code == 0
-    assert calls == ["freeze", "main"]
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("_exit", code)))
+    cli.entry()
+    assert calls == ["freeze", "main", ("_exit", 0)]
 
 
 def test_main_leaves_the_collector_alone(capsys):
@@ -695,13 +714,15 @@ def test_main_leaves_the_collector_alone(capsys):
     assert gc.get_freeze_count() == frozen
 
 
-@pytest.mark.parametrize("argv, to_file", [
-    (("sweep", "--O-min", "0", "--O-max", "300", "--O-step", "10"), False),
-    (("simulate", "--O", "10", "--runs", "50"), True),
-], ids=["sweep", "simulate-out"])
-def test_cold_command_matches_main(tmp_path, capsys, argv, to_file):
-    # the entry point exits with the import heap frozen; everything must still be flushed,
-    # down to the short summary that simulate --out leaves in stdout's buffer until exit
+@pytest.mark.parametrize("argv, to_file, expected", [
+    (("sweep", "--O-min", "0", "--O-max", "300", "--O-step", "10"), False, 0),
+    (("sweep", "--O-min", "0.01", "--O-max", "1000", "--O-log", "40", "--format", "json"), False, 0),
+    (("simulate", "--O", "10", "--runs", "50"), True, 0),
+    (("sweep", "--O-min", "10", "--O-max", "5", "--O-step", "1"), False, 2),
+], ids=["sweep", "sweep-json", "simulate-out", "bad-range"])
+def test_cold_command_matches_main(tmp_path, capsys, argv, to_file, expected):
+    # the entry point ends the process without the interpreter's teardown; the exit code must be kept and
+    # both streams flushed, down to the short summary that simulate --out leaves in stdout's buffer
     def out_args(name):
         return ["--out", str(tmp_path / name)] if to_file else []
 
@@ -709,9 +730,20 @@ def test_cold_command_matches_main(tmp_path, capsys, argv, to_file):
     proc = _run_cold(["-m", "lqgsched.cli", *common, *out_args("cold.txt")])
     code, out, err = run(capsys, *common, *out_args("main.txt"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
-    assert code == 0 and (out or to_file)
+    assert code == expected and (out or to_file or err)
     if to_file:
         assert (tmp_path / "cold.txt").read_bytes() == (tmp_path / "main.txt").read_bytes()
+
+
+def test_closed_stdout_ends_the_command_quietly():
+    # `| head -1`: the reader goes after one line, and the command must stop with exit 1 and no traceback
+    argv = [sys.executable, "-m", "lqgsched.cli", "simulate", "--problem", os.path.abspath(SYS1), "--O", "10",
+            "--horizon", "5000"]  # about 1 MB of CSV, far more than a pipe holds
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cold_env()) as proc:
+        assert proc.stdout.readline().startswith(b"t,x_1,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_console_script_runs_entry():

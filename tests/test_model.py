@@ -1,11 +1,24 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
 from lqgsched import (
     CostModel,
+    InnerDpReport,
     LinearSystem,
     Problem,
+    ProbeReport,
+    SimConfig,
+    Strategy,
+    Violation,
+    VerifyReport,
+    make_packet,
+    simulate,
+    solve_r_fixed_point,
     validate,
+    value_at,
 )
 from lqgsched.model import psd_sqrt
 
@@ -131,3 +144,132 @@ def test_non_finite_entries_flagged():
     # an infinite Sigma_S is reported once, not again by its definiteness tests
     sys = LinearSystem(A=A1, B=B, C=C3, Sigma_S=sigma)
     assert codes(Problem(sys=sys, cost=CostModel(Q=Q3, R=R2, beta=0.95, O=1.0))) == ["non_finite"]
+
+
+# Every frozen record of the package, found by scanning its modules, so a new record is checked too.
+RECORDS = sorted({obj for name in ("model", "riccati", "policy", "controller", "sim", "oracle")
+                  for obj in vars(importlib.import_module(f"lqgsched.{name}")).values()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__.startswith("lqgsched")},
+                 key=lambda cls: cls.__qualname__)
+
+
+@pytest.fixture(scope="module")
+def samples(sys1_O10, ps1_O10):
+    """One instance of every record, most of them from a solve and a short simulation of sys1."""
+    oracle = solve_r_fixed_point(sys1_O10.sys, sys1_O10.cost, T_max=20, are=ps1_O10.are)
+    found = [sys1_O10, sys1_O10.sys, sys1_O10.cost, ps1_O10, ps1_O10.are, ps1_O10._loop,
+             value_at(ps1_O10, sys1_O10.x0), make_packet(sys1_O10.x0, ps1_O10), Violation("Q_not_psd", "Q is bad"),
+             Strategy(3), SimConfig(), simulate(sys1_O10, ps1_O10, SimConfig(horizon=5)), oracle,
+             InnerDpReport(1.0, 2.0, 3.0, 0.5), ProbeReport(-1.0, {"wait_5": -1.0}),
+             VerifyReport([("offset_match", True, "")], oracle)]
+    return {type(obj): obj for obj in found}
+
+
+def test_every_record_is_sampled(samples):
+    assert len(RECORDS) == 16
+    assert set(samples) == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_record_methods_are_not_generated_code(cls):
+    # dataclass(frozen=True) compiles each class's methods from source text, which costs import time
+    for name, attr in vars(cls).items():
+        fn = getattr(attr, "__wrapped__", attr)
+        if callable(fn) and hasattr(fn, "__code__"):
+            assert fn.__code__.co_filename != "<string>", f"{cls.__qualname__}.{name}"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_record_is_frozen(samples, cls):
+    obj = samples[cls]
+    name = dataclasses.fields(cls)[0].name
+    before = getattr(obj, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(obj, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.not_a_field = 1
+    assert getattr(obj, name) is before
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_record_keeps_its_dataclass_interface(samples, cls):
+    obj = samples[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert dataclasses.is_dataclass(obj) and cls.__match_args__ == tuple(names)
+    copy = dataclasses.replace(obj)
+    assert type(copy) is cls and repr(copy) == repr(obj)
+    assert list(dataclasses.asdict(obj)) == names
+
+
+def _twin(cls):
+    """The frozen dataclass the record replaces: same name, fields and flags, methods generated by dataclasses."""
+    specs = [(f.name, f.type, dataclasses.field(repr=f.repr, compare=f.compare, hash=f.hash))
+             for f in dataclasses.fields(cls)]
+    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+    twin.__qualname__ = cls.__qualname__
+    return lambda obj: twin(*(getattr(obj, f.name) for f in dataclasses.fields(cls)))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_record_repr_eq_hash_match_a_frozen_dataclass(samples, cls):
+    obj, twin = samples[cls], _twin(cls)
+    assert repr(obj) == repr(twin(obj))
+    assert obj == obj and not obj != obj and obj != object()
+    try:
+        expected = hash(twin(obj))
+    except TypeError:  # an array field: unhashable, as it was
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == expected
+
+
+def test_record_repr_eq_hash_on_small_records():
+    assert repr(Violation("Q_not_psd", "Q is bad")) == "Violation(code='Q_not_psd', message='Q is bad')"
+    assert str(Violation("Q_not_psd", "Q is bad")) == "Q_not_psd: Q is bad"
+    assert repr(Strategy(3)) == "Strategy(period=3)"
+    assert repr(SimConfig()) == "SimConfig(horizon=500, seed=0, n_runs=1, strategy=Strategy(period=None))"
+    assert Strategy(3) == Strategy(period=3) and Strategy(3) != Strategy(4) and Strategy(3) != 3
+    assert SimConfig() == SimConfig(500, 0, 1, Strategy()) and SimConfig() != SimConfig(seed=1)
+    assert hash(Strategy(3)) == hash((3,))
+    assert hash(SimConfig()) == hash((500, 0, 1, Strategy(None)))
+    assert {Violation("a", "b"), Violation("a", "b")} == {Violation("a", "b")}
+    with pytest.raises(TypeError):
+        hash(ProbeReport(0.0))  # its dict field is unhashable
+
+
+def test_policy_solution_skips_W_inf_in_repr_and_eq(ps2_O7):
+    assert ps2_O7.W_inf is not None and "W_inf" not in repr(ps2_O7)
+    assert ps2_O7 == dataclasses.replace(ps2_O7, W_inf=None)
+
+
+def test_record_post_init_coerces_and_validates():
+    cost = CostModel([[1, 0], [0, 2]], [[3]], 1, 2)
+    assert cost.Q.dtype == float and cost.R.shape == (1, 1)
+    assert type(cost.beta) is float and type(cost.O) is float
+    assert Problem(make_problem(A1, 1.0).sys, cost).x0.tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="n_runs must be >= 1"):
+        SimConfig(n_runs=0)
+    with pytest.raises(ValueError, match="n_runs must be >= 1"):
+        dataclasses.replace(SimConfig(), n_runs=0)
+    with pytest.raises(ValueError, match="A must be a 2-D matrix"):
+        LinearSystem([1.0], B, C3, SIGMA)
+    with pytest.raises(ValueError, match="a query period must be >= 0"):
+        Strategy(-1)
+    assert ProbeReport(0.0).details == {} and ProbeReport(0.0).details is not ProbeReport(0.0).details
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Violation("a"),
+    lambda: Violation(message="b"),
+    lambda: Violation("a", "b", "c"),
+    lambda: Violation("a", code="b"),
+    lambda: Violation("a", "b", level=1),
+    lambda: Strategy(1, period=2),
+    lambda: SimConfig(runs=3),
+], ids=["missing", "missing-positional", "too-many", "duplicate", "unknown", "duplicate-default", "unknown-default"])
+def test_record_rejects_bad_arguments(make):
+    with pytest.raises(TypeError):
+        make()
