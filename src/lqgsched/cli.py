@@ -3,9 +3,10 @@
 Problem files are JSON with row-major nested arrays for matrices and plain
 floats elsewhere; numbers are emitted in shortest round-trip decimal form so
 a file written by the tool re-parses to the identical problem. Exit codes:
-0 success, 2 validation failure (an unreadable problem file included), 3
-solver non-convergence, 4 verification failure; main reports every failure
-the same way. Set LQGSCHED_OUT_DIR to prefix relative --out paths.
+0 success, 2 validation failure (an unreadable problem file or an
+unwritable --out path included), 3 solver non-convergence, 4 verification
+failure; main reports every failure the same way. Set LQGSCHED_OUT_DIR to
+prefix relative --out paths.
 """
 
 from __future__ import annotations
@@ -84,30 +85,25 @@ def save_problem(problem: Problem, path: str) -> None:
         fh.write("\n")
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get("LQGSCHED_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _emit(out: str | None, write) -> bool:
+    """Call write(stream) on the --out file, or on stdout without one; True when it wrote the file.
 
-
-def _emit(text: str, out: str | None) -> None:
-    out = _resolve_out(out)
+    A relative path is taken under LQGSCHED_OUT_DIR when that is set. Commands call this once their output is
+    computed, so a failing command never truncates an existing file. A path that cannot be written exits 2
+    with bad_output; an error on stdout is not caught here.
+    """
     if out is None:
-        _sys.stdout.write(text)
-    else:
+        write(_sys.stdout)
+        return False
+    base = os.environ.get("LQGSCHED_OUT_DIR")
+    if base and not os.path.isabs(out):
+        out = os.path.join(base, out)
+    try:
         with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _fail(args, code: int, payload: dict, human: str) -> int:
-    if getattr(args, "format", "text") == "json":
-        _sys.stdout.write(json.dumps({"error": payload}) + "\n")
-    else:
-        _sys.stderr.write(human + "\n")
-    return code
+            write(fh)
+    except OSError as e:
+        raise _Failure(EXIT_VALIDATION, {"code": "bad_output", "message": str(e)}, f"cannot write output: {e}") from e
+    return True
 
 
 def _text_entry(key: str, value) -> str:
@@ -171,7 +167,7 @@ def cmd_solve(args) -> int:
         text = json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}, indent=2)
     else:  # T_star is inf, and a schedule with no threshold has no line for it or for W_infinity
         text = "\n".join(_text_entry(k, v) for k, v in doc.items() if v is not None or k == "T_star")
-    _emit(text + "\n", args.out)
+    _emit(args.out, lambda fh: fh.write(text + "\n"))
     return EXIT_OK
 
 
@@ -228,7 +224,7 @@ def cmd_sweep(args) -> int:
         header = "O,T_star,r,V,V_s,V_e,saving,V_reported,V_s_reported"
         lines = [",".join("inf" if v is None else repr(v) for v in row.values()) for row in rows]
         text = header + "\n" + "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(args.out, lambda fh: fh.write(text))
     return EXIT_OK
 
 
@@ -272,13 +268,8 @@ def cmd_simulate(args) -> int:
         summary["mc_mean"], summary["mc_std_error"] = mc
         summary["n_runs"] = args.runs
 
-    out = _resolve_out(args.out)
-    if out is None:
-        rec.write_csv(_sys.stdout)
-        _sys.stderr.write(json.dumps(summary) + "\n")
-    else:
-        rec.write_csv(out)
-        _sys.stdout.write(json.dumps(summary) + "\n")
+    # the summary goes to stdout when the CSV went to a file, and to stderr when the CSV took stdout
+    (_sys.stdout if _emit(args.out, rec.write_csv) else _sys.stderr).write(json.dumps(summary) + "\n")
     return EXIT_OK
 
 
@@ -297,7 +288,7 @@ def cmd_verify(args) -> int:
     }
     if report.grid_capped_note:
         doc["note"] = report.grid_capped_note
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(args.out, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
     if not report.passed:
         _sys.stderr.write("verification failed: " + ", ".join(report.failures()) + "\n")
         return EXIT_VERIFICATION
@@ -354,9 +345,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _Failure as e:
-        return _fail(args, e.code, e.payload, e.human)
+        failure = e
     except NonConvergence as e:
-        return _fail(args, EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
+        failure = _Failure(EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
+    if args.format == "json":
+        _sys.stdout.write(json.dumps({"error": failure.payload}) + "\n")
+    else:
+        _sys.stderr.write(failure.human + "\n")
+    return failure.code
 
 
 def entry() -> None:

@@ -148,6 +148,23 @@ class InnerDpReport:
         return abs(self.closed_form_adjoint - self.mc_mean)
 
 
+def _window_cost(sys: LinearSystem, cost: CostModel, L: np.ndarray, phi_seq: np.ndarray, r: float,
+                 x: np.ndarray, M: np.ndarray, G: np.ndarray) -> float:
+    """Closed-form cost from x of the window finite_riccati gave as (L, phi_seq), T = len(phi_seq) steps:
+
+    x'L_T x + sum_t beta^t Tr(Cov_t phi_t) + sum_{t=1..T} beta^t Tr(Sigma_S C' L_{T-t} C) + beta^T (r + O),
+    Cov_0 = 0, Cov_{t+1} = M Cov_t M' + G; (M, G) is (A, C Sigma_S C') forward, (A', C' Sigma_S C) adjoint.
+    """
+    beta, T = cost.beta, len(phi_seq)
+    cov = np.zeros_like(G)
+    err = 0.0
+    for t in range(T):
+        err += beta**t * float(np.trace(cov @ phi_seq[t]))
+        cov = M @ cov @ M.T + G
+    noise = sum(beta**t * float(np.trace(sys.Sigma_S @ sys.C.T @ L[T - t] @ sys.C)) for t in range(1, T + 1))
+    return float(x @ L[T] @ x) + err + noise + beta**T * (r + cost.O)
+
+
 def inner_dp_check(
     sys: LinearSystem,
     cost: CostModel,
@@ -158,37 +175,19 @@ def inner_dp_check(
     n_mc: int = 100_000,
     seed: int = 0,
 ) -> InnerDpReport:
-    """Re-cost the T-step window by simulation and compare to the closed form.
+    """Re-cost the T-step window by simulation and compare to the closed forms.
 
-    The closed form is x'L_T x + sum_t beta^t Tr(Cov_t phi_t)
-    + sum_{t=1..T} beta^t Tr(Sigma_S C' L_{T-t} C) + beta^T (r + O); the
-    simulation applies the window-optimal gains to n_mc noisy runs with
-    terminal cost beta^T (x_T' P x_T + r + O).
+    closed_form and closed_form_adjoint are _window_cost under the physical
+    and the adjoint error propagation; the simulation applies the
+    window-optimal gains to n_mc noisy runs with terminal cost
+    beta^T (x_T' P x_T + r + O).
     """
     x = np.asarray(x, dtype=float).ravel()
     beta, O = cost.beta, cost.O
     A, B, C = sys.A, sys.B, sys.C
     L, phi_seq = finite_riccati(P, T, sys, cost)
-
-    G_fwd = C @ sys.Sigma_S @ C.T
-    G_adj = sys.noise_gram()
-    cov_fwd = np.zeros((sys.q, sys.q))
-    cov_adj = np.zeros((sys.q, sys.q))
-    err_fwd = 0.0
-    err_adj = 0.0
-    for t in range(T):
-        err_fwd += beta**t * float(np.trace(cov_fwd @ phi_seq[t]))
-        err_adj += beta**t * float(np.trace(cov_adj @ phi_seq[t]))
-        cov_fwd = A @ cov_fwd @ A.T + G_fwd
-        cov_adj = A.T @ cov_adj @ A + G_adj
-
-    noise_term = sum(
-        beta**t * float(np.trace(sys.Sigma_S @ C.T @ L[T - t] @ C)) for t in range(1, T + 1)
-    )
-    head = float(x @ L[T] @ x)
-    tail = beta**T * (r + O)
-    cf_fwd = head + err_fwd + noise_term + tail
-    cf_adj = head + err_adj + noise_term + tail
+    cf_fwd = _window_cost(sys, cost, L, phi_seq, r, x, A, C @ sys.Sigma_S @ C.T)
+    cf_adj = _window_cost(sys, cost, L, phi_seq, r, x, A.T, sys.noise_gram())
 
     # Window-optimal gains, one per phase.
     gains = []
@@ -356,8 +355,9 @@ def verify_solution(
       f_curve_minimum       argmin of the f-curve sits at T*
       bracket               h(T*-1, r) <= 0 < h(T*, r)
       curve_decreasing      f strictly decreasing over grid (never-measure)
-      inner_collapse        adjoint window cost collapses onto x'Px + r
-                            at the fixed point, within 1e-10 relative
+      inner_collapse        adjoint window cost, in closed form, collapses onto
+                            x'Px + r at the fixed point, within 1e-10 relative
+                            (only inner_dp_check re-costs it by Monte Carlo)
     """
     sys, cost = problem_sys, problem_cost
     checks: list = []
@@ -389,9 +389,10 @@ def verify_solution(
             checks.append(("bracket", h_hi > 0.0, f"h(1)={h_hi:.3e}"))
 
         x = np.ones(sys.q) if x_probe is None else np.asarray(x_probe, dtype=float).ravel()
-        inner = inner_dp_check(sys, cost, ps.are.P, ps.r, T_star, x, n_mc=2, seed=0)
+        L, phi_seq = finite_riccati(ps.are.P, T_star, sys, cost)
+        window = _window_cost(sys, cost, L, phi_seq, ps.r, x, sys.A.T, sys.noise_gram())
         target = float(x @ ps.are.P @ x) + ps.r
-        rel = abs(inner.closed_form_adjoint - target) / max(1.0, abs(target))
+        rel = abs(window - target) / max(1.0, abs(target))
         checks.append(("inner_collapse", rel < 1e-10, f"relative deviation {rel:.3e}"))
     else:
         diffs = np.diff(rep.f_curve[:, 1])

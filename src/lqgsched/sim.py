@@ -60,7 +60,7 @@ class Strategy:
     def measure_times(self, ps: PolicySolution, horizon: int) -> np.ndarray:
         """Deterministic query steps within [0, horizon); step 0 is always free."""
         T = ps.period if self.period is None else self.period
-        if not T:
+        if not T or T >= horizon:  # no query falls in the horizon (and arange cannot step by 2**63)
             return np.empty(0, dtype=int)
         return np.arange(T, horizon, T)
 

@@ -228,6 +228,27 @@ def test_bad_problem_file_exits_2(tmp_path, capsys, command, fmt, case):
         assert "'B'" in (out if fmt == "json" else err)
 
 
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, fmt, target):
+    out_path = str(tmp_path / "missing" / "out.txt" if target == "missing directory" else tmp_path)
+    code, out, err = run(capsys, command[0], "--problem", SYS1, *command[1:], "--format", fmt, "--out", out_path)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "bad_output"
+    else:
+        assert out == "" and err.startswith("cannot write output: ") and out_path in err
+
+
+def test_failing_command_leaves_its_out_file_alone(tmp_path, capsys):
+    out_file = tmp_path / "table.csv"
+    out_file.write_text("kept\n")
+    code, _, _ = run(capsys, "sweep", "--problem", SYS1, "--O-min", "10", "--O-max", "5", "--O-step", "1",
+                     "--out", str(out_file))
+    assert code == 2 and out_file.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_validation_failure_exits_2(tmp_path, capsys, command, fmt):
@@ -627,6 +648,16 @@ def test_always_is_fixed_period_one(capsys):
     assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("token", [f"fixed:{2**63}", f"fixed:{10**20}"])
+def test_period_past_any_horizon_never_measures(capsys, token):
+    # np.arange cannot hold steps of 2**63 and more; no such step falls within the horizon anyway
+    runs = {s: run(capsys, "simulate", "--problem", SYS1, "--O", "10", "--horizon", "40", "--strategy", s)
+            for s in (token, "never")}
+    (code, csv, err), (_, never_csv, _) = runs[token], runs["never"]
+    assert code == 0 and json.loads(err)["n_measurements"] == 0
+    assert csv == never_csv
+
+
 def test_simulate_rejects_unknown_strategy(capsys):
     code, _, err = run(
         capsys, "simulate", "--problem", SYS1, "--strategy", "sometimes"
@@ -744,6 +775,15 @@ def test_closed_stdout_ends_the_command_quietly():
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("command", [("solve",), ("simulate", "--horizon", "10")], ids=["solve", "simulate"])
+def test_cold_unwritable_out_exits_2_quietly(tmp_path, command):
+    # through entry() and os._exit: the _Failure must be reported, not leave as a traceback with exit 1
+    proc = _run_cold(["-m", "lqgsched.cli", command[0], "--problem", os.path.abspath(SYS1), *command[1:],
+                      "--out", str(tmp_path / "missing" / "out.txt")])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("cannot write output: ")
 
 
 def test_console_script_runs_entry():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 from lqgsched import (
     CostModel,
     LinearSystem,
+    Problem,
     dare_solve,
     inner_dp_check,
     never_measure_cost,
@@ -19,11 +20,12 @@ from lqgsched import (
     value_at,
     verify_solution,
 )
+import lqgsched.oracle as oracle
 from lqgsched.policy import _PhaseTable
 
 from conftest import (
     A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
-    random_admissible_with_finite_T,
+    random_admissible_with_finite_T, random_stable_plant,
 )
 
 
@@ -178,6 +180,42 @@ def test_verify_names_corrupted_fixed_point(sys1_O10, ps1_O10):
     rep = verify_solution(sys1_O10.sys, sys1_O10.cost, tampered, x_probe=X0)
     assert not rep.passed
     assert "fixed_point_residual" in rep.failures()
+
+
+def _q50_plant_with_finite_T():
+    p = random_stable_plant(1)
+    return Problem(sys=p.sys, cost=dataclasses.replace(p.cost, O=60.0), x0=p.x0)  # T* = 4
+
+
+_COLLAPSE_CASES = {
+    "sys1_O10": lambda: make_problem(A1, 10.0),
+    "sys1_O100": lambda: make_problem(A1, 100.0),
+    "q50": _q50_plant_with_finite_T,
+}
+
+
+@pytest.mark.parametrize("case", ["sys1_O10", "q50"])
+def test_verify_runs_no_monte_carlo(case, monkeypatch):
+    # inner_collapse sums the window in closed form; the Monte Carlo re-costing is inner_dp_check's alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_solution called inner_dp_check")
+
+    monkeypatch.setattr(oracle, "inner_dp_check", refuse)
+    p = _COLLAPSE_CASES[case]()
+    ps = optimal_period(p.sys, p.cost)
+    assert ps.finite
+    rep = verify_solution(p.sys, p.cost, ps, x_probe=p.x0)
+    assert rep.passed, rep.failures()
+
+
+@pytest.mark.parametrize("case", sorted(_COLLAPSE_CASES))
+def test_inner_collapse_reads_inner_dp_checks_adjoint_form(case):
+    p = _COLLAPSE_CASES[case]()
+    ps = optimal_period(p.sys, p.cost)
+    detail = {name: d for name, _, d in verify_solution(p.sys, p.cost, ps, x_probe=p.x0).checks}["inner_collapse"]
+    inner = inner_dp_check(p.sys, p.cost, ps.are.P, ps.r, ps.period, p.x0, n_mc=2)
+    target = float(p.x0 @ ps.are.P @ p.x0) + ps.r
+    assert detail == f"relative deviation {abs(inner.closed_form_adjoint - target) / max(1.0, abs(target)):.3e}"
 
 
 def _second_plant_at_3_S1_small_weights():
