@@ -50,7 +50,7 @@ MAX_SWEEP_PRICES = 100_000
 
 
 class ProblemFileError(ValueError):
-    """A problem file that is missing or unreadable, is not JSON, lacks a key or holds a malformed value."""
+    """A problem file that is missing or unreadable, is not JSON or nests too deep, lacks a key or has a bad value."""
 
 
 def load_problem(path: str, O_override: float | None = None) -> Problem:
@@ -64,7 +64,7 @@ def load_problem(path: str, O_override: float | None = None) -> Problem:
         return Problem(sys=sys_, cost=cost, x0=d.get("x0"))
     except KeyError as e:
         raise ProblemFileError(f"{path}: missing key {e.args[0]!r}") from e
-    except (OSError, ValueError, TypeError) as e:
+    except (OSError, ValueError, TypeError, RecursionError) as e:  # RecursionError: arrays nested too deep for json
         raise ProblemFileError(f"{path}: {e}") from e
 
 

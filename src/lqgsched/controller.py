@@ -10,9 +10,9 @@ Two implementations of the same policy:
   solved period; it reads ``ps.period`` (0: never) and derives nothing itself.
 
 Both compute controls by propagating the estimate with x_hat <- A x_hat + B u
-and applying u = -K x_hat. Both read the operands that the solved policy
-prepares once (C-contiguous, read-only copies of A, B and the negated gain
--K), and both make the same three products, ``A.dot(x_hat)``,
+and applying u = -K x_hat. Both read the policy's records directly, A and B
+of ``ps.sys`` and the negated gain ``ps.are.minus_K`` (C-contiguous arrays
+the records own read-only), and make the same three products, ``A.dot(x_hat)``,
 ``B.dot(u)`` and ``(-K).dot(x_hat)``. The floating-point operations are
 identical, so the two produce bit-identical control streams on the same
 trajectory. Negating K once, before any product, is exact, so u equals
@@ -73,8 +73,7 @@ def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -
         )
     else:
         T = int(horizon)
-    loop = ps._loop
-    A, B, minus_K = loop.A, loop.B, loop.minus_K
+    A, B, minus_K = ps.sys.A, ps.sys.B, ps.are.minus_K
     x_hat = np.asarray(x, dtype=float).ravel()
     controls = np.empty((T, ps.sys.p))
     for j in range(T):
@@ -117,19 +116,20 @@ def step_decide(
     from zero; otherwise the estimate propagates through the model with the
     previous control.
     """
-    loop = ps._loop
+    m, x_bar, t = state
+    minus_K = ps.are.minus_K
 
-    if state.t == 0:
+    if t == 0:
         # Free initial knowledge: act on x0 without buying a query.
-        return 0, loop.minus_K.dot(state.x_bar), ControllerState(0, state.x_bar, 1)
+        return 0, minus_K.dot(x_bar), ControllerState(0, x_bar, 1)
 
-    if 0 < ps.period <= state.m + 1:
+    if 0 < ps.period <= m + 1:
         if measurement is None:
-            raise MeasurementUnavailable(f"trigger fired at t={state.t} with no measurement")
+            raise MeasurementUnavailable(f"trigger fired at t={t} with no measurement")
         x_bar = np.asarray(measurement, dtype=float).ravel().copy()
-        return 1, loop.minus_K.dot(x_bar), ControllerState(0, x_bar, state.t + 1)
+        return 1, minus_K.dot(x_bar), ControllerState(0, x_bar, t + 1)
 
     if prev_control is None:
         raise ValueError("prev_control is required when no measurement is taken")
-    x_bar = loop.A.dot(state.x_bar) + loop.B.dot(np.asarray(prev_control, dtype=float).ravel())
-    return 0, loop.minus_K.dot(x_bar), ControllerState(state.m + 1, x_bar, state.t + 1)
+    x_bar = ps.sys.A.dot(x_bar) + ps.sys.B.dot(np.asarray(prev_control, dtype=float).ravel())
+    return 0, minus_K.dot(x_bar), ControllerState(m + 1, x_bar, t + 1)

@@ -1,15 +1,18 @@
 """Problem data: plant matrices, cost weights, and their validity checks.
 
-Everything downstream (Riccati solvers, measurement scheduling, simulation)
-reads the matrices from these containers. Construction only coerces arrays
-and establishes dimensions; definiteness and well-posedness are checked by
-:func:`validate`, which reports violations instead of raising so that a
-caller can collect all of them at once. Well-posedness is the condition for
-the discounted Riccati fixed point to exist and stabilize the loop:
-(sqrt(beta) A, B) stabilizable and (sqrt(beta) A, sqrt(Q)) detectable, both
-decided by one Popov-Belevitch-Hautus (PBH) test at the eigenvalues of A.
-Every frozen record of the package, these containers included, is declared
-with :func:`record`.
+Everything downstream reads the matrices from these containers; the
+controller and the simulator multiply by them directly. Construction stores
+each as a C-contiguous, read-only float array that the record owns
+(_frozen), so a caller that writes to its own array later changes neither
+the record nor a verdict on it. Construction also establishes dimensions;
+definiteness and well-posedness are checked by :func:`validate`, which
+reports violations instead of raising so that a caller can collect all of
+them at once. Well-posedness is the condition for the discounted Riccati
+fixed point to exist and stabilize the loop: (sqrt(beta) A, B) stabilizable
+and (sqrt(beta) A, sqrt(Q)) detectable, both decided by one
+Popov-Belevitch-Hautus (PBH) test at the eigenvalues of A. Every frozen
+record of the package, these containers included, is declared with
+:func:`record`.
 """
 
 from __future__ import annotations
@@ -136,8 +139,18 @@ def record(cls):
     return cls
 
 
+def _frozen(M) -> np.ndarray:
+    """M if it is a C-contiguous, read-only float64 array that owns its data (records share it), else such a copy."""
+    if (type(M) is np.ndarray and M.dtype == np.float64 and M.flags.c_contiguous and M.flags.owndata
+            and not M.flags.writeable):
+        return M
+    M = np.array(M, dtype=float, order="C")
+    M.setflags(write=False)
+    return M
+
+
 def _as_matrix(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    M = _frozen(M)
     if M.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {M.shape}")
     return M
@@ -209,6 +222,11 @@ class LinearSystem:
         """Eigenvalues of A, computed on first use and shared by every caller."""
         return np.linalg.eigvals(self.A)
 
+    @cached_property
+    def noise_factor(self) -> np.ndarray:
+        """N = C Sigma_S^(1/2), read-only: the plant noise C w is N z with z standard normal."""
+        return _frozen(self.C @ psd_sqrt(self.Sigma_S))
+
     def noise_gram(self) -> np.ndarray:
         """C' Sigma_S C, the per-step covariance injected into the estimate error."""
         G = self.C.T @ self.Sigma_S @ self.C
@@ -236,15 +254,15 @@ class CostModel:
 
 @record
 class Problem:
-    """A plant, its cost model, and the known initial state."""
+    """A plant, its cost model, and the known initial state (a read-only vector, zero when not given)."""
 
     sys: LinearSystem
     cost: CostModel
     x0: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        x0 = np.zeros(self.sys.q) if self.x0 is None else np.asarray(self.x0, dtype=float).ravel()
-        object.__setattr__(self, "x0", x0)
+        x0 = np.zeros(self.sys.q) if self.x0 is None else np.asarray(self.x0, dtype=float)
+        object.__setattr__(self, "x0", _frozen(x0 if x0.ndim == 1 else x0.ravel()))
 
     @property
     def q(self) -> int:
@@ -266,11 +284,13 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a finite entry near the float limit may overflow in a test
 def validate(problem: Problem) -> list[Violation]:
     """Check every standing assumption; an empty list means the problem is valid.
 
     Checks are independent and run in a fixed order, so repeated calls return
     the same list. Codes are stable strings intended for machine consumption.
+    A finite matrix that numpy cannot decompose is reported as decomposition_failed.
     """
     sys, cost = problem.sys, problem.cost
     out: list[Violation] = []
@@ -293,21 +313,20 @@ def validate(problem: Problem) -> list[Violation]:
         out.append(Violation("Sigma_S_shape", f"Sigma_S has shape {sys.Sigma_S.shape}, expected ({q}, {q})"))
 
     if sys.Sigma_S.shape == (q, q) and "Sigma_S" not in non_finite:
-        if not is_psd(sys.Sigma_S):
-            out.append(Violation("Sigma_S_not_psd", "Sigma_S is not symmetric positive semi-definite"))
-        if sys.C.shape == (q, q) and "C" not in non_finite and not is_pd(sys.noise_gram()):
-            out.append(Violation("noise_gram_not_pd", "C'Sigma_S C is not positive definite"))
+        out += _definite(is_psd, "Sigma_S", sys.Sigma_S, "Sigma_S_not_psd", "symmetric positive semi-definite")
+        if sys.C.shape == (q, q) and "C" not in non_finite:
+            out += _definite(is_pd, "C'Sigma_S C", sys.noise_gram(), "noise_gram_not_pd", "positive definite")
 
     if cost.Q.shape != (q, q):
         out.append(Violation("Q_shape", f"Q has shape {cost.Q.shape}, expected ({q}, {q})"))
-    elif "Q" not in non_finite and not is_psd(cost.Q):
-        out.append(Violation("Q_not_psd", "Q is not symmetric positive semi-definite"))
+    elif "Q" not in non_finite:
+        out += _definite(is_psd, "Q", cost.Q, "Q_not_psd", "symmetric positive semi-definite")
 
     p = sys.p
     if cost.R.shape != (p, p):
         out.append(Violation("R_shape", f"R has shape {cost.R.shape}, expected ({p}, {p})"))
-    elif "R" not in non_finite and not is_pd(cost.R):
-        out.append(Violation("R_not_pd", "R is not positive definite"))
+    elif "R" not in non_finite:
+        out += _definite(is_pd, "R", cost.R, "R_not_pd", "positive definite")
 
     if not (0.0 < cost.beta < 1.0):
         out.append(Violation("beta_range", f"discount beta={cost.beta} must lie in (0, 1)"))
@@ -317,12 +336,24 @@ def validate(problem: Problem) -> list[Violation]:
     if problem.x0.shape != (q,):
         out.append(Violation("x0_shape", f"x0 has shape {problem.x0.shape}, expected ({q},)"))
 
-    # The PBH test needs finite A, B and Q of the right shapes, a PSD Q and beta in (0, 1).
+    # The PBH test needs finite A, B and Q of the right shapes, a decomposable PSD Q and beta in (0, 1).
+    failed = {"Q_not_psd", "decomposition_failed"} & {v.code for v in out}
     if (sys.B.shape[0] == q and cost.Q.shape == (q, q) and 0.0 < cost.beta < 1.0
-            and not {"A", "B", "Q"} & set(non_finite) and "Q_not_psd" not in {v.code for v in out}):
-        out += _pbh(sys, cost.Q, cost.beta)
+            and not {"A", "B", "Q"} & set(non_finite) and not failed):
+        try:
+            out += _pbh(sys, cost.Q, cost.beta)
+        except np.linalg.LinAlgError as e:
+            out.append(Violation("decomposition_failed", f"A could not be decomposed in the PBH test ({e})"))
 
     return out
+
+
+def _definite(test, name: str, M: np.ndarray, code: str, what: str) -> list[Violation]:
+    """[] when test(M) holds, else the violation that M is not ``what``; so is a decomposition of M that fails."""
+    try:
+        return [] if test(M) else [Violation(code, f"{name} is not {what}")]
+    except np.linalg.LinAlgError as e:
+        return [Violation("decomposition_failed", f"{name} could not be decomposed ({e})")]
 
 
 def _rank_deficient(M: np.ndarray) -> bool:

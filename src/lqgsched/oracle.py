@@ -17,7 +17,7 @@ from dataclasses import field
 
 import numpy as np
 
-from .model import CostModel, LinearSystem, psd_sqrt, record
+from .model import CostModel, LinearSystem, record
 from .policy import PolicySolution, f_value, h_value, optimal_period
 from .riccati import AreSolution, NonConvergence, dare_solve, dlyap_adjoint, finite_riccati, spectral_radius
 
@@ -197,8 +197,6 @@ def inner_dp_check(
         gains.append(np.linalg.solve((S + S.T) / 2.0, beta * (B.T @ Lt @ A)))
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    noise_sqrt = psd_sqrt(sys.Sigma_S)
-    N_mat = C @ noise_sqrt
     X = np.tile(x, (n_mc, 1))
     Xhat = X.copy()
     totals = np.zeros(n_mc)
@@ -207,7 +205,7 @@ def inner_dp_check(
         totals += beta**t * (
             np.einsum("ij,jk,ik->i", X, cost.Q, X) + np.einsum("ij,jk,ik->i", U, cost.R, U)
         )
-        W = rng.standard_normal((n_mc, sys.q)) @ N_mat.T
+        W = rng.standard_normal((n_mc, sys.q)) @ sys.noise_factor.T
         X = X @ A.T + U @ B.T + W
         Xhat = Xhat @ A.T + U @ B.T
     totals += beta**T * (np.einsum("ij,jk,ik->i", X, P, X) + r + O)

@@ -18,7 +18,9 @@ their limit gives W_inf, E[inf] and the threshold S(inf), itself a block's
 S, so every price below it has a finite T*. The value offset r solves
 r = min_T f(T, r) and is read off the sums per case (the oracle module
 iterates it by brute force). A sweep shares one Riccati solve and one table,
-which lives only for the solve: a PolicySolution keeps W_inf and two numbers.
+which lives only for the solve: a PolicySolution keeps W_inf and two numbers
+beside its records, whose read-only arrays the controller and the simulator
+multiply by directly (sys.A, sys.B and are.minus_K).
 
 Covariance convention: P_t follows the adjoint recursion P_{t+1} = A' P_t A + G
 (error_cov_seq builds these matrices; the tests check the table against it).
@@ -32,11 +34,10 @@ import math
 from dataclasses import field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import CostModel, LinearSystem, psd_sqrt, record
+from .model import CostModel, LinearSystem, _frozen, record
 from .riccati import (DOUBLING_STEPS, AreSolution, NonConvergence, UnstableA, _check_lyapunov, _converged,
                       _require_schur_stable, dare_solve)
 
@@ -59,7 +60,8 @@ class MeasureCase(Enum):
     NEVER_MEASURE = "never_measure"
 
 
-class _Span(NamedTuple):
+@record
+class _Span:
     """n phases: An = A^n, b = beta^n, c = sum_{k<n} beta^k, sums = (W_n, Y_n, Ehat_n) and their traces with phi.
 
     Each trace has the bits of np.trace(X @ phi), so S(1) is exactly Tr(G phi)."""
@@ -177,43 +179,6 @@ class PolicySolution:
         if self.period == 1:
             return MeasureCase.MEASURE_EVERY_STEP
         return MeasureCase.FINITE_PERIOD
-
-    @cached_property
-    def _loop(self) -> _ClosedLoop:
-        """The closed-loop operands of this policy, built on first use and shared by every caller."""
-        return _closed_loop(self.sys, self)
-
-
-def _frozen(M: np.ndarray) -> np.ndarray:
-    """A C-contiguous, read-only copy of M."""
-    M = np.array(M, dtype=float, order="C")
-    M.setflags(write=False)
-    return M
-
-
-@record
-class _ClosedLoop:
-    """What the controller and the simulator multiply by: C-contiguous, read-only copies.
-
-    The online step and the packet propagate x_hat <- A x_hat + B u and apply
-    u = minus_K x_hat. The batch rollout keeps one run per column and makes
-    the same products on its matrix of runs, adding the noise N z with
-    N = C Sigma_S^{1/2}; on a single run they are the very BLAS calls of the
-    online step.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    minus_K: np.ndarray
-    N: np.ndarray
-
-
-def _closed_loop(sys: LinearSystem, ps: PolicySolution) -> _ClosedLoop:
-    """The plant ``sys`` closed by the gain of ``ps``."""
-    return _ClosedLoop(
-        A=_frozen(sys.A), B=_frozen(sys.B), minus_K=_frozen(-ps.are.K),
-        N=_frozen(sys.C @ psd_sqrt(sys.Sigma_S)),
-    )
 
 
 def error_cov_seq(sys: LinearSystem, T: int) -> np.ndarray:

@@ -12,10 +12,11 @@ raises LinAlgError unless it is positive definite. Only numpy is needed at run t
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
-from .model import CostModel, LinearSystem, record
+from .model import CostModel, LinearSystem, _frozen, record
 
 __all__ = [
     "AreSolution",
@@ -51,7 +52,7 @@ class UnstableA(ValueError):
 
 @record
 class AreSolution:
-    """Fixed point of the discounted Riccati map with derived matrices.
+    """Fixed point of the discounted Riccati map with derived matrices, each read-only.
 
     P: value-weight matrix (symmetric positive definite).
     K: feedback gain, u = -K x_hat.
@@ -64,6 +65,11 @@ class AreSolution:
     phi: np.ndarray
     iterations: int
     residual: float
+
+    @cached_property
+    def minus_K(self) -> np.ndarray:
+        """-K, read-only, built on first use: the controller and the rollout apply u = minus_K x_hat exactly."""
+        return _frozen(-self.K)
 
 
 def _step(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,7 +129,7 @@ def dare_solve(sys: LinearSystem, cost: CostModel) -> AreSolution:
     if not residual <= DARE_RESIDUAL_TOL:
         raise NonConvergence(f"Riccati doubling ended at relative residual {residual:.3e}, above "
                              f"{DARE_RESIDUAL_TOL:.0e}; does the problem pass model.validate?", residual=residual)
-    return AreSolution(P=H, K=K, phi=phi, iterations=it, residual=residual)
+    return AreSolution(P=_frozen(H), K=_frozen(K), phi=_frozen(phi), iterations=it, residual=residual)
 
 
 def finite_riccati(

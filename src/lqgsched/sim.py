@@ -4,8 +4,8 @@ A ``Strategy`` is just a query period fixed in advance (the optimal trigger
 is state-independent and periodic too, with period T*), so one batched rollout,
 ``_rollout``, serves them all: Monte Carlo costs, the sampled error
 covariance and the single trajectory of every schedule, which is run 0 of
-the rollout. The rollout multiplies by the operands the solved policy
-prepares once.
+the rollout. It multiplies directly by the plant's read-only A, B and noise
+factor N = C Sigma_S^(1/2) and the policy's negated gain ``ps.are.minus_K``.
 
 Noise is drawn from numpy's PCG64 generator; run k of a Monte Carlo batch
 uses the substream seeded with ``seed + k`` whatever the chunking, so any
@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .model import CostModel, Problem, record
-from .policy import PolicySolution, _closed_loop
+from .policy import PolicySolution
 
 __all__ = [
     "Strategy",
@@ -200,9 +200,7 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     ``_CHUNK_VALUES`` values (at least one run's block), so memory does not
     grow with ``steps``.
     """
-    # the plant is normally the policy's own model; another plant gets its own operands
-    loop = ps._loop if problem.sys is ps.sys else _closed_loop(problem.sys, ps)
-    A, B, minus_K, N = loop.A, loop.B, loop.minus_K, loop.N
+    A, B, N, minus_K = problem.sys.A, problem.sys.B, problem.sys.noise_factor, ps.are.minus_K
     q = problem.q
     measure = np.zeros(steps, dtype=bool)
     measure[strategy.measure_times(ps, steps)] = True  # never step 0: it is free

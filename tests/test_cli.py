@@ -185,20 +185,24 @@ def _write(tmp_path, name, text):
 
 def _bad_problem_files(tmp_path):
     with open(SYS1) as fh:
-        d = json.load(fh)
+        text = fh.read()
+    d = json.loads(text)
     del d["B"]
+    deep = "[" * 100_000 + "]" * 100_000  # json.load raises RecursionError
     return {
         "missing file": str(tmp_path / "absent.json"),
         "malformed json": _write(tmp_path, "malformed.json", "{\"A\": [[1.0]"),
         "missing key": _write(tmp_path, "no_B.json", json.dumps(d)),
+        "deeply nested": _write(tmp_path, "nested.json", "[" * 100_000),
+        "deep x0": _write(tmp_path, "deep_x0.json", text.replace("[20.0, -15.0, 10.0]", deep)),
     }
 
 
-@pytest.mark.parametrize("case", ["missing file", "malformed json", "missing key", "list"])
+@pytest.mark.parametrize("case", ["missing file", "malformed json", "missing key", "deeply nested", "deep x0", "list"])
 def test_load_problem_raises_problem_file_error(tmp_path, case):
     files = {**_bad_problem_files(tmp_path), "list": _write(tmp_path, "list.json", "[1.0, 2.0]")}
     causes = {"missing file": FileNotFoundError, "malformed json": json.JSONDecodeError,
-              "missing key": KeyError, "list": TypeError}
+              "missing key": KeyError, "deeply nested": RecursionError, "deep x0": RecursionError, "list": TypeError}
     with pytest.raises(ProblemFileError) as info:
         load_problem(files[case])
     assert isinstance(info.value.__cause__, causes[case])
@@ -215,7 +219,7 @@ COMMANDS = [
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
-@pytest.mark.parametrize("case", ["missing file", "malformed json", "missing key"])
+@pytest.mark.parametrize("case", ["missing file", "malformed json", "missing key", "deeply nested", "deep x0"])
 def test_bad_problem_file_exits_2(tmp_path, capsys, command, fmt, case):
     path = _bad_problem_files(tmp_path)[case]
     code, out, err = run(capsys, command[0], "--problem", path, *command[1:], "--format", fmt)
@@ -450,6 +454,34 @@ def test_non_finite_input_exits_2(tmp_path, capsys, case, fmt):
         assert out == "" and err.startswith("validation failed:") and "non_finite" in err
 
 
+def _undecomposable_case(tmp_path, case):
+    with open(SYS1) as fh:
+        d = json.load(fh)
+    if case == "huge A":
+        d["A"] = [[1e308] * 3 for _ in range(3)]
+    else:
+        d["Q"] = (1e308 * np.eye(3)).tolist()
+    return _write(tmp_path, "undecomposable.json", json.dumps(d))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+@pytest.mark.parametrize("case", ["huge A", "huge Q"])
+def test_undecomposable_input_exits_2(tmp_path, capsys, case, command, fmt):
+    # finite, but numpy's SVD (huge A) or eigvalsh (huge Q) does not converge: a violation, not a LinAlgError
+    path = _undecomposable_case(tmp_path, case)
+    code, out, err = run(capsys, command[0], "--problem", path, *command[1:], "--format", fmt)
+    assert code == 2
+    matrix = case.split()[1]
+    if fmt == "json":
+        doc = json.loads(out)["error"]
+        assert doc["code"] == "validation"
+        assert [v["code"] for v in doc["violations"]] == ["decomposition_failed"]
+        assert doc["violations"][0]["message"].startswith(f"{matrix} could not be decomposed")
+    else:
+        assert out == "" and err.startswith(f"validation failed:\n  decomposition_failed: {matrix} could not be")
+
+
 def test_sweep_needs_range(capsys):
     code, _, err = run(capsys, "sweep", "--problem", SYS1)
     assert code == 2
@@ -523,7 +555,11 @@ TABULATES = "a sweep tabulates at most 100000 and at least 1"
     (("--O-min", "10", "--O-max", "5", "--O-log", "3"), ORDER),
     (("--O-min", "1", "--O-max", "10", "--O-log", "0"), "--O-log asks for 0 prices; " + TABULATES),
     (("--O-min", "1", "--O-max", "10", "--O-log", "-2"), "--O-log asks for -2 prices; " + TABULATES),
-], ids=["negative", "reversed", "log-reversed", "log-empty", "log-negative"])
+    (("--O-min", "0", "--O-max", "10", "--O-log", "5"), "--O-min must be positive for a log sweep"),
+    (("--O-min", "0", "--O-max", "10", "--O-step", "0"), "--O-step must be positive"),
+    (("--O-min", "0", "--O-max", "10", "--O-step", "-1"), "--O-step must be positive"),
+], ids=["negative", "reversed", "log-reversed", "log-empty", "log-negative", "log-from-zero", "step-zero",
+        "step-negative"])
 def test_sweep_rejects_negative_or_empty_grid(capsys, grid, message):
     # a negative price would solve as T* = 1, and the other grids tabulate no price at all
     code, out, _ = run(capsys, "sweep", "--problem", SYS1, *grid, "--format", "json")

@@ -1,3 +1,5 @@
+import importlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,8 @@ from conftest import (
     random_admissible_with_finite_T,
     random_stable_plant,
 )
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def drive_plant(ps, x0, H, seed=0):
@@ -243,11 +247,22 @@ def test_online_equals_packet_chain_q50():
 
 
 def test_closed_loop_operands_are_shared_and_read_only(ps1_O10):
-    loop = ps1_O10._loop
-    assert ps1_O10._loop is loop  # built once per solved policy
-    assert np.array_equal(loop.minus_K, -ps1_O10.are.K)
-    for M in (loop.A, loop.B, loop.minus_K, loop.N):
+    sys, are = ps1_O10.sys, ps1_O10.are
+    minus_K = are.minus_K
+    assert are.minus_K is minus_K and sys.noise_factor is sys.noise_factor  # built once per record
+    assert np.array_equal(minus_K, -are.K)
+    for M in (sys.A, sys.B, sys.noise_factor, minus_K, are.K):
         assert M.flags.c_contiguous
         with pytest.raises(ValueError):
             M[0, 0] = 0.0
-    assert ps1_O10.are.K.flags.writeable  # the copies leave the solved gain alone
+    assert not are.K.flags.writeable  # the solved gain is read-only too
+
+
+@pytest.mark.parametrize("config, O, T_star", [("sys1.json", 10.0, 6), ("sys2.json", 7.0, None)])
+def test_benchmark_online_session_agrees_with_packets(monkeypatch, config, O, T_star):
+    # the benchmark rejects a run whose online session disagrees with make_packet; catch that here first
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    online = importlib.import_module("online")
+    result = online.run_session(os.path.join(ROOT, "configs", config), O, 300, 7)
+    assert (result["steps"], result["T_star"], result["mismatches"]) == (300, T_star, 0)
+    assert result["windows"] == (1 + (300 - 1) // T_star if T_star else 1)

@@ -20,9 +20,11 @@ from lqgsched import (
     validate,
     value_at,
 )
-from lqgsched.model import psd_sqrt
+from lqgsched.model import _frozen, psd_sqrt
+from lqgsched.policy import _PhaseTable, _solve_prices
+from lqgsched.riccati import dare_solve
 
-from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, make_problem, random_stable_plant
+from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, make_problem, random_stable_plant
 
 
 def codes(problem):
@@ -157,7 +159,8 @@ RECORDS = sorted({obj for name in ("model", "riccati", "policy", "controller", "
 def samples(sys1_O10, ps1_O10):
     """One instance of every record, most of them from a solve and a short simulation of sys1."""
     oracle = solve_r_fixed_point(sys1_O10.sys, sys1_O10.cost, T_max=20, are=ps1_O10.are)
-    found = [sys1_O10, sys1_O10.sys, sys1_O10.cost, ps1_O10, ps1_O10.are, ps1_O10._loop,
+    span = _PhaseTable(sys1_O10.sys, sys1_O10.cost.beta, ps1_O10.are).at(3)
+    found = [sys1_O10, sys1_O10.sys, sys1_O10.cost, ps1_O10, ps1_O10.are, span,
              value_at(ps1_O10, sys1_O10.x0), make_packet(sys1_O10.x0, ps1_O10), Violation("Q_not_psd", "Q is bad"),
              Strategy(3), SimConfig(), simulate(sys1_O10, ps1_O10, SimConfig(horizon=5)), oracle,
              InnerDpReport(1.0, 2.0, 3.0, 0.5), ProbeReport(-1.0, {"wait_5": -1.0}),
@@ -273,3 +276,96 @@ def test_record_post_init_coerces_and_validates():
 def test_record_rejects_bad_arguments(make):
     with pytest.raises(TypeError):
         make()
+
+
+def test_record_keeps_its_arrays_when_the_caller_writes_to_its_own():
+    # validate caches the eigenvalues of A; a later write to the caller's A must not make them stale
+    A, Bcol, x0 = np.diag([0.5, 0.5]), np.array([[1.0], [0.0]]), np.array([1.0, 2.0])
+    sys = LinearSystem(A=A, B=Bcol, C=np.eye(2), Sigma_S=np.eye(2))
+    problem = Problem(sys, CostModel(Q=np.eye(2), R=[[1.0]], beta=0.95, O=1.0), x0)
+    assert validate(problem) == []
+    A[1, 1], x0[0] = 1.5, 9.0
+    assert sys.A[1, 1] == 0.5 and problem.x0[0] == 1.0
+    assert validate(problem) == []
+    assert dare_solve(sys, problem.cost).residual <= 1e-6
+    # the written array is a plant that B cannot stabilize
+    fresh = Problem(LinearSystem(A=A, B=Bcol, C=np.eye(2), Sigma_S=np.eye(2)), problem.cost)
+    assert codes(fresh) == ["not_stabilizable"]
+
+
+@pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])
+def test_record_arrays_are_c_contiguous_and_read_only(layout):
+    make = {"transposed": lambda M: M.T.copy().T, "fortran": np.asfortranarray,
+            "strided": lambda M: np.repeat(M, 2, axis=-1)[..., ::2]}[layout]
+    sys = LinearSystem(A=make(A1), B=make(B), C=make(C3), Sigma_S=make(SIGMA))
+    cost = CostModel(Q=make(Q3), R=make(R2), beta=BETA, O=1.0)
+    problem = Problem(sys, cost, make(X0))
+    assert not make(A1).flags.c_contiguous
+    for M, expected in ((sys.A, A1), (sys.B, B), (sys.C, C3), (sys.Sigma_S, SIGMA), (cost.Q, Q3), (cost.R, R2),
+                        (problem.x0, X0)):
+        assert M.flags.c_contiguous and M.flags.owndata and not M.flags.writeable
+        assert M.dtype == np.float64 and np.array_equal(M, expected)
+        with pytest.raises(ValueError):
+            M[0] = 0.0
+
+
+def test_frozen_keeps_a_frozen_array_and_copies_any_other():
+    M = _frozen(Q3)
+    assert M is not Q3 and Q3.flags.writeable  # the caller's array is copied, not frozen in place
+    assert _frozen(M) is M
+    view = M[:, :]
+    assert not view.flags.writeable and _frozen(view) is not view  # a view does not own its data
+    base = np.eye(3)
+    ro_view = base.view()
+    ro_view.setflags(write=False)
+    assert _frozen(ro_view) is not ro_view  # its base is still writable
+    assert _frozen(np.eye(3, dtype=np.float32)).dtype == np.float64
+
+
+def test_per_price_cost_models_share_Q_and_R(sys1_O10):
+    cost = sys1_O10.cost
+    solutions = _solve_prices(sys1_O10.sys, cost, [1.0, 10.0, 100.0])
+    assert all(ps.cost.Q is cost.Q and ps.cost.R is cost.R for ps in solutions)
+    assert all(ps.sys is sys1_O10.sys for ps in solutions)
+    assert dataclasses.replace(cost, O=5.0).Q is cost.Q
+    assert dataclasses.replace(sys1_O10).x0 is sys1_O10.x0
+
+
+def test_dare_solve_returns_read_only_matrices(ps1_O10):
+    # K and minus_K: test_closed_loop_operands_are_shared_and_read_only
+    for M in (ps1_O10.are.P, ps1_O10.are.phi):
+        assert M.flags.c_contiguous and not M.flags.writeable
+
+
+def _bad_shape(case):
+    sys = {"A": A1, "B": B, "C": C3, "Sigma_S": SIGMA}
+    cost = {"Q": Q3, "R": R2}
+    if case == "B_cols":
+        sys["B"], cost["R"] = np.hstack([B, B]), 0.2 * np.eye(4)
+    elif case == "C_shape":
+        sys["C"] = np.eye(3, 2)
+    elif case == "Sigma_S_shape":
+        sys["Sigma_S"] = 0.08 * np.eye(2)
+    elif case == "Q_shape":
+        cost["Q"] = 0.1 * np.eye(2)
+    elif case == "R_shape":
+        cost["R"] = 0.2 * np.eye(3)
+    elif case == "Sigma_S_indefinite":
+        sys["Sigma_S"] = np.diag([0.08, -0.08, 0.08])
+    else:  # Sigma_S_asymmetric
+        sys["Sigma_S"] = SIGMA + np.triu(np.full((3, 3), 0.01), 1)
+    return Problem(LinearSystem(**sys), CostModel(**cost, beta=BETA, O=1.0), X0)
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("B_cols", ["B_cols"]),
+    ("C_shape", ["C_shape"]),
+    ("Sigma_S_shape", ["Sigma_S_shape"]),
+    ("Q_shape", ["Q_shape"]),
+    ("R_shape", ["R_shape"]),
+    ("Sigma_S_indefinite", ["Sigma_S_not_psd", "noise_gram_not_pd"]),
+    ("Sigma_S_asymmetric", ["Sigma_S_not_psd"]),
+])
+def test_shape_and_noise_violations(case, expected):
+    assert codes(_bad_shape(case)) == expected
+
