@@ -4,7 +4,8 @@ Problem files are JSON with row-major nested arrays for matrices and plain
 floats elsewhere; numbers are emitted in shortest round-trip decimal form so
 a file written by the tool re-parses to the identical problem. Exit codes:
 0 success, 2 validation failure (an unreadable problem file or an
-unwritable --out path included), 3 solver non-convergence, 4 verification
+unwritable --out path included), 3 solver non-convergence or a result that
+overflowed (no command prints a NaN or an infinity), 4 verification
 failure; main reports every failure the same way. Set LQGSCHED_OUT_DIR to
 prefix relative --out paths.
 """
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import math
 import os
 import sys as _sys
 from decimal import Decimal
@@ -125,6 +127,27 @@ class _Failure(Exception):
         self.code, self.payload, self.human = code, payload, human
 
 
+def _finite(value) -> bool:
+    """False when value holds a NaN or an infinity, in dicts, lists and arrays too; None, str and int are finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return True
+    return all(map(_finite, value))
+
+
+def _require_finite(doc: dict, where: str = "") -> None:
+    """Exit 3 with code overflow, naming the first entry of doc that is not finite, before anything is written."""
+    key = next((k for k, v in doc.items() if not _finite(v)), None)
+    if key is not None:
+        message = f"{key}{where} is not a finite number: the result overflowed the float range"
+        raise _Failure(EXIT_CONVERGENCE, {"code": "overflow", "message": message}, message)
+
+
 def _read_problem(path: str, O_override: float | None = None) -> Problem:
     try:
         return load_problem(path, O_override)
@@ -163,8 +186,10 @@ def cmd_solve(args) -> int:
         "never_measure_threshold": ps.never_threshold,
         "W_infinity": ps.W_inf,
     }
+    _require_finite(doc)
     if args.format == "json":  # T_star is null for a schedule that never measures
-        text = json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}, indent=2)
+        text = json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}, indent=2,
+                          allow_nan=False)
     else:  # T_star is inf, and a schedule with no threshold has no line for it or for W_infinity
         text = "\n".join(_text_entry(k, v) for k, v in doc.items() if v is not None or k == "T_star")
     _emit(args.out, lambda fh: fh.write(text + "\n"))
@@ -217,9 +242,10 @@ def cmd_sweep(args) -> int:
             saving -= beta**T * O / (1.0 - beta**T)
         rows.append({"O": O, "T_star": T or None, "r": ps.r, "V": vals.V, "V_s": vals.V_s, "V_e": vals.V_e,
                      "saving": saving, "V_reported": vals.V_reported, "V_s_reported": vals.V_s_reported})
+        _require_finite(rows[-1], f" at O = {O!r}")
 
     if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     else:
         header = "O,T_star,r,V,V_s,V_e,saving,V_reported,V_s_reported"
         lines = [",".join("inf" if v is None else repr(v) for v in row.values()) for row in rows]
@@ -267,9 +293,11 @@ def cmd_simulate(args) -> int:
     if mc is not None:
         summary["mc_mean"], summary["mc_std_error"] = mc
         summary["n_runs"] = args.runs
+    # the realized cost sums x'Qx + u'Ru over the trajectory, so an overflowed state or control shows in it
+    _require_finite(summary)
 
     # the summary goes to stdout when the CSV went to a file, and to stderr when the CSV took stdout
-    (_sys.stdout if _emit(args.out, rec.write_csv) else _sys.stderr).write(json.dumps(summary) + "\n")
+    (_sys.stdout if _emit(args.out, rec.write_csv) else _sys.stderr).write(json.dumps(summary, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -288,7 +316,8 @@ def cmd_verify(args) -> int:
     }
     if report.grid_capped_note:
         doc["note"] = report.grid_capped_note
-    _emit(args.out, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
+    _require_finite(doc)
+    _emit(args.out, lambda fh: fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n"))
     if not report.passed:
         _sys.stderr.write("verification failed: " + ", ".join(report.failures()) + "\n")
         return EXIT_VERIFICATION
@@ -349,7 +378,7 @@ def main(argv=None) -> int:
     except NonConvergence as e:
         failure = _Failure(EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
     if args.format == "json":
-        _sys.stdout.write(json.dumps({"error": failure.payload}) + "\n")
+        _sys.stdout.write(json.dumps({"error": failure.payload}, allow_nan=False) + "\n")
     else:
         _sys.stderr.write(failure.human + "\n")
     return failure.code

@@ -18,7 +18,6 @@ record of the package, these containers included, is declared with
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
-from functools import cached_property
 from reprlib import recursive_repr
 
 import numpy as np
@@ -139,6 +138,30 @@ def record(cls):
     return cls
 
 
+class _cached:
+    """Like functools.cached_property, but the value is stored with object.__setattr__, not into ``__dict__``.
+
+    Asking for ``__dict__`` makes CPython build a dict for the instance, and
+    its fields, such as the ``sys.A`` of every controller step, are then
+    loaded by a dict lookup. Stored this way, the value joins the instance's
+    inline attributes, the fields keep their faster loads, and later reads
+    of the value find it without calling the descriptor.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def _frozen(M) -> np.ndarray:
     """M if it is a C-contiguous, read-only float64 array that owns its data (records share it), else such a copy."""
     if (type(M) is np.ndarray and M.dtype == np.float64 and M.flags.c_contiguous and M.flags.owndata
@@ -217,12 +240,12 @@ class LinearSystem:
     def p(self) -> int:
         return self.B.shape[1]
 
-    @cached_property
+    @_cached
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of A, computed on first use and shared by every caller."""
         return np.linalg.eigvals(self.A)
 
-    @cached_property
+    @_cached
     def noise_factor(self) -> np.ndarray:
         """N = C Sigma_S^(1/2), read-only: the plant noise C w is N z with z standard normal."""
         return _frozen(self.C @ psd_sqrt(self.Sigma_S))

@@ -12,7 +12,6 @@ raises LinAlgError unless it is positive definite. Only numpy is needed at run t
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +57,8 @@ class AreSolution:
     K: feedback gain, u = -K x_hat.
     phi: sensitivity of the cost to estimation-error covariance,
          phi = A'PB beta (R + beta B'PB)^{-1} beta B'PA.
+    minus_K: -K, set at construction (not a field): the controller and the
+         rollout apply u = minus_K x_hat exactly.
     """
 
     P: np.ndarray
@@ -66,10 +67,9 @@ class AreSolution:
     iterations: int
     residual: float
 
-    @cached_property
-    def minus_K(self) -> np.ndarray:
-        """-K, read-only, built on first use: the controller and the rollout apply u = minus_K x_hat exactly."""
-        return _frozen(-self.K)
+    def __post_init__(self):
+        # an instance attribute with no class attribute of its name: CPython specializes its load in every step
+        object.__setattr__(self, "minus_K", _frozen(-self.K))
 
 
 def _step(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

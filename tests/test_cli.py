@@ -621,6 +621,46 @@ def test_bounded_sums_above_the_price_exit_3(capsys, tmp_path):
     assert "is still at or below O = 1e+30 at T = 2^128" in err
 
 
+@pytest.fixture
+def huge_x0(tmp_path):
+    """sys1 started at x0 = [1e200, 0, 0], where x0'P x0 overflows to inf."""
+    path = str(tmp_path / "huge_x0.json")
+    save_problem(dataclasses.replace(load_problem(SYS1), x0=[1e200, 0.0, 0.0]), path)
+    return path
+
+
+OVERFLOW = "is not a finite number: the result overflowed the float range"
+
+
+def _overflow_reported(fmt, out, err, message):
+    if fmt == "json":
+        return json.loads(out) == {"error": {"code": "overflow", "message": message}} and err == ""
+    return (out, err) == ("", message + "\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the warning is left as it is
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_exits_3_instead_of_printing_inf(capsys, huge_x0, fmt):
+    # JSON has no token for an infinity, and a value of inf is no answer in the text report either
+    code, out, err = run(capsys, "solve", "--problem", huge_x0, "--O", "10", "--format", fmt)
+    assert code == 3
+    assert _overflow_reported(fmt, out, err, f"V {OVERFLOW}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sweep_and_simulate_exit_3_before_writing_inf(capsys, tmp_path, huge_x0, fmt):
+    out_file = tmp_path / "kept.txt"
+    out_file.write_text("before\n")
+    sweep = ["sweep", "--O-min", "1", "--O-max", "3", "--O-step", "1"]
+    simulate = ["simulate", "--O", "10", "--horizon", "20"]
+    for argv, message in ((sweep, f"V at O = 1.0 {OVERFLOW}"), (simulate, f"realized_discounted_cost {OVERFLOW}")):
+        code, out, err = run(capsys, *argv, "--problem", huge_x0, "--format", fmt, "--out", str(out_file))
+        assert code == 3, argv[0]
+        assert _overflow_reported(fmt, out, err, message), argv[0]
+        assert out_file.read_text() == "before\n"
+
+
 def test_verify_reports_overflow_of_the_oracle_grid(capsys):
     # the oracle's explicit powers of A overflow on its 4 T* grid; the first r is NaN
     with warnings.catch_warnings():

@@ -15,6 +15,7 @@ from lqgsched import (
     optimal_period,
     step_decide,
 )
+from lqgsched.cli import save_problem
 from lqgsched.model import psd_sqrt
 
 from conftest import (
@@ -258,11 +259,63 @@ def test_closed_loop_operands_are_shared_and_read_only(ps1_O10):
     assert not are.K.flags.writeable  # the solved gain is read-only too
 
 
-@pytest.mark.parametrize("config, O, T_star", [("sys1.json", 10.0, 6), ("sys2.json", 7.0, None)])
-def test_benchmark_online_session_agrees_with_packets(monkeypatch, config, O, T_star):
+def _read_only(v):
+    v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
+# Every way of giving a vector that step_decide converts with np.asarray(c, dtype=float).ravel().
+VECTOR_FORMS = {
+    "list": lambda v: v.tolist(),
+    "tuple": lambda v: tuple(v.tolist()),
+    "column": lambda v: v.reshape(-1, 1),
+    "int": lambda v: np.round(100.0 * v).astype(int),
+    "float32": lambda v: v.astype(np.float32),
+    "strided": lambda v: np.repeat(v, 3)[::3],
+    "read_only": _read_only,
+}
+
+
+def _same_step(a, b):
+    (i_a, u_a, s_a), (i_b, u_b, s_b) = a, b
+    return (i_a, u_a.dtype, u_a.tobytes(), s_a.m, s_a.t, s_a.x_bar.dtype, s_a.x_bar.tobytes()) == (
+        i_b, u_b.dtype, u_b.tobytes(), s_b.m, s_b.t, s_b.x_bar.dtype, s_b.x_bar.tobytes())
+
+
+@pytest.mark.parametrize("form", VECTOR_FORMS)
+def test_other_control_forms_give_the_same_bits(ps1_O10, form):
+    # a 1-D float64 array goes to B.dot as given; every other form is converted first, to the same bits
+    ps = ps1_O10
+    _, u0, state = step_decide(initial_state(ps, X0), X0, ps, None)
+    u = np.array([0.3141592653589793, -2.718281828459045]) * u0
+    given = VECTOR_FORMS[form](u)
+    x_bar = state.x_bar.copy()
+    step = step_decide(state, None, ps, given)
+    assert _same_step(step, step_decide(state, None, ps, np.asarray(given, dtype=float).ravel()))
+    assert np.array_equal(state.x_bar, x_bar)  # B u is added into the new estimate, never into the old one
+
+
+@pytest.mark.parametrize("form", VECTOR_FORMS)
+def test_other_measurement_forms_give_the_same_bits(ps1_O10, form):
+    ps = ps1_O10
+    state = ControllerState(ps.period - 1, X0.copy(), ps.period)  # the trigger fires at this step
+    x = np.array([1.1, -2.3, 0.7]) * X0
+    given = VECTOR_FORMS[form](x)
+    step = step_decide(state, given, ps, None)
+    assert step[0] == 1
+    assert _same_step(step, step_decide(state, np.asarray(given, dtype=float).ravel(), ps, None))
+
+
+@pytest.mark.parametrize("config, O, T_star", [("sys1.json", 10.0, 6), ("sys2.json", 7.0, None), ("q50", 0.3, 4)])
+def test_benchmark_online_session_agrees_with_packets(monkeypatch, tmp_path, config, O, T_star):
     # the benchmark rejects a run whose online session disagrees with make_packet; catch that here first
+    path = os.path.join(ROOT, "configs", config)
+    if config == "q50":  # O is a fraction of the threshold; the in-place add and the out= products at BLAS sizes
+        problem, path = random_stable_plant(7), str(tmp_path / "q50.json")
+        O *= optimal_period(problem.sys, problem.cost).never_threshold
+        save_problem(problem, path)
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
-    online = importlib.import_module("online")
-    result = online.run_session(os.path.join(ROOT, "configs", config), O, 300, 7)
+    result = importlib.import_module("online").run_session(path, O, 300, 7)
     assert (result["steps"], result["T_star"], result["mismatches"]) == (300, T_star, 0)
     assert result["windows"] == (1 + (300 - 1) // T_star if T_star else 1)
