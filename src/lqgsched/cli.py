@@ -5,9 +5,9 @@ floats elsewhere; numbers are emitted in shortest round-trip decimal form so
 a file written by the tool re-parses to the identical problem. Exit codes:
 0 success, 2 validation failure (an unreadable problem file or an
 unwritable --out path included), 3 solver non-convergence or a result that
-overflowed (no command prints a NaN or an infinity), 4 verification
-failure; main reports every failure the same way. Set LQGSCHED_OUT_DIR to
-prefix relative --out paths.
+overflowed (no command prints a NaN, an infinity or a numpy warning), 4
+verification failure; main reports every failure the same way. Set
+LQGSCHED_OUT_DIR to prefix relative --out paths.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ def load_problem(path: str, O_override: float | None = None) -> Problem:
 
 
 def save_problem(problem: Problem, path: str) -> None:
+    """Write problem as strict JSON; an entry with a NaN or an infinity raises ValueError and leaves path untouched."""
     d = {
         "A": problem.sys.A.tolist(),
         "B": problem.sys.B.tolist(),
@@ -82,9 +83,12 @@ def save_problem(problem: Problem, path: str) -> None:
         "O": problem.cost.O,
         "x0": problem.x0.tolist(),
     }
+    bad = next((k for k, v in d.items() if not _finite(v)), None)
+    if bad is not None:  # JSON (RFC 8259) has no token for it
+        raise ValueError(f"{bad} has a NaN or infinite entry, which JSON cannot hold")
+    text = json.dumps(d, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(d, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _emit(out: str | None, write) -> bool:
@@ -140,12 +144,24 @@ def _finite(value) -> bool:
     return all(map(_finite, value))
 
 
+def _overflow(message: str) -> _Failure:
+    return _Failure(EXIT_CONVERGENCE, {"code": "overflow", "message": message}, message)
+
+
 def _require_finite(doc: dict, where: str = "") -> None:
     """Exit 3 with code overflow, naming the first entry of doc that is not finite, before anything is written."""
     key = next((k for k, v in doc.items() if not _finite(v)), None)
     if key is not None:
-        message = f"{key}{where} is not a finite number: the result overflowed the float range"
-        raise _Failure(EXIT_CONVERGENCE, {"code": "overflow", "message": message}, message)
+        raise _overflow(f"{key}{where} is not a finite number: the result overflowed the float range")
+
+
+def _reported():
+    """The floating-point state for computing reported figures.
+
+    main makes an overflow raise; a figure the command reports may overflow
+    to an infinity or a NaN instead, and _require_finite then names it.
+    """
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _read_problem(path: str, O_override: float | None = None) -> Problem:
@@ -173,6 +189,8 @@ def _solve_problem(problem: Problem):
 def cmd_solve(args) -> int:
     problem = _read_problem(args.problem, args.O)
     ps = _solve_problem(problem)
+    with _reported():
+        values = value_at(ps, problem.x0)
     doc = {
         "case": ps.case_id.value,
         "T_star": ps.period or None,
@@ -182,7 +200,7 @@ def cmd_solve(args) -> int:
         "K": ps.are.K,
         "phi": ps.are.phi,
         "eigenvalue_magnitudes": sorted(np.abs(problem.sys.eigenvalues).tolist(), reverse=True),
-        **dataclasses.asdict(value_at(ps, problem.x0)),
+        **dataclasses.asdict(values),
         "never_measure_threshold": ps.never_threshold,
         "W_infinity": ps.W_inf,
     }
@@ -236,10 +254,12 @@ def cmd_sweep(args) -> int:
     beta = cost.beta
     rows = []
     for ps in _solve_prices(problem.sys, cost, prices):
-        O, T, vals = ps.O, ps.period, value_at(ps, problem.x0)
-        saving = beta * O / (1.0 - beta)
-        if T:
-            saving -= beta**T * O / (1.0 - beta**T)
+        O, T = ps.O, ps.period
+        with _reported():
+            vals = value_at(ps, problem.x0)
+            saving = beta * O / (1.0 - beta)
+            if T:
+                saving -= beta**T * O / (1.0 - beta**T)
         rows.append({"O": O, "T_star": T or None, "r": ps.r, "V": vals.V, "V_s": vals.V_s, "V_e": vals.V_e,
                      "saving": saving, "V_reported": vals.V_reported, "V_s_reported": vals.V_s_reported})
         _require_finite(rows[-1], f" at O = {O!r}")
@@ -277,8 +297,9 @@ def cmd_simulate(args) -> int:
         raise _Failure(EXIT_VALIDATION, {"code": "bad_simulation", "message": str(e)}, str(e)) from e
     ps = _solve_problem(problem)
     try:
-        rec = simulate(problem, ps, cfg)
-        mc = monte_carlo_value(problem, ps, cfg) if cfg.n_runs > 1 else None
+        with _reported():
+            rec = simulate(problem, ps, cfg)
+            mc = monte_carlo_value(problem, ps, cfg) if cfg.n_runs > 1 else None
     except MemoryError as e:
         message = f"simulation too large: {e}"
         raise _Failure(EXIT_VALIDATION, {"code": "bad_simulation", "message": message}, message) from e
@@ -304,6 +325,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     problem = _read_problem(args.problem, args.O)
     ps = _solve_problem(problem)
+    if ps.finite:  # inner_collapse compares the window's cost from x0 with V(x0) = x0'P x0 + r
+        with _reported():
+            probe = value_at(ps, problem.x0).V
+        _require_finite({"the probe value x0'P x0 + r": probe})
     report = verify_solution(problem.sys, problem.cost, ps, x_probe=problem.x0)
     doc = {
         "passed": report.passed,
@@ -372,11 +397,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow, an invalid operation or a division by zero raises, so no numpy warning reaches stderr;
+        # the places that expect one (_reported, the phase table's joins, the oracle's powers) set their own state.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except _Failure as e:
         failure = e
     except NonConvergence as e:
         failure = _Failure(EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
+    except FloatingPointError as e:
+        failure = _overflow(f"{args.command} overflowed the float range: {e}")
     if args.format == "json":
         _sys.stdout.write(json.dumps({"error": failure.payload}, allow_nan=False) + "\n")
     else:

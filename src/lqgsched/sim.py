@@ -10,11 +10,13 @@ factor N = C Sigma_S^(1/2) and the policy's negated gain ``ps.are.minus_K``.
 Noise is drawn from numpy's PCG64 generator; run k of a Monte Carlo batch
 uses the substream seeded with ``seed + k`` whatever the chunking, so any
 single run can be reproduced bit-for-bit in isolation. Each run draws its
-noise a block of steps at a time (about ``_DRAW_VALUES`` values a draw; a
-substream drawn in pieces gives the same numbers as in one draw), and the
-rollout holds one block of one chunk of runs at a time (at most
-``_CHUNK_VALUES`` values), run-major, each run's draws written straight into
-its rows of the chunk buffer, so memory does not grow with the horizon.
+noise a block of steps at a time (about ``_DRAW_VALUES`` values a draw, or
+as few as a quarter of them in a job small enough for one chunk; a substream
+drawn in pieces gives the same numbers as in one draw), and the rollout holds
+one block of one chunk of runs at a time (at most ``_CHUNK_VALUES`` values,
+and at most ``_SMALL_CHUNK_VALUES`` in a one-chunk job), run-major, each
+run's draws written straight into its rows of the chunk buffer, so memory
+does not grow with the horizon.
 Monte Carlo costs and the sampled error covariance merge each chunk's
 moments into running totals, so memory does not grow with the number of
 runs (at most ``MAX_RUNS``) either, and ``TrajectoryRecord.write_csv``
@@ -183,6 +185,11 @@ _CHUNK_VALUES = 2**22
 # about 1.5 us on top of about 20 ns a value, so each call draws enough values
 # to hide that overhead; a run draws its noise a block of steps at a time.
 _DRAW_VALUES = 2048
+# Noise values the chunk of a job that fits in one chunk holds, where draws of
+# _DRAW_VALUES / 4 values or more allow it: 2**19 doubles (4 MB). A job of several
+# chunks keeps its block: its chunks hold _CHUNK_VALUES values whatever the block,
+# and a shorter block would resize them, which can change the products' last bits.
+_SMALL_CHUNK_VALUES = 2**19
 
 
 def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int, n_runs: int, steps: int):
@@ -198,7 +205,11 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     substream drawn in pieces gives the same numbers as in one draw), and a
     chunk holds the noise of one block of its runs, at most
     ``_CHUNK_VALUES`` values (at least one run's block), so memory does not
-    grow with ``steps``.
+    grow with ``steps``. A job whose runs all fit in one chunk at that block
+    shortens it, to no fewer than ``_DRAW_VALUES / 4`` values a draw, so that
+    the chunk holds at most ``_SMALL_CHUNK_VALUES`` values. The chunk and so
+    every product keep their shape, and every output its bits; a run only
+    makes more ``standard_normal`` calls.
     """
     A, B, N, minus_K = problem.sys.A, problem.sys.B, problem.sys.noise_factor, ps.are.minus_K
     q = problem.q
@@ -206,6 +217,8 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     measure[strategy.measure_times(ps, steps)] = True  # never step 0: it is free
 
     block = min(steps, -(-_DRAW_VALUES // q))
+    if n_runs * block * q <= _CHUNK_VALUES:  # one chunk
+        block = min(block, max(-(-(_DRAW_VALUES // 4) // q), _SMALL_CHUNK_VALUES // (n_runs * q)))
     # Chunks of equal size: a small remainder chunk would take BLAS's small-matrix
     # path, whose last bits differ from those of the full-size products.
     n_chunks = -(-n_runs // max(1, _CHUNK_VALUES // (block * q)))
@@ -214,8 +227,8 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     states, controls = np.empty((5, q, chunk)), np.empty((problem.p, chunk))
     for first in range(0, n_runs, chunk):
         n = min(chunk, n_runs - first)
-        # A generator is about 2 kB, so the chunk keeps its runs' generators only
-        # when each run draws more than once.
+        # A generator holds about 1 kB, so the chunk keeps its runs' generators
+        # only when each run draws more than once.
         rngs = [_run_rng(seed, first + r) for r in range(n)] if block < steps else None
         # One run per column, so on a single run every product is the online
         # controller's matrix-vector product, bit for bit. X and Xbar are each

@@ -43,6 +43,21 @@ def test_problem_roundtrip(tmp_path):
     assert np.array_equal(back.x0, problem.x0)
 
 
+@pytest.mark.parametrize("entry", ["x0", "A"])
+def test_save_problem_refuses_a_non_finite_entry(tmp_path, entry):
+    # JSON (RFC 8259) has no token for an infinity or a NaN; the file already at the path stays as it was
+    problem = make_problem(A1, 10.0)
+    if entry == "x0":
+        problem = dataclasses.replace(problem, x0=[math.inf, 0.0, 0.0])
+    else:
+        problem = dataclasses.replace(problem, sys=dataclasses.replace(problem.sys, A=np.full((3, 3), math.nan)))
+    path = tmp_path / "p.json"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=f"^{entry} has a NaN or infinite entry"):
+        save_problem(problem, path)
+    assert path.read_text() == "kept\n"
+
+
 def test_solve_sys2_reports_threshold(capsys):
     code, out, _ = run(capsys, "solve", "--problem", SYS2, "--format", "json")
     assert code == 0
@@ -321,10 +336,12 @@ def _cold_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's lqgsched.
 
     PYTHONUNBUFFERED is dropped, so the child's output to its pipes is block-buffered, as a user's is.
+    A RuntimeWarning in the child is an error, as it is in this suite (pyproject.toml).
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(lqgsched.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 
@@ -638,7 +655,6 @@ def _overflow_reported(fmt, out, err, message):
     return (out, err) == ("", message + "\n")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the warning is left as it is
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_solve_exits_3_instead_of_printing_inf(capsys, huge_x0, fmt):
     # JSON has no token for an infinity, and a value of inf is no answer in the text report either
@@ -647,7 +663,6 @@ def test_solve_exits_3_instead_of_printing_inf(capsys, huge_x0, fmt):
     assert _overflow_reported(fmt, out, err, f"V {OVERFLOW}")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_sweep_and_simulate_exit_3_before_writing_inf(capsys, tmp_path, huge_x0, fmt):
     out_file = tmp_path / "kept.txt"
@@ -668,6 +683,48 @@ def test_verify_reports_overflow_of_the_oracle_grid(capsys):
         code, out, err = run(capsys, "verify", "--problem", SYS1, "--O", "1e100")
     assert (code, out) == (3, "")
     assert "the explicit powers of A overflow on the oracle's grid of" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_exits_3_when_the_probe_value_overflows(capsys, huge_x0, fmt):
+    # inner_collapse has no finite x0'P x0 + r to compare the window's cost with: an overflow, not a failed check
+    code, out, err = run(capsys, "verify", "--problem", huge_x0, "--O", "10", "--format", fmt)
+    assert code == 3
+    assert _overflow_reported(fmt, out, err, f"the probe value x0'P x0 + r {OVERFLOW}")
+
+
+def test_verify_of_a_never_measure_schedule_reads_no_probe(capsys, tmp_path):
+    # above sys2's threshold of 6.43 no window is checked, so a huge x0 changes nothing
+    path = str(tmp_path / "huge_x0.json")
+    save_problem(dataclasses.replace(load_problem(SYS2), x0=[1e200, 0.0, 0.0]), path)
+    huge = run(capsys, "verify", "--problem", path, "--O", "10")
+    assert huge[:2] == run(capsys, "verify", "--problem", SYS2, "--O", "10")[:2]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_simulate_reports_overflowed_moments_and_nothing_else(capsys, tmp_path, fmt):
+    # Sigma_S = 1e300 I: each run's cost is finite, the squares of their deviations from the mean are not
+    problem = load_problem(SYS1)
+    path = str(tmp_path / "huge_noise.json")
+    save_problem(dataclasses.replace(problem, sys=dataclasses.replace(problem.sys, Sigma_S=1e300 * np.eye(3))), path)
+    argv = ["--problem", path, "--runs", "3", "--horizon", "50", "--format", fmt, "--out", str(tmp_path / "t.csv")]
+    code, out, err = run(capsys, "simulate", *argv)
+    assert code == 3
+    assert _overflow_reported(fmt, out, err, f"mc_std_error {OVERFLOW}")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_overflow_no_figure_names_exits_3(capsys, monkeypatch, fmt):
+    # main runs the command with floating-point errors raised, so the overflow stops it with its stage named
+    def overflowing(*args, **kwargs):
+        return np.float64(1e300) * np.float64(1e300)
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError) as raised:
+        overflowing()
+    monkeypatch.setattr(cli, "verify_solution", overflowing)
+    code, out, err = run(capsys, "verify", "--problem", SYS1, "--O", "10", "--format", fmt)
+    assert code == 3
+    assert _overflow_reported(fmt, out, err, f"verify overflowed the float range: {raised.value}")
 
 
 def test_simulate_csv_and_summary(tmp_path, capsys):

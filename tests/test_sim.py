@@ -477,6 +477,31 @@ def test_noise_blocks_give_the_same_error_covariance(ps1_O10, sys1_O10, monkeypa
     assert np.max(np.abs(whole)) > 0.0
 
 
+def test_one_chunk_job_holds_a_short_block(ps1_O10, sys1_O10):
+    # 1000 runs of 500 steps fit in one chunk; their whole horizon of noise is 12 MB, a block of 174 steps 4.2 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        monte_carlo_value(sys1_O10, ps1_O10, SimConfig(horizon=500, seed=4, n_runs=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+
+
+@pytest.mark.parametrize(
+    "strategy", [OPTIMAL, fixed_period(3), NEVER_MEASURE], ids=["optimal", "fixed3", "never"]
+)
+def test_one_chunk_job_gives_the_same_costs_in_short_blocks(ps1_O10, sys1_O10, monkeypatch, strategy):
+    import lqgsched.sim as sim
+
+    cfg = SimConfig(horizon=500, seed=17, n_runs=1000, strategy=strategy)
+    short = sim._batch_costs(sys1_O10, ps1_O10, cfg)  # three draws a run: blocks of 174, 174 and 152 steps
+    monkeypatch.setattr(sim, "_SMALL_CHUNK_VALUES", sim._CHUNK_VALUES)  # one draw a run, as large jobs draw
+    assert np.array_equal(sim._batch_costs(sys1_O10, ps1_O10, cfg), short)
+
+
 def test_monte_carlo_memory_does_not_grow_with_horizon():
     # Ten times the steps, the same runs: noise held for the whole horizon would add
     # 1800 steps x 50 values x 4 runs, 2.9 MB.
