@@ -3,23 +3,22 @@
 A ``Strategy`` is just a query period fixed in advance (the optimal trigger
 is state-independent and periodic too, with period T*), so one batched rollout,
 ``_rollout``, serves them all: Monte Carlo costs, the sampled error
-covariance and the single trajectory of every schedule, which is run 0 of
-the rollout. It multiplies directly by the plant's read-only A, B and noise
+covariance and the single trajectory of every schedule, which is a rollout
+of one run. It multiplies directly by the plant's read-only A, B and noise
 factor N = C Sigma_S^(1/2) and the policy's negated gain ``ps.are.minus_K``.
 
-Noise is drawn from numpy's PCG64 generator; run k of a Monte Carlo batch
-uses the substream seeded with ``seed + k`` whatever the chunking, so any
-single run can be reproduced bit-for-bit in isolation. Each run draws its
-noise a block of steps at a time (about ``_DRAW_VALUES`` values a draw, or
-as few as a quarter of them in a job small enough for one chunk; a substream
-drawn in pieces gives the same numbers as in one draw), and the rollout holds
-one block of one chunk of runs at a time (at most ``_CHUNK_VALUES`` values,
-and at most ``_SMALL_CHUNK_VALUES`` in a one-chunk job), run-major, each
-run's draws written straight into its rows of the chunk buffer, so memory
-does not grow with the horizon.
-Monte Carlo costs and the sampled error covariance merge each chunk's
-moments into running totals, so memory does not grow with the number of
-runs (at most ``MAX_RUNS``) either, and ``TrajectoryRecord.write_csv``
+Noise is drawn from numpy's PCG64 generator. The runs of a Monte Carlo
+batch come in groups of ``_GROUP_RUNS`` consecutive runs, and group g draws
+from the stream seeded with ``seed + g``, a step at a time: q standard
+normals for each of its runs in the job, in run order. So a one-run job
+draws stream ``seed`` as one ``(horizon, q)`` draw would, a full group's
+runs do not depend on the number of runs, no run depends on the chunking,
+and any group can be reproduced bit-for-bit on its own. The rollout holds
+one step of noise for one chunk of whole groups (at most ``_CHUNK_VALUES``
+values of state, and at least one group), so memory does not grow with the
+horizon. Monte Carlo costs and the sampled error covariance merge each
+chunk's moments into running totals, so memory does not grow with the
+number of runs (at most ``MAX_RUNS``) either, and ``TrajectoryRecord.write_csv``
 formats a few hundred rows at a time. Gaussian plant noise
 w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with the symmetric PSD
 square root, which also supports degenerate covariances (useful for
@@ -90,7 +89,10 @@ class SimConfig:
 
     The default horizon of 500 leaves a discount tail of beta^500 (about
     7e-12 at beta = 0.95), far below Monte Carlo noise. n_runs may be at
-    most MAX_RUNS, and seed is at least 0 (run k draws from seed + k).
+    most MAX_RUNS, and seed is at least 0. Runs come in groups of
+    ``_GROUP_RUNS`` (1024) consecutive runs, and group g draws its noise
+    from stream seed + g: one run draws from seed itself, and group g of a
+    batch is the batch of that group's runs on seed + g.
     """
 
     horizon: int = 500
@@ -175,21 +177,20 @@ class TrajectoryRecord:
             dest.write(self.csv_text(start, start + _CSV_ROWS))
 
 
-def _run_rng(seed: int, run: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed + run))
+def _run_rng(seed: int, group: int) -> np.random.Generator:
+    """The noise stream of group ``group`` of a Monte Carlo job: PCG64 seeded with ``seed + group``."""
+    return np.random.Generator(np.random.PCG64(seed + group))
 
 
-# Noise values one chunk of Monte Carlo runs holds at once: 2**22 doubles (32 MB).
-_CHUNK_VALUES = 2**22
-# Noise values one run draws per generator call. A standard_normal call costs
-# about 1.5 us on top of about 20 ns a value, so each call draws enough values
-# to hide that overhead; a run draws its noise a block of steps at a time.
-_DRAW_VALUES = 2048
-# Noise values the chunk of a job that fits in one chunk holds, where draws of
-# _DRAW_VALUES / 4 values or more allow it: 2**19 doubles (4 MB). A job of several
-# chunks keeps its block: its chunks hold _CHUNK_VALUES values whatever the block,
-# and a shorter block would resize them, which can change the products' last bits.
-_SMALL_CHUNK_VALUES = 2**19
+# Consecutive Monte Carlo runs that share one noise stream: runs g * _GROUP_RUNS
+# up to (g + 1) * _GROUP_RUNS - 1 draw from stream seed + g. Part of the output
+# contract, like the seed rule, and not a tuning knob: a batch's figures change
+# with it. At 1 every run has a stream of its own.
+_GROUP_RUNS = 1024
+# State one chunk of Monte Carlo runs holds at once: 2**19 doubles (4 MB), where
+# a run holds 6 q + p values (its state, estimate, their two spares, B u, noise
+# and control). A chunk holds whole groups, at least one.
+_CHUNK_VALUES = 2**19
 
 
 def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int, n_runs: int, steps: int):
@@ -199,53 +200,48 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     ``t < steps``: row j of ``X``, ``Xbar`` and ``U`` is the state, estimate
     and control of the chunk's run j at step t, before the step's noise
     enters; chunks come in run order. The three arrays are buffers that
-    later steps overwrite, so a caller copies what it keeps. Run k draws its
-    noise from substream ``seed + k`` whatever the chunking, a block of
-    ``block = min(steps, ceil(_DRAW_VALUES / q))`` steps at a time (one
-    substream drawn in pieces gives the same numbers as in one draw), and a
-    chunk holds the noise of one block of its runs, at most
-    ``_CHUNK_VALUES`` values (at least one run's block), so memory does not
-    grow with ``steps``. A job whose runs all fit in one chunk at that block
-    shortens it, to no fewer than ``_DRAW_VALUES / 4`` values a draw, so that
-    the chunk holds at most ``_SMALL_CHUNK_VALUES`` values. The chunk and so
-    every product keep their shape, and every output its bits; a run only
-    makes more ``standard_normal`` calls.
+    later steps overwrite, so a caller copies what it keeps.
+
+    Runs come in groups of ``_GROUP_RUNS``; group g draws from stream
+    ``seed + g``, one step at a time: q standard normals for each of its
+    runs in the job, in run order, straight into the group's rows of the
+    chunk's ``(runs, q)`` noise buffer. A one-run job thus reads stream
+    ``seed`` in the order ``standard_normal((steps, q))`` does, a full group's noise
+    does not depend on ``n_runs``, and no run's noise depends on the
+    chunking. A chunk holds as many whole groups as ``_CHUNK_VALUES`` values
+    of state allow, at least one, so memory grows neither with ``steps``
+    nor with ``n_runs``.
     """
     A, B, N, minus_K = problem.sys.A, problem.sys.B, problem.sys.noise_factor, ps.are.minus_K
-    q = problem.q
+    q, p = problem.q, problem.p
     measure = np.zeros(steps, dtype=bool)
     measure[strategy.measure_times(ps, steps)] = True  # never step 0: it is free
 
-    block = min(steps, -(-_DRAW_VALUES // q))
-    if n_runs * block * q <= _CHUNK_VALUES:  # one chunk
-        block = min(block, max(-(-(_DRAW_VALUES // 4) // q), _SMALL_CHUNK_VALUES // (n_runs * q)))
+    n_groups = -(-n_runs // _GROUP_RUNS)
     # Chunks of equal size: a small remainder chunk would take BLAS's small-matrix
     # path, whose last bits differ from those of the full-size products.
-    n_chunks = -(-n_runs // max(1, _CHUNK_VALUES // (block * q)))
-    chunk = -(-n_runs // n_chunks)
-    Z = np.empty((chunk, block, q))  # run-major: run r's standard normals for the block are Z[r]
-    states, controls = np.empty((5, q, chunk)), np.empty((problem.p, chunk))
-    for first in range(0, n_runs, chunk):
+    n_chunks = -(-n_groups // max(1, _CHUNK_VALUES // ((6 * q + p) * _GROUP_RUNS)))
+    chunk = min(n_runs, -(-n_groups // n_chunks) * _GROUP_RUNS)
+    Z = np.empty((chunk, q))  # run-major: row j holds the chunk's run j's standard normals for one step
+    states, controls = np.empty((5, q, chunk)), np.empty((p, chunk))
+    for first in range(0, n_runs, chunk):  # a multiple of _GROUP_RUNS
         n = min(chunk, n_runs - first)
-        # A generator holds about 1 kB, so the chunk keeps its runs' generators
-        # only when each run draws more than once.
-        rngs = [_run_rng(seed, first + r) for r in range(n)] if block < steps else None
+        draws = [(_run_rng(seed, (first + a) // _GROUP_RUNS).standard_normal, Z[a:min(a + _GROUP_RUNS, n)])
+                 for a in range(0, n, _GROUP_RUNS)]
         # One run per column, so on a single run every product is the online
         # controller's matrix-vector product, bit for bit. X and Xbar are each
         # updated into a spare and swapped with it; BU holds B U.
         X, X_next, Xbar, Xbar_next, BU = states[:, :, :n]
-        U = controls[:, :n]
+        U, noise = controls[:, :n], Z[:n].T
         X[:] = problem.x0[:, None]
         for t in range(steps):
-            if t > 0:  # the step from t - 1; its B U serves the estimate too
+            if t > 0:  # the step from t - 1, on step t - 1's noise; its B U serves the estimate too
+                for draw, rows in draws:
+                    draw(out=rows)
                 np.matmul(A, X, out=X_next)
                 X_next += np.matmul(B, U, out=BU)
-                X_next += np.matmul(N, Z[:n, (t - 1) % block].T, out=Xbar_next)  # a spare until the estimate update
+                X_next += np.matmul(N, noise, out=Xbar_next)  # a spare until the estimate update
                 X, X_next = X_next, X
-            if t % block == 0:  # step t - 1's noise is spent: draw each run's block from step t on
-                rows = min(block, steps - t)
-                for r in range(n):
-                    (_run_rng(seed, first + r) if rngs is None else rngs[r]).standard_normal(out=Z[r, :rows])
             if t == 0 or measure[t]:  # x0 is known at step 0
                 np.copyto(Xbar, X)
             else:
@@ -288,7 +284,10 @@ def _record(cost: CostModel, X: np.ndarray, Xbar: np.ndarray, U: np.ndarray, I: 
 
 
 def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> TrajectoryRecord:
-    """One seeded closed-loop trajectory: run 0 (substream ``seed + 0``) of the shared rollout.
+    """One seeded closed-loop trajectory: the shared rollout's only run, on stream ``seed``.
+
+    Its noise is ``standard_normal((horizon, q))`` of PCG64(seed), whatever
+    ``cfg.n_runs`` is, so the trajectory does not depend on the batch.
 
     The optimal strategy queries at the multiples of T*, as the online
     controller session does.

@@ -105,9 +105,11 @@ def test_optimal_trajectory_queries_follow_period_on_bracket_edges(A):
         assert np.array_equal(np.flatnonzero(rec.i), OPTIMAL.measure_times(ps, H)), O
 
 
-def test_batch_costs_match_single_runs(ps1_O10, sys1_O10):
+def test_batch_costs_match_single_runs(ps1_O10, sys1_O10, monkeypatch):
+    import lqgsched.sim as sim
     from lqgsched.sim import _batch_costs
 
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 1)  # a stream per run: run k draws from seed + k
     cfg = SimConfig(horizon=150, seed=40, n_runs=4, strategy=fixed_period(5))
     batch = _batch_costs(sys1_O10, ps1_O10, cfg)
     for r in range(4):
@@ -130,9 +132,11 @@ def test_state_control_cost_matches_per_row_quadratic_forms():
 @pytest.mark.parametrize(
     "strategy", [fixed_period(3), ALWAYS_MEASURE, NEVER_MEASURE], ids=["fixed3", "always", "never"]
 )
-def test_batch_costs_match_single_runs_q50(strategy):
+def test_batch_costs_match_single_runs_q50(strategy, monkeypatch):
+    import lqgsched.sim as sim
     from lqgsched.sim import _batch_costs
 
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 1)  # a stream per run: run k draws from seed + k
     problem = random_stable_plant(4)
     ps = optimal_period(problem.sys, problem.cost)
     cfg = SimConfig(horizon=100, seed=60, n_runs=3, strategy=strategy)
@@ -215,10 +219,11 @@ def test_rollout_totals_do_not_depend_on_chunking(ps1_O10, sys1_O10, monkeypatch
     import lqgsched.sim as sim
 
     H, n = 40, 7
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 2)
     cfgs = [SimConfig(horizon=H, seed=21, n_runs=n, strategy=s) for s in (OPTIMAL, fixed_period(3), NEVER_MEASURE)]
     whole = [sim._batch_costs(sys1_O10, ps1_O10, cfg) for cfg in cfgs]
-    # at most two runs' noise per chunk: chunks of 2, 2, 2 and a one-run remainder
-    monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * H * sys1_O10.q)
+    # the least budget, one group a chunk: chunks of 2, 2, 2 and a one-run remainder
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)
     sizes = [len(X) for t, X, *_ in sim._rollout(sys1_O10, ps1_O10, OPTIMAL, 21, n, H) if t == 0]
     assert sizes == [2, 2, 2, 1]
     for cfg, totals in zip(cfgs, whole):
@@ -231,7 +236,8 @@ def test_monte_carlo_memory_bounded(ps1_O10, sys1_O10, monkeypatch):
     import lqgsched.sim as sim
 
     H = 200
-    monkeypatch.setattr(sim, "_CHUNK_VALUES", 100 * H * sys1_O10.q)
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 100)
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)  # chunks of one group, 100 runs
 
     def peak(n_runs):
         tracemalloc.start()
@@ -252,9 +258,10 @@ def test_monte_carlo_memory_does_not_grow_with_runs(ps1_O10, sys1_O10, monkeypat
     import lqgsched.sim as sim
 
     H = 2
-    monkeypatch.setattr(sim, "_CHUNK_VALUES", 500 * H * sys1_O10.q)
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 500)
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)  # chunks of one group, 500 runs
     shared = np.random.default_rng(0)  # the memory under test does not depend on the noise
-    monkeypatch.setattr(sim, "_run_rng", lambda seed, run: shared)
+    monkeypatch.setattr(sim, "_run_rng", lambda seed, group: shared)
 
     def peak(n_runs):
         tracemalloc.start()
@@ -271,7 +278,8 @@ def test_monte_carlo_moments_merge_chunks(ps1_O10, sys1_O10, monkeypatch):
     import lqgsched.sim as sim
 
     cfg = SimConfig(horizon=30, seed=8, n_runs=9, strategy=fixed_period(4))
-    monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * 30 * sys1_O10.q)  # chunks of 2, 2, 2, 2 and 1 run
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 2)
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)  # one group a chunk: chunks of 2, 2, 2, 2 and 1 run
     totals = sim._batch_costs(sys1_O10, ps1_O10, cfg)
     mean, se = monte_carlo_value(sys1_O10, ps1_O10, cfg)
     assert mean == pytest.approx(totals.mean(), rel=1e-12, abs=0.0)
@@ -283,11 +291,12 @@ def test_error_covariance_merges_chunks(ps1_O10, sys1_O10, monkeypatch):
 
     t, n = 4, 7
     cfg = SimConfig(horizon=10, seed=5, n_runs=n, strategy=fixed_period(3))
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 2)
     E = np.concatenate([X - Xbar for step, X, Xbar, _, _ in sim._rollout(sys1_O10, ps1_O10, cfg.strategy, 5, n, t + 1)
                         if step == t])
     D = E - E.mean(axis=0)
     two_pass = D.T @ D / (n - 1)
-    monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * (t + 1) * sys1_O10.q)  # chunks of 2, 2, 2 and 1 run
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)  # one group a chunk: chunks of 2, 2, 2 and 1 run
     streamed = empirical_error_covariance(sys1_O10, ps1_O10, cfg, t)
     np.testing.assert_allclose(streamed, two_pass, rtol=1e-12, atol=1e-12 * np.max(np.abs(two_pass)))
 
@@ -299,9 +308,10 @@ def test_error_covariance_memory_does_not_grow_with_runs(ps1_O10, sys1_O10, monk
     import lqgsched.sim as sim
 
     H = 2
-    monkeypatch.setattr(sim, "_CHUNK_VALUES", 500 * H * sys1_O10.q)
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 500)
+    monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)  # chunks of one group, 500 runs
     shared = np.random.default_rng(0)  # the memory under test does not depend on the noise
-    monkeypatch.setattr(sim, "_run_rng", lambda seed, run: shared)
+    monkeypatch.setattr(sim, "_run_rng", lambda seed, group: shared)
 
     def peak(n_runs):
         tracemalloc.start()
@@ -334,7 +344,7 @@ def rollout_reference(problem, ps, strategy, seed, H):
 
 @pytest.mark.parametrize("plant", ["sys1", "sys2", "q50"])
 def test_rollout_streams_match_per_run_reference(plant):
-    # simulate reads these schedules from run 0 of the batched rollout
+    # simulate reads these schedules from a one-run rollout, on stream seed
     problem = {"sys1": lambda: make_problem(A1, 10.0), "sys2": lambda: make_problem(A2, 3.0),
                "q50": lambda: random_stable_plant(6)}[plant]()
     ps = optimal_period(problem.sys, problem.cost)
@@ -350,7 +360,7 @@ def test_rollout_streams_match_per_run_reference(plant):
 
 @pytest.mark.parametrize("plant", ["sys1", "sys2", "q50"])
 def test_optimal_trajectory_matches_online_session(plant):
-    # simulate runs the optimal schedule as run 0 of the batched rollout; the deployed
+    # simulate runs the optimal schedule as a one-run rollout; the deployed
     # controller, driven on the same noise, queries at the same steps with the same controls
     problem = {"sys1": lambda: make_problem(A1, 10.0), "sys2": lambda: make_problem(A2, 3.0),
                "q50": lambda: random_stable_plant(6)}[plant]()
@@ -444,41 +454,75 @@ def test_streamed_csv_memory_does_not_grow_with_horizon(tmp_path):
     assert peak(10 * _CSV_ROWS) - peak(2 * _CSV_ROWS) < 100_000
 
 
-# Draw sizes that cut sys1's 40 steps (q = 3) into blocks of 7 steps (the last of 5)
-# and of 3 steps (the last of one step).
-BLOCK_DRAWS = {"block7": 7 * 3, "block3": 3 * 3}
+STRATEGIES = {"optimal": OPTIMAL, "fixed3": fixed_period(3), "never": NEVER_MEASURE}
 
 
-@pytest.mark.parametrize("draw", BLOCK_DRAWS.values(), ids=BLOCK_DRAWS.keys())
-@pytest.mark.parametrize(
-    "strategy", [OPTIMAL, fixed_period(3), NEVER_MEASURE], ids=["optimal", "fixed3", "never"]
-)
-def test_noise_blocks_give_the_same_costs(ps1_O10, sys1_O10, monkeypatch, strategy, draw):
+def chunk_sizes(problem, ps, n_runs, H):
     import lqgsched.sim as sim
 
-    cfg = SimConfig(horizon=40, seed=31, n_runs=5, strategy=strategy)
-    whole = sim._batch_costs(sys1_O10, ps1_O10, cfg)  # one draw covers the horizon
-    monkeypatch.setattr(sim, "_DRAW_VALUES", draw)
-    assert np.array_equal(sim._batch_costs(sys1_O10, ps1_O10, cfg), whole)
-    # with chunks of two runs as well, each keeping its own runs' generators
-    monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * draw)
-    np.testing.assert_allclose(sim._batch_costs(sys1_O10, ps1_O10, cfg), whole, rtol=1e-12, atol=0.0)
+    return [len(X) for t, X, *_ in sim._rollout(problem, ps, OPTIMAL, 0, n_runs, H) if t == 0]
 
 
-@pytest.mark.parametrize("draw", BLOCK_DRAWS.values(), ids=BLOCK_DRAWS.keys())
-def test_noise_blocks_give_the_same_error_covariance(ps1_O10, sys1_O10, monkeypatch, draw):
+@pytest.mark.parametrize("strategy", STRATEGIES.values(), ids=STRATEGIES.keys())
+def test_costs_do_not_depend_on_chunk_budget(ps1_O10, sys1_O10, monkeypatch, strategy):
+    # 2100 runs are two full groups and one of 52 runs; a chunk holds whole groups
     import lqgsched.sim as sim
 
+    cfg = SimConfig(horizon=30, seed=17, n_runs=2100, strategy=strategy)
+    assert chunk_sizes(sys1_O10, ps1_O10, cfg.n_runs, 2) == [2100]
+    whole = sim._batch_costs(sys1_O10, ps1_O10, cfg)
+    for budget, sizes in ((1, [1024, 1024, 52]), (2 * 1024 * (6 * 3 + 2), [2048, 52])):
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", budget)
+        assert chunk_sizes(sys1_O10, ps1_O10, cfg.n_runs, 2) == sizes
+        np.testing.assert_allclose(sim._batch_costs(sys1_O10, ps1_O10, cfg), whole, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("group", [2, 3], ids=["group2", "group3"])
+@pytest.mark.parametrize("strategy", STRATEGIES.values(), ids=STRATEGIES.keys())
+def test_group_of_a_job_equals_a_job_on_its_seed(ps1_O10, sys1_O10, monkeypatch, strategy, group):
+    # group g of a job draws stream seed + g, as group 0 of a job of its size on seed + g does
+    import lqgsched.sim as sim
+
+    monkeypatch.setattr(sim, "_GROUP_RUNS", group)
+    cfg = SimConfig(horizon=40, seed=31, n_runs=8, strategy=strategy)
+    batch = sim._batch_costs(sys1_O10, ps1_O10, cfg)
+    for g, first in enumerate(range(0, 8, group)):
+        runs = min(group, 8 - first)
+        alone = sim._batch_costs(sys1_O10, ps1_O10, replace(cfg, seed=31 + g, n_runs=runs))
+        np.testing.assert_allclose(batch[first:first + runs], alone, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES.values(), ids=STRATEGIES.keys())
+def test_full_group_costs_do_not_depend_on_runs(ps1_O10, sys1_O10, monkeypatch, strategy):
+    import lqgsched.sim as sim
+
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 4)
+    cfg = SimConfig(horizon=40, seed=9, n_runs=8, strategy=strategy)
+    eight = sim._batch_costs(sys1_O10, ps1_O10, cfg)
+    for n_runs in (4, 9, 13):
+        more = sim._batch_costs(sys1_O10, ps1_O10, replace(cfg, n_runs=n_runs))
+        full = min(n_runs, 8)  # the runs of groups 0 and 1 that are full in both jobs
+        np.testing.assert_allclose(more[:full], eight[:full], rtol=1e-12, atol=0.0)
+
+
+def test_error_covariance_pools_the_groups(ps1_O10, sys1_O10, monkeypatch):
+    # a job of two groups samples the errors of the two jobs on seeds 13 and 14
+    import lqgsched.sim as sim
+
+    monkeypatch.setattr(sim, "_GROUP_RUNS", 3)
     cfg = SimConfig(horizon=40, seed=13, n_runs=6, strategy=fixed_period(9))
-    t = 34  # in the fifth block of 7 steps, the twelfth of 3
-    whole = empirical_error_covariance(sys1_O10, ps1_O10, cfg, t)
-    monkeypatch.setattr(sim, "_DRAW_VALUES", draw)
-    assert np.array_equal(empirical_error_covariance(sys1_O10, ps1_O10, cfg, t), whole)
-    assert np.max(np.abs(whole)) > 0.0
+    t = 34
+    E = np.concatenate([X - Xbar for seed in (13, 14)
+                        for step, X, Xbar, _, _ in sim._rollout(sys1_O10, ps1_O10, cfg.strategy, seed, 3, t + 1)
+                        if step == t])
+    D = E - E.mean(axis=0)
+    pooled = empirical_error_covariance(sys1_O10, ps1_O10, cfg, t)
+    np.testing.assert_allclose(pooled, D.T @ D / 5, rtol=1e-12, atol=1e-12 * np.max(np.abs(pooled)))
+    assert np.max(np.abs(pooled)) > 0.0
 
 
-def test_one_chunk_job_holds_a_short_block(ps1_O10, sys1_O10):
-    # 1000 runs of 500 steps fit in one chunk; their whole horizon of noise is 12 MB, a block of 174 steps 4.2 MB
+def test_monte_carlo_holds_no_noise_block(ps1_O10, sys1_O10):
+    # 1000 runs of 500 steps: a block of 174 steps of their noise was 4.2 MB; a step of it is 24 kB
     import tracemalloc
 
     tracemalloc.start()
@@ -487,19 +531,7 @@ def test_one_chunk_job_holds_a_short_block(ps1_O10, sys1_O10):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6_000_000
-
-
-@pytest.mark.parametrize(
-    "strategy", [OPTIMAL, fixed_period(3), NEVER_MEASURE], ids=["optimal", "fixed3", "never"]
-)
-def test_one_chunk_job_gives_the_same_costs_in_short_blocks(ps1_O10, sys1_O10, monkeypatch, strategy):
-    import lqgsched.sim as sim
-
-    cfg = SimConfig(horizon=500, seed=17, n_runs=1000, strategy=strategy)
-    short = sim._batch_costs(sys1_O10, ps1_O10, cfg)  # three draws a run: blocks of 174, 174 and 152 steps
-    monkeypatch.setattr(sim, "_SMALL_CHUNK_VALUES", sim._CHUNK_VALUES)  # one draw a run, as large jobs draw
-    assert np.array_equal(sim._batch_costs(sys1_O10, ps1_O10, cfg), short)
+    assert peak < 1_000_000
 
 
 def test_monte_carlo_memory_does_not_grow_with_horizon():
