@@ -13,16 +13,16 @@ from the stream seeded with ``seed + g``, a step at a time: q standard
 normals for each of its runs in the job, in run order. So a one-run job
 draws stream ``seed`` as one ``(horizon, q)`` draw would, a full group's
 runs do not depend on the number of runs, no run depends on the chunking,
-and any group can be reproduced bit-for-bit on its own. The rollout holds
-one step of noise for one chunk of whole groups (at most ``_CHUNK_VALUES``
-values of state, and at least one group), so memory does not grow with the
-horizon. Monte Carlo costs and the sampled error covariance merge each
-chunk's moments into running totals, so memory does not grow with the
-number of runs (at most ``MAX_RUNS``) either, and ``TrajectoryRecord.write_csv``
-formats a few hundred rows at a time. Gaussian plant noise
-w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with the symmetric PSD
-square root, which also supports degenerate covariances (useful for
-noiseless test modes).
+and a job of a group's runs on ``seed + g`` draws that group's noise again,
+bit for bit. The rollout holds one step of noise for one chunk of whole
+groups (at most ``_CHUNK_VALUES`` values of state, and at least one group),
+so memory does not grow with the horizon. Monte Carlo costs and the sampled
+error covariance merge each chunk's moments into running totals, so memory
+does not grow with the number of runs (at most ``MAX_RUNS``) either, and
+``TrajectoryRecord.write_csv`` formats a few hundred rows at a time.
+Gaussian plant noise w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with
+the symmetric PSD square root, which also supports degenerate covariances
+(useful for noiseless test modes).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class SimConfig:
     most MAX_RUNS, and seed is at least 0. Runs come in groups of
     ``_GROUP_RUNS`` (1024) consecutive runs, and group g draws its noise
     from stream seed + g: one run draws from seed itself, and group g of a
-    batch is the batch of that group's runs on seed + g.
+    batch is, to rounding, the batch of that group's runs on seed + g.
     """
 
     horizon: int = 500
@@ -206,9 +206,9 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     ``seed + g``, one step at a time: q standard normals for each of its
     runs in the job, in run order, straight into the group's rows of the
     chunk's ``(runs, q)`` noise buffer. A one-run job thus reads stream
-    ``seed`` in the order ``standard_normal((steps, q))`` does, a full group's noise
-    does not depend on ``n_runs``, and no run's noise depends on the
-    chunking. A chunk holds as many whole groups as ``_CHUNK_VALUES`` values
+    ``seed`` in the order ``standard_normal((steps, q))`` does, a full
+    group's noise does not depend on ``n_runs``, and no run's noise depends
+    on the chunking. A chunk holds as many whole groups as ``_CHUNK_VALUES`` values
     of state allow, at least one, so memory grows neither with ``steps``
     nor with ``n_runs``.
     """

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import lqgsched
 import lqgsched.cli as cli
@@ -932,38 +932,53 @@ def test_console_script_runs_entry():
 
 # Scalars a hand-written or damaged problem file can hold where a number belongs.
 ODD_SCALARS = st.one_of(
-    st.sampled_from([0, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf, 1.0, -1.0]),
+    st.sampled_from([1.0, -1.0, 0, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf]),
     st.booleans(), st.none(), st.sampled_from(["", "1", "nan", "A"]),
 )
-ODD_ENTRIES = st.one_of(ODD_SCALARS, st.lists(ODD_SCALARS, max_size=3), st.lists(st.lists(ODD_SCALARS, max_size=3),
-                                                                                     max_size=3))
+ODD_ENTRIES = st.one_of(
+    ODD_SCALARS, st.lists(ODD_SCALARS, max_size=3), st.lists(st.lists(ODD_SCALARS, max_size=3), max_size=3),
+)
 
 
 def _cells(value):
-    """(list, index) of every scalar inside a nested list."""
-    return [cell for k, v in enumerate(value)
-            for cell in (_cells(v) if isinstance(v, list) else [(value, k)])] if isinstance(value, list) else []
+    """(list, index) of every scalar inside a nested list; a scalar has none."""
+    if not isinstance(value, list):
+        return []
+    return [cell for k, v in enumerate(value) for cell in (_cells(v) if isinstance(v, list) else [(value, k)])]
+
+
+# Factors that scale a whole entry, so a symmetric matrix stays symmetric and the file can still pass validation.
+ODD_SCALES = st.sampled_from([1e-300, 1e300, -1.0, 0.0, math.inf, math.nan])
 
 
 @st.composite
 def odd_problem_files(draw):
-    """sys1's problem file with up to three entries damaged: a cell or a whole entry replaced, a row cut short
-    (ragged) or a cell wrapped in a list (nested)."""
+    """sys1's problem file with up to three entries damaged: scaled, a cell or the whole entry replaced, a row cut
+    short (ragged) or a cell wrapped in a list (nested)."""
     with open(SYS1) as fh:
         doc = json.load(fh)
-    for _ in range(draw(st.integers(1, 3))):
+    # mostly one damage, and mostly of the kinds a file can carry through validation, so the commands run to the end
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3, 0]))):
         key = draw(st.sampled_from(sorted(doc)))
-        how, cells = draw(st.sampled_from(["whole", "cell", "ragged", "nested"])), _cells(doc[key])
-        if how == "whole" or not cells:
+        how = draw(st.sampled_from(["scaled", "scaled", "scaled", "cell", "cell", "whole", "ragged", "nested"]))
+        cells = _cells(doc[key])
+        if how == "scaled":
+            factor = draw(ODD_SCALES)
+            if isinstance(doc[key], float):
+                doc[key] *= factor
+            for row, k in cells:
+                if isinstance(row[k], float):
+                    row[k] *= factor
+        elif how == "whole" or not cells:
             doc[key] = draw(ODD_ENTRIES)
-            continue
-        row, k = draw(st.sampled_from(cells))
-        if how == "cell":
-            row[k] = draw(ODD_SCALARS)
-        elif how == "ragged":
-            del row[k]
         else:
-            row[k] = [row[k]]
+            row, k = draw(st.sampled_from(cells))
+            if how == "cell":
+                row[k] = draw(ODD_SCALARS)
+            elif how == "ragged":
+                del row[k]
+            else:
+                row[k] = [row[k]]
     return doc
 
 
@@ -985,7 +1000,8 @@ FUZZ_COMMANDS = [("solve",), ("sweep", "--O-min", "0", "--O-max", "20", "--O-ste
                  ("simulate", "--runs", "3", "--horizon", "20"), ("verify",)]
 
 
-@PROPERTY_SETTINGS
+# 100 examples, about 1.6 s: at the suite's 25 no example reaches exit 3 or 4
+@settings(PROPERTY_SETTINGS, max_examples=100)
 @given(doc=odd_problem_files())
 def test_main_survives_odd_problem_files(doc):
     # every command on a damaged file exits with a documented code, no exception or warning escapes,
