@@ -224,8 +224,7 @@ def test_rollout_totals_do_not_depend_on_chunking(ps1_O10, sys1_O10, monkeypatch
     whole = [sim._batch_costs(sys1_O10, ps1_O10, cfg) for cfg in cfgs]
     # the least budget, one group a chunk: chunks of 2, 2, 2 and a one-run remainder
     monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)
-    sizes = [len(X) for t, X, *_ in sim._rollout(sys1_O10, ps1_O10, OPTIMAL, 21, n, H) if t == 0]
-    assert sizes == [2, 2, 2, 1]
+    assert chunk_sizes(sys1_O10, ps1_O10, n, H) == [2, 2, 2, 1]
     for cfg, totals in zip(cfgs, whole):
         np.testing.assert_allclose(sim._batch_costs(sys1_O10, ps1_O10, cfg), totals, rtol=1e-12, atol=0.0)
 
@@ -458,6 +457,7 @@ STRATEGIES = {"optimal": OPTIMAL, "fixed3": fixed_period(3), "never": NEVER_MEAS
 
 
 def chunk_sizes(problem, ps, n_runs, H):
+    """The runs of each chunk of the rollout, in order."""
     import lqgsched.sim as sim
 
     return [len(X) for t, X, *_ in sim._rollout(problem, ps, OPTIMAL, 0, n_runs, H) if t == 0]
