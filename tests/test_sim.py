@@ -505,19 +505,23 @@ def test_full_group_costs_do_not_depend_on_runs(ps1_O10, sys1_O10, monkeypatch, 
         np.testing.assert_allclose(more[:full], eight[:full], rtol=1e-12, atol=0.0)
 
 
-def test_error_covariance_pools_the_groups(ps1_O10, sys1_O10, monkeypatch):
-    # a job of two groups samples the errors of the two jobs on seeds 13 and 14
+@pytest.mark.parametrize("group", [3, 7], ids=["block3", "block7"])
+def test_noise_blocks_give_the_same_error_covariance(ps1_O10, sys1_O10, monkeypatch, group):
+    # a block of runs that share one stream: a job of 8 runs in groups of 3 (3, 3, 2) or
+    # of 7 (7, 1) samples the errors of the jobs of those sizes on seeds 13, 14, ...
     import lqgsched.sim as sim
 
-    monkeypatch.setattr(sim, "_GROUP_RUNS", 3)
-    cfg = SimConfig(horizon=40, seed=13, n_runs=6, strategy=fixed_period(9))
+    monkeypatch.setattr(sim, "_GROUP_RUNS", group)
+    cfg = SimConfig(horizon=40, seed=13, n_runs=8, strategy=fixed_period(9))
     t = 34
-    E = np.concatenate([X - Xbar for seed in (13, 14)
-                        for step, X, Xbar, _, _ in sim._rollout(sys1_O10, ps1_O10, cfg.strategy, seed, 3, t + 1)
+    E = np.concatenate([X - Xbar for g, first in enumerate(range(0, cfg.n_runs, group))
+                        for step, X, Xbar, _, _ in sim._rollout(sys1_O10, ps1_O10, cfg.strategy, cfg.seed + g,
+                                                                min(group, cfg.n_runs - first), t + 1)
                         if step == t])
+    assert len(E) == cfg.n_runs
     D = E - E.mean(axis=0)
     pooled = empirical_error_covariance(sys1_O10, ps1_O10, cfg, t)
-    np.testing.assert_allclose(pooled, D.T @ D / 5, rtol=1e-12, atol=1e-12 * np.max(np.abs(pooled)))
+    np.testing.assert_allclose(pooled, D.T @ D / (cfg.n_runs - 1), rtol=1e-12, atol=1e-12 * np.max(np.abs(pooled)))
     assert np.max(np.abs(pooled)) > 0.0
 
 
