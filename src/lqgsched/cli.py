@@ -3,11 +3,12 @@
 Problem files are JSON with row-major nested arrays for matrices and plain
 floats elsewhere; numbers are emitted in shortest round-trip decimal form so
 a file written by the tool re-parses to the identical problem. Exit codes:
-0 success, 2 validation failure (an unreadable problem file or an
-unwritable --out path included), 3 solver non-convergence or a result that
-overflowed (no command prints a NaN, an infinity or a numpy warning), 4
-verification failure; main reports every failure the same way. Set
-LQGSCHED_OUT_DIR to prefix relative --out paths.
+0 success, 4 verification failure, and for any other failure the exit code
+the failure table ERROR_EXIT_CODES gives its error code (2 for input a
+command cannot take, 3 for non-convergence or an overflowed result: no
+command prints a NaN, an infinity or a numpy warning). Only main turns the
+library errors every command shares into failures. Set LQGSCHED_OUT_DIR to
+prefix relative --out paths.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from .sim import (
 __all__ = ["main", "entry", "load_problem", "save_problem", "ProblemFileError"]
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
+# The failure table: each error code's exit code. README's exit-code table repeats it, and a test holds them equal.
+ERROR_EXIT_CODES = {"bad_problem": 2, "bad_output": 2, "bad_range": 2, "bad_strategy": 2, "bad_simulation": 2,
+                    "validation": 2, "non_convergence": 3, "overflow": 3}
 
 # The most prices one sweep tabulates (each keeps its solved schedule, a few
 # numbers beside the shared Riccati solution and W_inf, until the table is
@@ -108,7 +110,7 @@ def _emit(out: str | None, write) -> bool:
         with open(out, "w") as fh:
             write(fh)
     except OSError as e:
-        raise _Failure(EXIT_VALIDATION, {"code": "bad_output", "message": str(e)}, f"cannot write output: {e}") from e
+        raise _Failure("bad_output", str(e), "cannot write output: ") from e
     return True
 
 
@@ -124,11 +126,16 @@ def _text_entry(key: str, value) -> str:
 
 
 class _Failure(Exception):
-    """A command that cannot go on: its exit code, JSON error payload and stderr text."""
+    """A command that cannot go on: an error code, which sets main's exit code, and a message.
 
-    def __init__(self, code: int, payload: dict, human: str):
-        super().__init__(human)
-        self.code, self.payload, self.human = code, payload, human
+    main prints ``{"error": payload}`` under --format json, the payload holding the code and the message (or
+    the detail given in its place), and prefix + message on stderr otherwise.
+    """
+
+    def __init__(self, code: str, message: str, prefix: str = "", **detail):
+        super().__init__(prefix + message)
+        self.exit_code = ERROR_EXIT_CODES[code]
+        self.payload = {"code": code, **(detail or {"message": message})}
 
 
 def _finite(value) -> bool:
@@ -144,15 +151,11 @@ def _finite(value) -> bool:
     return all(map(_finite, value))
 
 
-def _overflow(message: str) -> _Failure:
-    return _Failure(EXIT_CONVERGENCE, {"code": "overflow", "message": message}, message)
-
-
 def _require_finite(doc: dict, where: str = "") -> None:
     """Exit 3 with code overflow, naming the first entry of doc that is not finite, before anything is written."""
     key = next((k for k, v in doc.items() if not _finite(v)), None)
     if key is not None:
-        raise _overflow(f"{key}{where} is not a finite number: the result overflowed the float range")
+        raise _Failure("overflow", f"{key}{where} is not a finite number: the result overflowed the float range")
 
 
 def _reported():
@@ -164,21 +167,11 @@ def _reported():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _read_problem(path: str, O_override: float | None = None) -> Problem:
-    try:
-        return load_problem(path, O_override)
-    except ProblemFileError as e:
-        raise _Failure(EXIT_VALIDATION, {"code": "bad_problem", "message": str(e)}, f"bad problem file: {e}") from e
-
-
 def _require_valid(problem: Problem) -> None:
     violations = validate(problem)
     if violations:
-        raise _Failure(
-            EXIT_VALIDATION,
-            {"code": "validation", "violations": [{"code": v.code, "message": v.message} for v in violations]},
-            "validation failed:\n" + "\n".join(f"  {v}" for v in violations),
-        )
+        raise _Failure("validation", "".join(f"\n  {v}" for v in violations), "validation failed:",
+                       violations=[{"code": v.code, "message": v.message} for v in violations])
 
 
 def _solve_problem(problem: Problem):
@@ -187,7 +180,7 @@ def _solve_problem(problem: Problem):
 
 
 def cmd_solve(args) -> int:
-    problem = _read_problem(args.problem, args.O)
+    problem = load_problem(args.problem, args.O)
     ps = _solve_problem(problem)
     with _reported():
         values = value_at(ps, problem.x0)
@@ -246,8 +239,8 @@ def cmd_sweep(args) -> int:
     try:
         prices = _sweep_prices(args)
     except ValueError as e:
-        raise _Failure(EXIT_VALIDATION, {"code": "bad_range", "message": str(e)}, str(e)) from e
-    problem = _read_problem(args.problem)
+        raise _Failure("bad_range", str(e)) from e
+    problem = load_problem(args.problem)
     cost = CostModel(problem.cost.Q, problem.cost.R, problem.cost.beta, 0.0)
     _require_valid(Problem(sys=problem.sys, cost=cost, x0=problem.x0))
 
@@ -286,23 +279,22 @@ def _parse_strategy(token: str) -> Strategy:
 
 
 def cmd_simulate(args) -> int:
-    problem = _read_problem(args.problem, args.O)
+    problem = load_problem(args.problem, args.O)
     try:
         strategy = _parse_strategy(args.strategy)
     except ValueError as e:
-        raise _Failure(EXIT_VALIDATION, {"code": "bad_strategy", "message": str(e)}, str(e)) from e
+        raise _Failure("bad_strategy", str(e)) from e
     try:
         cfg = SimConfig(horizon=args.horizon, seed=args.seed, n_runs=args.runs, strategy=strategy)
     except ValueError as e:
-        raise _Failure(EXIT_VALIDATION, {"code": "bad_simulation", "message": str(e)}, str(e)) from e
+        raise _Failure("bad_simulation", str(e)) from e
     ps = _solve_problem(problem)
     try:
         with _reported():
             rec = simulate(problem, ps, cfg)
             mc = monte_carlo_value(problem, ps, cfg) if cfg.n_runs > 1 else None
     except MemoryError as e:
-        message = f"simulation too large: {e}"
-        raise _Failure(EXIT_VALIDATION, {"code": "bad_simulation", "message": message}, message) from e
+        raise _Failure("bad_simulation", f"simulation too large: {e}") from e
 
     summary = {
         "realized_discounted_cost": rec.total_cost,
@@ -323,7 +315,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _read_problem(args.problem, args.O)
+    problem = load_problem(args.problem, args.O)
     ps = _solve_problem(problem)
     if ps.finite:  # inner_collapse compares the window's cost from x0 with V(x0) = x0'P x0 + r
         with _reported():
@@ -403,15 +395,17 @@ def main(argv=None) -> int:
             return args.func(args)
     except _Failure as e:
         failure = e
+    except ProblemFileError as e:
+        failure = _Failure("bad_problem", str(e), "bad problem file: ")
     except NonConvergence as e:
-        failure = _Failure(EXIT_CONVERGENCE, {"code": "non_convergence", "message": str(e)}, f"solver failed: {e}")
+        failure = _Failure("non_convergence", str(e), "solver failed: ")
     except FloatingPointError as e:
-        failure = _overflow(f"{args.command} overflowed the float range: {e}")
+        failure = _Failure("overflow", f"{args.command} overflowed the float range: {e}")
     if args.format == "json":
         _sys.stdout.write(json.dumps({"error": failure.payload}, allow_nan=False) + "\n")
     else:
-        _sys.stderr.write(failure.human + "\n")
-    return failure.code
+        _sys.stderr.write(f"{failure}\n")
+    return failure.exit_code
 
 
 def entry() -> None:

@@ -1,13 +1,19 @@
 """Brute-force cross-checks for the analytic scheduling pipeline.
 
-Nothing here reuses the scheduler's cycle-cost code: the value offset r is
-re-derived by iterating its fixed-point equation on a waiting-time grid, the
-per-phase error traces are rebuilt from explicit matrix powers, and the
-finite-window inner problem is re-costed by seeded Monte Carlo. The module
-also provides exact expected-cost evaluators for arbitrary periodic
-strategies under the physical (forward) noise propagation
-Cov <- A Cov A' + C Sigma_S C'; these anchor the Monte Carlo validation and
-the suboptimality probes.
+verify_solution scores two kinds of check. Five derive their numbers
+without the scheduler's cycle-cost code (policy's phase table):
+offset_match, period_match, f_curve_minimum and curve_decreasing read the
+value offset r re-derived by iterating its fixed-point equation on a
+waiting-time grid, whose per-phase error traces are rebuilt from explicit
+matrix powers, and inner_collapse re-costs the finite window in closed form
+from finite_riccati's backward recursion. Two check the solve's own
+arithmetic: fixed_point_residual and bracket evaluate policy.f_value and
+policy.h_value at the solved T* and r, and each of those calls builds a
+phase table of its own (three per verify when T* >= 2). inner_dp_check
+re-costs the window by seeded Monte Carlo too. The module also provides
+exact expected-cost evaluators for arbitrary periodic strategies under the
+physical (forward) noise propagation Cov <- A Cov A' + C Sigma_S C'; these
+anchor the Monte Carlo validation and the suboptimality probes.
 """
 
 from __future__ import annotations
@@ -61,12 +67,17 @@ def _phase_traces_from_powers(
 
     Built from explicitly accumulated powers of A rather than the planning
     recursion, so agreement with the scheduler is a genuine cross-check. On a
-    long grid the powers of an unstable A may overflow to inf or NaN.
+    long grid the powers of an unstable A may overflow to inf or NaN. A grid
+    that numpy cannot allocate raises NonConvergence.
     """
+    try:
+        out = np.empty(n)
+    except (MemoryError, ValueError) as e:  # ValueError: a length past the address space
+        raise NonConvergence(f"the oracle's grid of {n} waiting times cannot be allocated: {e}",
+                             residual=math.inf) from e
     G = sys.noise_gram()
     A_pow = np.eye(sys.q)
     P_sum = np.zeros((sys.q, sys.q))
-    out = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n):
             out[t] = float(np.trace(P_sum @ phi))
@@ -387,7 +398,11 @@ def verify_solution(
             checks.append(("bracket", h_hi > 0.0, f"h(1)={h_hi:.3e}"))
 
         x = np.ones(sys.q) if x_probe is None else np.asarray(x_probe, dtype=float).ravel()
-        L, phi_seq = finite_riccati(ps.are.P, T_star, sys, cost)
+        try:
+            L, phi_seq = finite_riccati(ps.are.P, T_star, sys, cost)
+        except MemoryError as e:  # the grid of 4 T* waiting times fitted, but T* + 1 matrices of q^2 entries do not
+            raise NonConvergence(f"the oracle's window of {T_star + 1} Riccati matrices cannot be allocated: {e}",
+                                 residual=math.inf) from e
         window = _window_cost(sys, cost, L, phi_seq, ps.r, x, sys.A.T, sys.noise_gram())
         target = float(x @ ps.are.P @ x) + ps.r
         rel = abs(window - target) / max(1.0, abs(target))

@@ -290,10 +290,14 @@ def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> Trajectory
     ``cfg.n_runs`` is, so the trajectory does not depend on the batch.
 
     The optimal strategy queries at the multiples of T*, as the online
-    controller session does.
+    controller session does. A trajectory that numpy cannot allocate
+    raises MemoryError.
     """
     H, q, p = cfg.horizon, problem.q, problem.p
-    X, Xbar, U = np.empty((H, q)), np.empty((H, q)), np.empty((H, p))
+    try:
+        X, Xbar, U = np.empty((H, q)), np.empty((H, q)), np.empty((H, p))
+    except ValueError as e:  # numpy's refusal of a length past the address space
+        raise MemoryError(f"a trajectory of {H} steps cannot be allocated: {e}") from e
     I = np.zeros(H, dtype=int)
     for t, Xt, Xbart, Ut, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, 1, H):
         X[t], Xbar[t], U[t], I[t] = Xt[0], Xbart[0], Ut[0], measured

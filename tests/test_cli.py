@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import lqgsched
 import lqgsched.cli as cli
+import lqgsched.oracle as oracle
 import lqgsched.riccati as riccati
 from lqgsched import NonConvergence, Problem, never_measure_threshold, verify_solution
 from lqgsched.cli import ProblemFileError, load_problem, main, save_problem
@@ -449,6 +451,19 @@ def test_too_many_runs_exits_2(capsys, monkeypatch, fmt):
         assert out == "" and err == message + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("horizon", ["1000000000000000000", "9223372036854775808", str(10**20)])
+def test_simulate_at_an_absurd_horizon_exits_2(capsys, horizon, fmt):
+    # numpy refuses these trajectories with ValueError (too big for the address space), at once
+    code, out, err = run(capsys, "simulate", "--problem", SYS1, "--horizon", horizon, "--format", fmt)
+    assert code == 2
+    message = json.loads(out)["error"] if fmt == "json" else {"code": "bad_simulation", "message": err}
+    assert message["code"] == "bad_simulation"
+    assert message["message"].startswith(f"simulation too large: a trajectory of {horizon} steps cannot be allocated")
+    if fmt == "text":
+        assert out == ""
+
+
 def _non_finite_case(tmp_path, case):
     with open(SYS1) as fh:
         d = json.load(fh)
@@ -537,7 +552,7 @@ def test_log_sweep_rejects_non_finite_range(capsys, bounds, fmt):
                                   ("--O-max", "1e308", "--O-step", "1e-300")], ids=["log", "step", "overflow"])
 def test_huge_sweep_exits_2(capsys, monkeypatch, grid, fmt):
     # the price count is checked before any grid is built or any price solved
-    for owner, name in ((cli, "Decimal"), (np, "geomspace"), (cli, "_read_problem")):
+    for owner, name in ((cli, "Decimal"), (np, "geomspace"), (cli, "load_problem")):
         monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"{name} called for a rejected sweep"))
     lo = "1" if grid[0] == "--O-log" else "0"
     extra = ("--O-max", "10") if grid[0] == "--O-log" else ()
@@ -556,7 +571,7 @@ def test_huge_sweep_exits_2(capsys, monkeypatch, grid, fmt):
                          ids=["110000", "7000"])
 def test_sweep_of_one_price_too_many_exits_2(capsys, monkeypatch, grid, fmt):
     # exactly 100000 steps: the float estimate rounds below the limit, and the exact count in decimal catches it
-    monkeypatch.setattr(cli, "_read_problem", lambda *a: pytest.fail("_read_problem called for a rejected sweep"))
+    monkeypatch.setattr(cli, "load_problem", lambda *a: pytest.fail("load_problem called for a rejected sweep"))
     code, out, err = run(capsys, "sweep", "--problem", SYS1, "--O-min", "0", *grid, "--format", fmt)
     assert code == 2
     message = "the grid has more than 100000 prices; a sweep tabulates at most 100000"
@@ -687,6 +702,58 @@ def test_verify_reports_overflow_of_the_oracle_grid(capsys):
         code, out, err = run(capsys, "verify", "--problem", SYS1, "--O", "1e100")
     assert (code, out) == (3, "")
     assert "the explicit powers of A overflow on the oracle's grid of" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_exits_3_when_the_oracle_grid_is_past_the_address_space(capsys, tmp_path, fmt):
+    # a plant with a unit root: T* = 54358851877227704320 at O = 1e20, and the grid of 4 T* is past any array size
+    save_problem(scalar_problem(1.0, 1e20), tmp_path / "p.json")
+    code, out, err = run(capsys, "verify", "--problem", str(tmp_path / "p.json"), "--format", fmt)
+    assert code == 3
+    message = "the oracle's grid of 217435407508910817280 waiting times cannot be allocated: "
+    if fmt == "json":
+        error = json.loads(out)["error"]
+        assert error["code"] == "non_convergence" and error["message"].startswith(message)
+    else:
+        assert out == "" and err.startswith("solver failed: " + message)
+
+
+def _refuse_large_arrays(monkeypatch, limit=3e9):
+    """np.empty raises numpy's MemoryError for more than limit bytes, as under a 3 GB address-space cap.
+
+    Such a grid must never be allocated for real: with overcommit it can succeed, and its loop then runs for hours.
+    """
+    empty = np.empty
+
+    def capped(shape, *args, **kwargs):
+        if 8 * math.prod(np.atleast_1d(shape).tolist()) > limit:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", capped)
+
+
+def test_verify_exits_3_when_the_oracle_grid_does_not_fit_in_memory(capsys, tmp_path, monkeypatch):
+    # A = 1 - 1e-10 at O = 1e9: T* = 575470380, and the grid of 4 T* waiting times asks for 17.2 GiB
+    save_problem(scalar_problem(1 - 1e-10, 1e9), tmp_path / "p.json")
+    _refuse_large_arrays(monkeypatch)
+    code, out, err = run(capsys, "verify", "--problem", str(tmp_path / "p.json"), "--format", "json")
+    assert code == 3
+    assert json.loads(out) == {"error": {"code": "non_convergence", "message": (
+        "the oracle's grid of 2301881520 waiting times cannot be allocated: "
+        "Unable to allocate an array with shape 2301881520")}}
+
+
+def test_verify_exits_3_when_the_oracle_window_does_not_fit_in_memory(capsys, monkeypatch):
+    # the grid fits, but not the window's T* + 1 Riccati matrices (sys1 at O = 10: T* = 6)
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate the window")
+
+    monkeypatch.setattr(oracle, "finite_riccati", out_of_memory)
+    code, out, err = run(capsys, "verify", "--problem", SYS1, "--O", "10")
+    assert (code, out) == (3, "")
+    assert err == "solver failed: the oracle's window of 7 Riccati matrices cannot be allocated: " \
+                  "Unable to allocate the window\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1023,3 +1090,11 @@ def test_main_survives_odd_problem_files(doc):
                 with open(csv) as fh:
                     cells = [float(c) for line in fh.read().splitlines()[1:] for c in line.split(",")]
                 assert all(map(math.isfinite, cells)), argv
+
+
+def test_readme_exit_code_table_is_the_cli_table():
+    # README's exit-code table repeats cli.ERROR_EXIT_CODES, the one place an error code's exit code is written
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        rows = re.findall(r"^\| `(\d)` \|\s*(?:`(\w+)`)?\s*\|", fh.read(), flags=re.M)
+    assert {code: int(exit_code) for exit_code, code in rows if code} == cli.ERROR_EXIT_CODES
+    assert sorted(int(exit_code) for exit_code, code in rows if not code) == [0, 1, 4]

@@ -129,6 +129,13 @@ def test_measurement_required_when_trigger_fires(ps1_O10):
         step_decide(state, None, ps, u)
 
 
+def test_prev_control_required_when_no_measurement_is_taken(ps1_O10):
+    # between queries (T* = 6) the estimate propagates with the previous control, so there must be one
+    _, _, state = step_decide(initial_state(ps1_O10, X0), X0, ps1_O10, None)
+    with pytest.raises(ValueError, match="prev_control is required when no measurement is taken"):
+        step_decide(state, None, ps1_O10, None)
+
+
 def test_never_measure_trigger_stays_off(ps2_O7):
     telemetry = drive_plant(ps2_O7, X0, 80)
     assert all(i == 0 for i, _, _, _ in telemetry)

@@ -20,7 +20,7 @@ from lqgsched import (
     validate,
     value_at,
 )
-from lqgsched.model import _frozen, psd_sqrt
+from lqgsched.model import _frozen, is_pd, psd_sqrt
 from lqgsched.policy import _PhaseTable, _solve_prices
 from lqgsched.riccati import dare_solve
 
@@ -39,6 +39,14 @@ def test_zero_R_flagged():
     sys = LinearSystem(A=A1, B=B, C=C3, Sigma_S=SIGMA)
     cost = CostModel(Q=Q3, R=np.zeros((2, 2)), beta=0.95, O=1.0)
     assert "R_not_pd" in codes(Problem(sys=sys, cost=cost))
+
+
+def test_non_symmetric_R_flagged():
+    # is_pd asks for symmetry first: both eigenvalues of this R are 0.2, yet it is no weight
+    R = np.array([[0.2, 0.1], [0.0, 0.2]])
+    assert not is_pd(R)
+    cost = CostModel(Q=Q3, R=R, beta=0.95, O=1.0)
+    assert codes(Problem(sys=LinearSystem(A=A1, B=B, C=C3, Sigma_S=SIGMA), cost=cost)) == ["R_not_pd"]
 
 
 def test_zero_noise_flagged():

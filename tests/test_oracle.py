@@ -136,6 +136,20 @@ def test_zero_control_worse_on_stable_system(sys2_O7, ps2_O7):
     assert J_zero > value_at(ps2_O7, X0).V
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s1, ps1, s2: periodic_strategy_cost(s1.sys, s1.cost, ps1.are.K, 0, X0), "period must be >= 1"),
+    (lambda s1, ps1, s2: policy_suboptimality_probe(s2.sys, s2.cost, x0=X0), "probe requires a finite waiting time"),
+], ids=["period 0", "probe of never-measure sys2"])
+def test_oracle_rejects_what_it_cannot_price(call, message, sys1_O10, ps1_O10, sys2_O7):
+    with pytest.raises(ValueError, match=message):
+        call(sys1_O10, ps1_O10, sys2_O7)
+
+
+def test_never_measure_cost_of_an_unstable_plant_is_infinite(sys1_O10, ps1_O10):
+    # sqrt(beta) rho(A1) >= 1: the open-loop error is not discount-summable
+    assert never_measure_cost(sys1_O10.sys, sys1_O10.cost, ps1_O10.are.K, X0) == math.inf
+
+
 def test_oracle_battery_randomized():
     rng = np.random.default_rng(321)
     for _ in range(10):

@@ -55,6 +55,11 @@ def test_error_cov_seq_first_step():
     assert np.allclose(seq[1], sys.noise_gram(), atol=1e-15)
 
 
+def test_error_cov_seq_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="T must be >= 0, got -1"):
+        error_cov_seq(LinearSystem(A=A1, B=B, C=C3, Sigma_S=SIGMA), -1)
+
+
 def test_error_cov_seq_matches_power_sum():
     sys = LinearSystem(A=A1, B=B, C=C3, Sigma_S=SIGMA)
     seq = error_cov_seq(sys, 5)

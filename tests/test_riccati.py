@@ -228,3 +228,8 @@ def test_spectral_radius_values():
     assert spectral_radius(A1) == pytest.approx(1.3561, abs=1e-3)
     assert spectral_radius(A2) == pytest.approx(0.9755, abs=1e-3)
     assert spectral_radius(np.eye(4)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_spectral_radius_needs_a_square_matrix():
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        spectral_radius(B.T)

@@ -215,6 +215,18 @@ def test_empirical_error_covariance_needs_two_runs(ps1_O10, sys1_O10):
         empirical_error_covariance(sys1_O10, ps1_O10, SimConfig(horizon=10, seed=1, n_runs=1), 3)
 
 
+def test_empirical_error_covariance_at_the_horizon_is_outside_it(ps1_O10, sys1_O10):
+    with pytest.raises(ValueError, match="step 10 outside horizon 10"):
+        empirical_error_covariance(sys1_O10, ps1_O10, SimConfig(horizon=10, seed=1, n_runs=2), 10)
+
+
+def test_one_run_monte_carlo_has_no_standard_error(ps1_O10, sys1_O10):
+    cfg = SimConfig(horizon=50, seed=3, n_runs=1)
+    mean, se = monte_carlo_value(sys1_O10, ps1_O10, cfg)
+    assert se == 0.0
+    assert mean == pytest.approx(simulate(sys1_O10, ps1_O10, cfg).total_cost, rel=1e-12)
+
+
 def test_rollout_totals_do_not_depend_on_chunking(ps1_O10, sys1_O10, monkeypatch):
     import lqgsched.sim as sim
 
