@@ -35,7 +35,6 @@ from .policy import (
     MeasureCase,
     PolicySolution,
     ValueSummary,
-    error_cov_seq,
     f_value,
     h_value,
     never_measure_threshold,
@@ -48,8 +47,6 @@ from .riccati import (
     UnstableA,
     dare_solve,
     finite_riccati,
-    lyapunov_solve,
-    riccati_map,
     spectral_radius,
 )
 from .sim import (

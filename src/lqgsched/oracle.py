@@ -3,8 +3,8 @@
 verify_solution scores two kinds of check. Five derive their numbers
 without the scheduler's cycle-cost code (policy's phase table):
 offset_match, period_match, f_curve_minimum and curve_decreasing read the
-value offset r re-derived by iterating its fixed-point equation on a
-waiting-time grid, whose per-phase error traces are rebuilt from explicit
+offset r (the least cycle-cost ratio) and waiting time T (the first sign
+change of h) derived in closed form on a waiting-time grid from explicit
 matrix powers, and inner_collapse re-costs the finite window in closed form
 from finite_riccati's backward recursion. Two check the solve's own
 arithmetic: fixed_point_residual and bracket evaluate policy.f_value and
@@ -40,24 +40,25 @@ __all__ = [
     "verify_solution",
 ]
 
-# solve_r_fixed_point stops once |delta r| <= R_TOL |r| (at most R_MAX_ITER steps); verify_solution's
-# offset_match needs |r_oracle - r| < OFFSET_TOL |r|; policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
-R_TOL = 1e-12
-R_MAX_ITER = 100_000
-OFFSET_TOL = 1e-6
+# verify_solution's offset_match needs |r_oracle - r| < OFFSET_TOL |r| (both are closed forms, so a few ulps apart);
+# policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
+OFFSET_TOL = 1e-10
 PROBE_GAIN_SCALES = (1.0 - 1e-3, 1.0 + 1e-3)
 
 
 @record
 class OracleReport:
-    """Result of the grid fixed-point iteration for the value offset."""
+    """The value offset and waiting time that solve_r_fixed_point derives in closed form on its grid.
+
+    f_curve is one application of the cycle cost at r_oracle, whose minimum is r_oracle again; nothing is
+    iterated, so convergence_iters is always 1.
+    """
 
     r_oracle: float
     T_oracle: int
     f_curve: np.ndarray  # shape (T_max, 2): columns (T, f(T, r_oracle))
     convergence_iters: int
     grid_capped: bool
-    r_deltas: np.ndarray
 
 
 def _phase_traces_from_powers(
@@ -92,13 +93,16 @@ def solve_r_fixed_point(
     T_max: int = 200,
     are: AreSolution | None = None,
 ) -> OracleReport:
-    """Iterate r <- min_{1<=T<=T_max} f(T, r) from r = 0 until |delta r| <= R_TOL |r|.
+    """Solve r = min_{1<=T<=T_max} f(T, r) in closed form, and the first T at which f rises.
 
-    The map is a contraction with modulus at most beta, so convergence is
-    geometric. The minimizing T at convergence is reported along with the
-    whole f-curve; ``grid_capped`` flags a minimizer sitting on the boundary
-    (no interior minimum found, consistent with a never-measure schedule).
-    An r that is not finite (overflowed phase traces) raises NonConvergence.
+    Each f(T, r) = base_T + beta^T (r + O) is affine in r with slope beta^T < 1,
+    so the fixed point of their minimum is the least of their fixed points,
+    r = min_T (base_T + beta^T O) / (1 - beta^T) (Dinkelbach's ratio form).
+    T_oracle is the first T with h(T, r) = Tr(P_T phi) + beta Tr(Sigma_S C'PC)
+    - (1 - beta)(r + O) > 0, since f(T+1, r) - f(T, r) = beta^T h(T, r); when no
+    T < T_max qualifies it is T_max and ``grid_capped`` is set (no interior
+    minimum, consistent with a never-measure schedule). An r that is not
+    finite (overflowed phase traces) raises NonConvergence.
     """
     if are is None:
         are = dare_solve(sys, cost)
@@ -112,28 +116,15 @@ def solve_r_fixed_point(
     beta_T = beta**Ts
     base = err_prefix + noise_rate * beta * (1.0 - beta_T) / (1.0 - beta)
 
-    r, deltas = 0.0, []
-    for it in range(1, R_MAX_ITER + 1):
-        r, r_prev = float(np.min(base + beta_T * (r + O))), r
-        if not math.isfinite(r):
-            raise NonConvergence(f"r = {r} at step {it}: the explicit powers of A overflow on the oracle's grid of "
-                                 f"{T_max} waiting times", residual=math.inf)
-        deltas.append(abs(r - r_prev))
-        if deltas[-1] <= R_TOL * abs(r):
-            curve_vals = base + beta_T * (r + O)
-            T_star = int(Ts[int(np.argmin(curve_vals))])
-            return OracleReport(
-                r_oracle=r,
-                T_oracle=T_star,
-                f_curve=np.column_stack([Ts.astype(float), curve_vals]),
-                convergence_iters=it,
-                grid_capped=T_star == T_max,
-                r_deltas=np.asarray(deltas),
-            )
-    raise NonConvergence(
-        f"fixed-point iteration for r did not converge in {R_MAX_ITER} steps",
-        residual=deltas[-1],
-    )
+    r = float(np.min((base + beta_T * O) / (1.0 - beta_T)))
+    if not math.isfinite(r):
+        raise NonConvergence(f"r = {r}: the explicit powers of A overflow on the oracle's grid of "
+                             f"{T_max} waiting times", residual=math.inf)
+    # h(T, r) for T = 1..T_max-1, then inf at T_max, where the grid ends
+    h = np.append(err_trace[1:] + beta * noise_rate - (1.0 - beta) * (r + O), math.inf)
+    T_star = int(np.argmax(h > 0.0)) + 1
+    curve = np.column_stack([Ts.astype(float), base + beta_T * (r + O)])
+    return OracleReport(r_oracle=r, T_oracle=T_star, f_curve=curve, convergence_iters=1, grid_capped=T_star == T_max)
 
 
 @record

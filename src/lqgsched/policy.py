@@ -17,15 +17,17 @@ measuring is never worth the price. For Schur-stable A the blocks converge;
 their limit gives W_inf, E[inf] and the threshold S(inf), itself a block's
 S, so every price below it has a finite T*. The value offset r solves
 r = min_T f(T, r) and is read off the sums per case (the oracle module
-iterates it by brute force). A sweep shares one Riccati solve and one table,
-which lives only for the solve: a PolicySolution keeps W_inf and two numbers
-beside its records, whose read-only arrays the controller and the simulator
+re-derives it from explicit matrix powers as min_T f(T, 0)/(1 - beta^T)
+on a grid). A sweep shares one Riccati solve and one table, which lives
+only for the solve: a PolicySolution keeps W_inf and two numbers beside
+its records, whose read-only arrays the controller and the simulator
 multiply by directly (sys.A, sys.B and are.minus_K).
 
 Covariance convention: P_t follows the adjoint recursion P_{t+1} = A' P_t A + G
-(error_cov_seq builds these matrices; the tests check the table against it).
-A physical simulation propagates forward (A Cov A' + C Sigma_S C'), which
-differs on non-normal A; the simulator and oracle modules quantify that gap.
+(error_cov_seq in tests/reference.py builds these matrices one step at a
+time; the tests check the table against it). A physical simulation
+propagates forward (A Cov A' + C Sigma_S C'), which differs on non-normal
+A; the simulator and oracle modules quantify that gap.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "MeasureCase",
     "PolicySolution",
     "ValueSummary",
-    "error_cov_seq",
     "f_value",
     "h_value",
     "optimal_period",
@@ -179,23 +180,6 @@ class PolicySolution:
         if self.period == 1:
             return MeasureCase.MEASURE_EVERY_STEP
         return MeasureCase.FINITE_PERIOD
-
-
-def error_cov_seq(sys: LinearSystem, T: int) -> np.ndarray:
-    """Unmeasured-error covariances cov[t], t = 0..T, under the adjoint recursion, shape (T+1, q, q).
-
-    cov[0] = 0 and cov[t+1] = A' cov[t] A + C'Sigma_S C, which telescopes to
-    sum_{tau=0}^{t-1} (A')^tau C'Sigma_S C A^tau.
-    """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    q = sys.q
-    G = sys.noise_gram()
-    cov = np.zeros((T + 1, q, q))
-    for t in range(T):
-        nxt = sys.A.T @ cov[t] @ sys.A + G
-        cov[t + 1] = (nxt + nxt.T) / 2.0
-    return cov
 
 
 def f_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:

@@ -21,10 +21,8 @@ __all__ = [
     "AreSolution",
     "NonConvergence",
     "UnstableA",
-    "riccati_map",
     "dare_solve",
     "finite_riccati",
-    "lyapunov_solve",
     "spectral_radius",
     "dlyap_adjoint",
 ]
@@ -73,7 +71,10 @@ class AreSolution:
 
 
 def _step(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Riccati step from L: (riccati_map(L), the gain K and the sensitivity phi at L)."""
+    """One step of the discounted Riccati recursion from L, with the gain K and the sensitivity phi at L.
+
+    L -> Q + beta A'LA - A'LB beta (R + beta B'LB)^{-1} beta B'LA, symmetrized to suppress floating-point drift.
+    """
     beta, A, B = cost.beta, sys.A, sys.B
     BtL, AtL = B.T @ L, A.T @ L
     S = cost.R + beta * (BtL @ B)
@@ -86,18 +87,6 @@ def _step(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> tuple[np.ndarray
     return (out + out.T) / 2.0, K, phi
 
 
-def riccati_map(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> np.ndarray:
-    """One step of the discounted Riccati recursion.
-
-    L -> Q + beta A'LA - A'LB beta (R + beta B'LB)^{-1} beta B'LA,
-    symmetrized to suppress floating-point drift.
-    """
-    L = np.asarray(L, dtype=float)
-    if L.shape != (sys.q, sys.q):
-        raise ValueError(f"L has shape {L.shape}, expected ({sys.q}, {sys.q})")
-    return _step(L, sys, cost)[0]
-
-
 def _converged(step: np.ndarray, total: np.ndarray) -> bool:
     return not float(np.max(np.abs(step))) > DOUBLING_STOP * float(np.max(np.abs(total)))
 
@@ -107,7 +96,7 @@ def dare_solve(sys: LinearSystem, cost: CostModel) -> AreSolution:
 
     On A = sqrt(beta) A, G = beta B R^-1 B', H = Q and W = I + G H, a round sets A <- A W^-1 A,
     G <- G + A W^-1 G A', H <- H + A' H W^-1 A, doubling the horizon that H covers. K, phi and the
-    residual max|riccati_map(P) - P| / max|P| come from one final Riccati step. An ill-posed plant
+    residual max|_step(P) - P| / max|P| come from one final Riccati step. An ill-posed plant
     (model.validate skipped) raises NonConvergence: its residual exceeds DARE_RESIDUAL_TOL.
     """
     A, H = math.sqrt(cost.beta) * sys.A, (cost.Q + cost.Q.T) / 2.0
@@ -138,7 +127,7 @@ def finite_riccati(
     """Backward recursion over a T-step window with terminal weight P_terminal.
 
     Returns (L, phi) where L has shape (T+1, q, q) with L[0] = P_terminal and
-    L[t+1] = riccati_map(L[t]), and phi has shape (T, q, q) with
+    L[t+1] = _step(L[t]), and phi has shape (T, q, q) with
     phi[t] built from L[T-t-1] (the weight active t steps into the window).
     """
     if T < 1:
@@ -189,16 +178,3 @@ def _check_lyapunov(sys: LinearSystem, W: np.ndarray) -> None:
     if residual >= LYAPUNOV_RESIDUAL_TOL:
         raise NonConvergence(f"relative Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}",
                              residual=residual)
-
-
-def lyapunov_solve(sys: LinearSystem) -> np.ndarray:
-    """Solve W - A'WA = C'Sigma_S C for Schur-stable A.
-
-    Computed by doubling on the series sum_t (A')^t C'Sigma_S C A^t. Raises
-    UnstableA when the spectral radius of A is not strictly inside the unit
-    circle, and NonConvergence if the residual over max|W| is too large.
-    """
-    _require_schur_stable(sys)
-    W = dlyap_adjoint(sys.A, sys.noise_gram())
-    _check_lyapunov(sys, W)
-    return W

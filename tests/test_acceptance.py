@@ -18,7 +18,6 @@ from lqgsched import (
     fixed_period,
     h_value,
     inner_dp_check,
-    lyapunov_solve,
     make_packet,
     monte_carlo_value,
     never_measure_threshold,
@@ -39,6 +38,7 @@ from conftest import (
     make_problem,
     random_admissible_with_finite_T,
 )
+from reference import lyapunov_solve
 
 W_INF_EXPECTED = np.array([
     [2.5129, -0.8009, 0.2130],

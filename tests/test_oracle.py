@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -52,14 +54,6 @@ def test_fixed_point_never_measure_curve(sys2_O7):
     diffs = np.diff(rep.f_curve[:, 1])
     assert np.all(diffs < 0.0)  # no interior minimizer
     assert rep.grid_capped
-
-
-def test_contraction_rate():
-    p = make_problem(A1, 10.0)
-    rep = solve_r_fixed_point(p.sys, p.cost, T_max=50)
-    d = rep.r_deltas
-    ratios = d[1:-1] / d[:-2]  # last delta may underflow the tolerance
-    assert np.all(ratios <= BETA + 1e-9)
 
 
 def test_inner_dp_single_step(ps1_O10, sys1_O10):
@@ -159,13 +153,29 @@ def test_oracle_battery_randomized():
         assert abs(rep.r_oracle - ps.r) < 1e-6
 
 
+def test_benchmark_oracle_reference_agrees_with_the_solve(monkeypatch):
+    # the benchmark refuses a plant_q50 run whose sweep or solve disagrees with prepare.oracle_reference
+    # (run._oracle_mismatch); catch that here first, over the workload's price range of 1% to 10^0.8 of the threshold
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    prepare, run = importlib.import_module("prepare"), importlib.import_module("run")
+    plant = prepare.random_plant(1)
+    threshold = never_measure_threshold(plant.sys, plant.cost)
+    refs = prepare.oracle_reference(plant, np.geomspace(0.01 * threshold, 10**0.8 * threshold, 5))
+    periods = []
+    for ref in refs:
+        ps = optimal_period(plant.sys, dataclasses.replace(plant.cost, O=ref["O"]))
+        assert run._oracle_mismatch(ref["O"], ps.period or None, ps.r, ref) == []
+        periods.append(ps.period)
+    assert periods == [1, 2, 5, 0, 0]  # both branches of the sweep
+
+
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), pick=st.floats(0.0, 1.0, exclude_max=True), u=st.floats(0.1, 0.9))
 def test_oracle_agrees_inside_brackets_property(seed, pick, u):
     # T* = T for any price in [S[T-1], S[T]); a price a fraction u into the bracket keeps clear of
     # its edges, where f(T) ties with a neighbour. Brackets wider than 1e-6 and prices below 1e6
-    # keep the absolute 1e-6 asked of r here within reach of the oracle, which stops at a step of
-    # 1e-12 |r|, and of a double of r's size.
+    # keep the absolute 1e-6 asked of r here within reach of the oracle's closed form, which is a
+    # few ulps of |r| from the solve's, and of a double of r's size.
     sys, cost = random_admissible(np.random.default_rng(seed))
     ps0 = optimal_period(sys, cost)
     table = _PhaseTable(sys, cost.beta, ps0.are)
@@ -201,6 +211,59 @@ def _q50_plant_with_finite_T():
     return Problem(sys=p.sys, cost=dataclasses.replace(p.cost, O=60.0), x0=p.x0)  # T* = 4
 
 
+def _sys1_at_beta(beta, O):
+    p = make_problem(A1, O)
+    return Problem(sys=p.sys, cost=dataclasses.replace(p.cost, beta=beta), x0=p.x0)
+
+
+@pytest.mark.parametrize("O, T_star", [(0.01, 1), (10.0, 6)])
+def test_verify_passes_at_a_high_discount(O, T_star):
+    # at beta = 0.9999 an iteration of r <- min_T f(T, r) contracts by 0.9999 a step and took
+    # 34717 steps at O = 10, and more than 100000 at O = 0.01; the closed form takes none
+    p = _sys1_at_beta(0.9999, O)
+    ps = optimal_period(p.sys, p.cost)
+    assert ps.period == T_star
+    rep = verify_solution(p.sys, p.cost, ps, x_probe=p.x0)
+    assert rep.passed, rep.failures()
+    assert (rep.oracle.T_oracle, rep.oracle.convergence_iters) == (T_star, 1)
+
+
+def test_oracle_period_at_a_tiny_discount():
+    # at beta = 1e-8 the f-curve's differences beta^T h fall below its rounding from T = 4 on; h, which has
+    # no beta^T factor, still turns positive at T* (f_curve_minimum, an argmin of the curve, still fails)
+    p = _sys1_at_beta(1e-8, 10.0)
+    ps = optimal_period(p.sys, p.cost)
+    assert ps.period == 70
+    rep = verify_solution(p.sys, p.cost, ps, x_probe=p.x0)
+    assert rep.oracle.T_oracle == 70
+    assert dict((name, ok) for name, ok, _ in rep.checks)["period_match"]
+
+
+_TAMPER_CASES = pytest.mark.parametrize("A, O, T_star", [(A1, 10.0, 6), (A2, 2.0, 16)], ids=["sys1_O10", "sys2_O2"])
+
+
+@_TAMPER_CASES
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_offset_match_names_an_offset_off_by_1e_8(A, O, T_star, sign):
+    # the closed forms agree to a few ulps, so offset_match can ask for 1e-10 and read an r off by 1e-8
+    p = make_problem(A, O)
+    ps = optimal_period(p.sys, p.cost)
+    assert ps.period == T_star
+    assert verify_solution(p.sys, p.cost, ps, x_probe=p.x0).passed
+    rep = verify_solution(p.sys, p.cost, dataclasses.replace(ps, r=ps.r * (1 + sign * 1e-8)), x_probe=p.x0)
+    assert "offset_match" in rep.failures()
+
+
+@_TAMPER_CASES
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_period_match_names_a_period_off_by_one(A, O, T_star, sign):
+    p = make_problem(A, O)
+    ps = optimal_period(p.sys, p.cost)
+    assert ps.period == T_star
+    rep = verify_solution(p.sys, p.cost, dataclasses.replace(ps, period=T_star + sign), x_probe=p.x0)
+    assert "period_match" in rep.failures()
+
+
 _COLLAPSE_CASES = {
     "sys1_O10": lambda: make_problem(A1, 10.0),
     "sys1_O100": lambda: make_problem(A1, 100.0),
@@ -220,6 +283,14 @@ def test_verify_runs_no_monte_carlo(case, monkeypatch):
     assert ps.finite
     rep = verify_solution(p.sys, p.cost, ps, x_probe=p.x0)
     assert rep.passed, rep.failures()
+
+
+@pytest.mark.parametrize("case", ["sys1_O10", "sys2_O7", "q50"])
+def test_f_curve_minimum_is_the_offset(case):
+    # f(T, r_oracle) = r_oracle at the minimizing T: the curve is one Bellman application at the fixed point
+    p = {**_COLLAPSE_CASES, "sys2_O7": lambda: make_problem(A2, 7.0)}[case]()
+    rep = solve_r_fixed_point(p.sys, p.cost, T_max=500)
+    assert abs(float(np.min(rep.f_curve[:, 1])) - rep.r_oracle) <= 4 * np.spacing(rep.r_oracle)
 
 
 @pytest.mark.parametrize("case", sorted(_COLLAPSE_CASES))

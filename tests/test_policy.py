@@ -13,10 +13,8 @@ from lqgsched import (
     MeasureCase,
     UnstableA,
     dare_solve,
-    error_cov_seq,
     f_value,
     h_value,
-    lyapunov_solve,
     never_measure_threshold,
     optimal_period,
     value_at,
@@ -42,6 +40,7 @@ from conftest import (
     random_stable_plant,
     scalar_problem,
 )
+from reference import error_cov_seq, lyapunov_solve
 
 
 def noise_rate(sys, P):
