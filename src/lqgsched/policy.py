@@ -80,7 +80,7 @@ class _PhaseTable:
     """The phase sums of one (sys, beta, are), kept per number of phases T; their limit is solved on first use."""
 
     def __init__(self, sys: LinearSystem, beta: float, are: AreSolution):
-        self.sys, self.are = sys, are
+        self.sys, self.beta, self.are = sys, beta, are
         self.noise = float(np.trace(sys.Sigma_S @ sys.C.T @ are.P @ sys.C))  # Tr(Sigma_S C'PC)
         G, q = sys.noise_gram(), sys.q
         self._memo = {0: self._span(np.eye(q), 1.0, 0.0, np.zeros((3, q, q))),
@@ -126,6 +126,14 @@ class _PhaseTable:
                 T += step
             step //= 2
         return T + 1
+
+    def f(self, T: int, r: float, O: float) -> float:
+        """f(T, r) at price O, T >= 1 (see f_value)."""
+        return self.at(T).E + self.noise * self.beta * (1.0 - self.beta**T) / (1.0 - self.beta) + self.beta**T * (r + O)
+
+    def h(self, T: int, r: float, O: float) -> float:
+        """h(T, r) at price O, T >= 1 (see h_value)."""
+        return self.at(T).tr + self.beta * self.noise - (1.0 - self.beta) * (r + O)
 
     @cached_property
     def limit(self) -> _Span:
@@ -192,9 +200,7 @@ def f_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSoluti
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    table, beta = _PhaseTable(sys, cost.beta, are), cost.beta
-    noise_sum = table.noise * beta * (1.0 - beta**T) / (1.0 - beta)
-    return table.at(T).E + noise_sum + beta**T * (r + cost.O)
+    return _PhaseTable(sys, cost.beta, are).f(T, r, cost.O)
 
 
 def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:
@@ -205,8 +211,7 @@ def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSoluti
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    table, beta = _PhaseTable(sys, cost.beta, are), cost.beta
-    return table.at(T).tr + beta * table.noise - (1.0 - beta) * (r + cost.O)
+    return _PhaseTable(sys, cost.beta, are).h(T, r, cost.O)
 
 
 def never_measure_threshold(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> float:

@@ -214,8 +214,7 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     """
     A, B, N, minus_K = problem.sys.A, problem.sys.B, problem.sys.noise_factor, ps.are.minus_K
     q, p = problem.q, problem.p
-    measure = np.zeros(steps, dtype=bool)
-    measure[strategy.measure_times(ps, steps)] = True  # never step 0: it is free
+    T = ps.period if strategy.period is None else strategy.period  # queries at the multiples of T, never step 0
 
     n_groups = -(-n_runs // _GROUP_RUNS)
     # Chunks of equal size: a small remainder chunk would take BLAS's small-matrix
@@ -242,14 +241,15 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
                 X_next += np.matmul(B, U, out=BU)
                 X_next += np.matmul(N, noise, out=Xbar_next)  # a spare until the estimate update
                 X, X_next = X_next, X
-            if t == 0 or measure[t]:  # x0 is known at step 0
+            measured = 0 < T <= t and t % T == 0
+            if t == 0 or measured:  # x0 is known at step 0
                 np.copyto(Xbar, X)
             else:
                 np.matmul(A, Xbar, out=Xbar_next)
                 Xbar_next += BU
                 Xbar, Xbar_next = Xbar_next, Xbar
             np.matmul(minus_K, Xbar, out=U)
-            yield t, X.T, Xbar.T, U.T, bool(measure[t])
+            yield t, X.T, Xbar.T, U.T, measured
 
 
 def _state_control_cost(cost: CostModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:

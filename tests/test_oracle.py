@@ -27,7 +27,7 @@ from lqgsched.policy import _PhaseTable
 
 from conftest import (
     A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
-    random_admissible_with_finite_T, random_stable_plant,
+    random_admissible_with_finite_T, random_stable_plant, scalar_problem,
 )
 
 
@@ -230,7 +230,7 @@ def test_verify_passes_at_a_high_discount(O, T_star):
 
 def test_oracle_period_at_a_tiny_discount():
     # at beta = 1e-8 the f-curve's differences beta^T h fall below its rounding from T = 4 on; h, which has
-    # no beta^T factor, still turns positive at T* (f_curve_minimum, an argmin of the curve, still fails)
+    # no beta^T factor, still turns positive at T*
     p = _sys1_at_beta(1e-8, 10.0)
     ps = optimal_period(p.sys, p.cost)
     assert ps.period == 70
@@ -262,6 +262,126 @@ def test_period_match_names_a_period_off_by_one(A, O, T_star, sign):
     assert ps.period == T_star
     rep = verify_solution(p.sys, p.cost, dataclasses.replace(ps, period=T_star + sign), x_probe=p.x0)
     assert "period_match" in rep.failures()
+
+
+@_TAMPER_CASES
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_f_curve_minimum_names_a_period_off_by_one(A, O, T_star, sign):
+    # the oracle's h changes sign at T*, so either neighbour has an h of the wrong sign on its side
+    p = make_problem(A, O)
+    ps = optimal_period(p.sys, p.cost)
+    rep = verify_solution(p.sys, p.cost, dataclasses.replace(ps, period=T_star + sign), x_probe=p.x0)
+    assert {"period_match", "f_curve_minimum"} <= set(rep.failures())
+
+
+def test_curve_decreasing_names_a_never_measure_schedule_below_the_threshold():
+    p = make_problem(A2, 2.0)
+    ps = optimal_period(p.sys, p.cost)
+    assert ps.period == 16
+    rep = verify_solution(p.sys, p.cost, dataclasses.replace(ps, period=0), x_probe=p.x0)
+    assert "curve_decreasing" in rep.failures()
+
+
+def _sys1_with_large_B(i, x0=X0):
+    # B[i][i] = 1e8 makes cond(R + beta B'PB) about 1e16, and the solve is accepted at a relative residual near 1e-9
+    B_large = B.copy()
+    B_large[i, i] = 1e8
+    p = make_problem(A1, 10.0)
+    return Problem(sys=dataclasses.replace(p.sys, B=B_large), cost=p.cost, x0=x0)
+
+
+def _scalar_at_half_its_threshold():
+    p = scalar_problem(0.9999, 1.0)
+    return dataclasses.replace(p, cost=dataclasses.replace(p.cost, O=0.5 * never_measure_threshold(p.sys, p.cost)))
+
+
+@pytest.mark.parametrize("case, T_star", [
+    # beta^T falls below the f-curve's rounding from T = 4 on; its argmin read 4
+    (lambda: _sys1_at_beta(1e-8, 10.0), 70),
+    # far out on the grid beta^T is below the f-curve's rounding; its argmin read 814
+    (_scalar_at_half_its_threshold, 3485),
+    # inner_collapse at 4.3e-10 and 2.1e-10 failed a fixed 1e-10 under Riccati residuals of 5e-10 and 1.3e-9
+    (lambda: _sys1_with_large_B(0), 5),
+    (lambda: _sys1_with_large_B(1, [0.5, -15.0, 10.0]), 6),
+], ids=["beta_1e-8", "scalar_half_threshold", "B00_1e8", "B11_1e8"])
+def test_verify_passes_where_the_f_curve_rounds(case, T_star):
+    p = case()
+    ps = optimal_period(p.sys, p.cost)
+    assert ps.period == T_star
+    rep = verify_solution(p.sys, p.cost, ps, x_probe=p.x0)
+    assert rep.passed, rep.failures()
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_inner_collapse_names_an_offset_off_by_1e_6_on_an_ill_conditioned_plant(sign):
+    # the bound follows the solve's residual, 5e-10 here, and still reads an r off by 1e-6
+    p = _sys1_with_large_B(0)
+    ps = optimal_period(p.sys, p.cost)
+    rep = verify_solution(p.sys, p.cost, dataclasses.replace(ps, r=ps.r * (1 + sign * 1e-6)), x_probe=p.x0)
+    assert "inner_collapse" in rep.failures()
+
+
+def _bench_plant(monkeypatch, seed):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    return importlib.import_module("prepare").random_plant(seed)
+
+
+def test_verify_passes_on_a_bench_plant_at_a_bracket_edge(monkeypatch):
+    # at O = S(1), T* = 2 and h(1, r) = 0 in exact arithmetic; the f-curve's argmin read 1
+    plant = _bench_plant(monkeypatch, 1)
+    are = dare_solve(plant.sys, plant.cost)
+    cost = dataclasses.replace(plant.cost, O=float(np.trace(plant.sys.noise_gram() @ are.phi)))
+    ps = optimal_period(plant.sys, cost, are=are)
+    assert ps.period == 2
+    rep = verify_solution(plant.sys, cost, ps, x_probe=plant.x0)
+    assert rep.passed, rep.failures()
+
+
+def test_verify_passes_on_a_bench_plant_just_above_its_threshold(monkeypatch):
+    # the f-curve's differences beta^T h rounded to 0 far out on the grid, and curve_decreasing failed
+    plant = _bench_plant(monkeypatch, 410)
+    cost = dataclasses.replace(plant.cost, O=1.004 * never_measure_threshold(plant.sys, plant.cost))
+    ps = optimal_period(plant.sys, cost)
+    assert not ps.finite
+    rep = verify_solution(plant.sys, cost, ps, x_probe=plant.x0)
+    assert rep.passed, rep.failures()
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), log_beta=st.floats(math.log(1e-8), math.log(0.9999)),
+       pick=st.floats(0.0, 1.0, exclude_max=True), u=st.floats(0.1, 0.9), above=st.booleans())
+def test_verify_passes_at_any_discount_property(seed, log_beta, pick, u, above):
+    # The oracle's h decides the period, so verify passes with beta log-uniform in [1e-8, 0.9999]: at a
+    # price a fraction u into the bracket of a T* <= 12, or at 1.001 times a stable plant's never-measure
+    # threshold. A bracket, or a distance above the threshold, narrower than 1e-6 of S(T+1) + beta
+    # Tr(Sigma_S C'PC) (the size of h's terms) is left out: there rounding decides the sign of h, a tie.
+    beta = math.exp(log_beta)
+    sys, cost = random_admissible(np.random.default_rng(seed), beta_range=(beta, beta))
+    ps0 = optimal_period(sys, cost)
+    noise = beta * ps0.noise
+    if above and ps0.never_threshold is not None:
+        assume(0.001 * ps0.never_threshold > 1e-6 * (ps0.never_threshold + noise))
+        O = 1.001 * ps0.never_threshold
+    else:
+        table = _PhaseTable(sys, beta, ps0.are)
+        S = [table.at(t).S for t in range(14)]
+        periods = [T for T in range(1, 13) if S[T] - S[T - 1] > 1e-6 * (S[T + 1] + noise)]
+        assume(periods)
+        T = periods[int(pick * len(periods))]
+        O = S[T - 1] + u * (S[T] - S[T - 1])
+    cost = dataclasses.replace(cost, O=O)
+    ps = optimal_period(sys, cost, are=ps0.are)
+    rep = verify_solution(sys, cost, ps)
+    assert rep.passed, rep.failures()
+
+
+def test_verify_builds_one_phase_table(sys1_O10, ps1_O10, monkeypatch):
+    # fixed_point_residual and both bracket values read one table
+    built = []
+    init = _PhaseTable.__init__
+    monkeypatch.setattr(_PhaseTable, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    assert verify_solution(sys1_O10.sys, sys1_O10.cost, ps1_O10, x_probe=X0).passed
+    assert len(built) == 1
 
 
 _COLLAPSE_CASES = {
@@ -300,7 +420,7 @@ def test_inner_collapse_reads_inner_dp_checks_adjoint_form(case):
     detail = {name: d for name, _, d in verify_solution(p.sys, p.cost, ps, x_probe=p.x0).checks}["inner_collapse"]
     inner = inner_dp_check(p.sys, p.cost, ps.are.P, ps.r, ps.period, p.x0, n_mc=2)
     target = float(p.x0 @ ps.are.P @ p.x0) + ps.r
-    assert detail == f"relative deviation {abs(inner.closed_form_adjoint - target) / max(1.0, abs(target)):.3e}"
+    assert detail == f"relative deviation {abs(inner.closed_form_adjoint - target) / abs(target):.3e}"
 
 
 def _second_plant_at_3_S1_small_weights():

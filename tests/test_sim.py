@@ -285,6 +285,22 @@ def test_monte_carlo_memory_does_not_grow_with_runs(ps1_O10, sys1_O10, monkeypat
     assert abs(peak(10_000) - peak(1_000)) < 8 * 2_000
 
 
+def test_rollout_holds_no_per_step_query_mask(sys2_O7, ps2_O7):
+    # Ten times the horizon on a stable plant, querying every step: a query mask and a list of query
+    # times kept per step would add 9 bytes a step, 40 kB here.
+    import tracemalloc
+
+    def peak(H):
+        tracemalloc.start()
+        try:
+            monte_carlo_value(sys2_O7, ps2_O7, SimConfig(horizon=H, seed=1, n_runs=4, strategy=ALWAYS_MEASURE))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(5_000) - peak(500) < 8_000
+
+
 def test_monte_carlo_moments_merge_chunks(ps1_O10, sys1_O10, monkeypatch):
     import lqgsched.sim as sim
 
