@@ -40,7 +40,7 @@ __all__ = [
     "verify_solution",
 ]
 
-# verify_solution's offset_match needs |r_oracle - r| < OFFSET_TOL |r| (both are closed forms, so a few ulps apart);
+# verify_solution's offset_match needs |r_oracle - r| <= OFFSET_TOL |r| (both are closed forms, so a few ulps apart);
 # policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
 OFFSET_TOL = 1e-10
 PROBE_GAIN_SCALES = (1.0 - 1e-3, 1.0 + 1e-3)
@@ -351,11 +351,12 @@ def verify_solution(
 
     Checks (documented tolerances; h_o is the oracle's h(T, r_oracle) on its grid):
       fixed_point_residual  |f(T*, r) - r| < 1e-8 |r|       (finite schedules)
-      offset_match          |r_oracle - r| < OFFSET_TOL |r|
+      offset_match          |r_oracle - r| <= OFFSET_TOL |r|
       period_match          T_oracle == T*                  (finite schedules)
       f_curve_minimum       h_o <= 0 before T* and h_o > 0 from T* on, over the grid
       bracket               h(T*-1, r) <= 0 < h(T*, r)
-      curve_decreasing      h_o < 0 over the grid, so f strictly decreases (never-measure)
+      curve_decreasing      h_o < 0 over the grid, so f strictly decreases, or h_o = 0 over it,
+                            so f is constant and every schedule ties (never-measure)
       inner_collapse        adjoint window cost, in closed form, collapses onto x'Px + r at the fixed
                             point, within max(1e-10, 10 ps.are.residual) relative, no stricter than
                             the accepted solve (only inner_dp_check re-costs it by Monte Carlo)
@@ -372,7 +373,7 @@ def verify_solution(
         resid = abs(table.f(T_star, ps.r, cost.O) - ps.r)
         checks.append(("fixed_point_residual", resid < 1e-8 * abs(ps.r), f"|f(T*,r)-r| = {resid:.3e}"))
         checks.append(
-            ("offset_match", abs(rep.r_oracle - ps.r) < OFFSET_TOL * abs(ps.r),
+            ("offset_match", abs(rep.r_oracle - ps.r) <= OFFSET_TOL * abs(ps.r),
              f"|r_oracle - r| = {abs(rep.r_oracle - ps.r):.3e}")
         )
         checks.append(
@@ -400,10 +401,13 @@ def verify_solution(
         rel = abs(window - target) / abs(target)
         checks.append(("inner_collapse", rel < max(1e-10, 10 * ps.are.residual), f"relative deviation {rel:.3e}"))
     else:
-        h_max = rep.h.max()
-        checks.append(("curve_decreasing", bool(h_max < 0.0), f"max h = {h_max:.3e}"))
+        if rep.h.any():
+            h_max = rep.h.max()
+            checks.append(("curve_decreasing", bool(h_max < 0.0), f"max h = {h_max:.3e}"))
+        else:  # f(T, r) does not depend on T, so every schedule ties with never measuring
+            checks.append(("curve_decreasing", True, "h = 0 over the grid: f is constant and every schedule ties"))
         checks.append(
-            ("offset_match", abs(rep.r_oracle - ps.r) < max(OFFSET_TOL * abs(ps.r), 10 * cost.beta**T_max * (ps.r + cost.O)),
+            ("offset_match", abs(rep.r_oracle - ps.r) <= max(OFFSET_TOL * abs(ps.r), 10 * cost.beta**T_max * (ps.r + cost.O)),
              f"|r_oracle - r| = {abs(rep.r_oracle - ps.r):.3e}")
         )
         checks.append(("grid_capped", rep.grid_capped, "minimizer on grid boundary"))

@@ -19,7 +19,8 @@ groups (at most ``_CHUNK_VALUES`` values of state, and at least one group),
 so memory does not grow with the horizon. Monte Carlo costs and the sampled
 error covariance merge each chunk's moments into running totals, so memory
 does not grow with the number of runs (at most ``MAX_RUNS``) either, and
-``TrajectoryRecord.write_csv`` formats a few hundred rows at a time.
+``TrajectoryRecord.write_csv`` formats the rows of about ``_CSV_VALUES`` cells
+at a time.
 Gaussian plant noise w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with
 the symmetric PSD square root, which also supports degenerate covariances
 (useful for noiseless test modes).
@@ -57,13 +58,6 @@ class Strategy:
     def __post_init__(self):
         if self.period is not None and self.period < 0:
             raise ValueError(f"a query period must be >= 0, got {self.period}")
-
-    def measure_times(self, ps: PolicySolution, horizon: int) -> np.ndarray:
-        """Deterministic query steps within [0, horizon); step 0 is always free."""
-        T = ps.period if self.period is None else self.period
-        if not T or T >= horizon:  # no query falls in the horizon (and arange cannot step by 2**63)
-            return np.empty(0, dtype=int)
-        return np.arange(T, horizon, T)
 
 
 OPTIMAL = Strategy()
@@ -111,8 +105,14 @@ class SimConfig:
             raise ValueError("seed must be >= 0")
 
 
-# Trajectory rows write_csv formats at a time.
-_CSV_ROWS = 256
+# Cells write_csv formats at a time, in whole rows (at least one): 273 rows at
+# q = 3, p = 2 and 24 at q = 50, p = 10.
+_CSV_VALUES = 2**12
+
+
+def _csv_rows(q: int, p: int) -> int:
+    """Rows of a ``write_csv`` block: a row holds t, x, x_bar, err, u, i and the two costs, 3 q + p + 4 cells."""
+    return max(1, _CSV_VALUES // (3 * q + p + 4))
 
 
 @record
@@ -164,17 +164,19 @@ class TrajectoryRecord:
         return "".join(line + "\n" for line in lines)
 
     def write_csv(self, dest) -> None:
-        """Write ``csv_text()`` to a path or an open text stream, ``_CSV_ROWS`` rows at a time.
+        """Write ``csv_text()`` to a path or an open text stream, ``_csv_rows(q, p)`` rows at a time.
 
         Only one block of rows is formatted at once, so memory does not grow
-        with the horizon.
+        with the horizon, and a block holds about ``_CSV_VALUES`` cells whatever
+        the width of a row.
         """
         if not hasattr(dest, "write"):
             with open(dest, "w") as fh:
                 self.write_csv(fh)
             return
-        for start in range(0, len(self.t), _CSV_ROWS):
-            dest.write(self.csv_text(start, start + _CSV_ROWS))
+        rows = _csv_rows(self.x.shape[1], self.u.shape[1])
+        for start in range(0, len(self.t), rows):
+            dest.write(self.csv_text(start, start + rows))
 
 
 def _run_rng(seed: int, group: int) -> np.random.Generator:

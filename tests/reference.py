@@ -3,8 +3,9 @@
 None of these runs in a command: riccati_map is one step of the Riccati
 recursion (dare_solve's residual), error_cov_seq the adjoint error
 covariances P_t one step at a time (what the phase table sums in blocks),
-and lyapunov_solve the Gramian W = A'WA + C'Sigma_S C (the limit of the
-phase table's W_T).
+lyapunov_solve the Gramian W = A'WA + C'Sigma_S C (the limit of the
+phase table's W_T), and measure_times the query steps of a schedule (what
+the rollout decides a step at a time).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from lqgsched.model import CostModel, LinearSystem
+from lqgsched.policy import PolicySolution
 from lqgsched.riccati import _check_lyapunov, _require_schur_stable, _step, dlyap_adjoint
+from lqgsched.sim import Strategy
 
 
 def riccati_map(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> np.ndarray:
@@ -55,3 +58,11 @@ def lyapunov_solve(sys: LinearSystem) -> np.ndarray:
     W = dlyap_adjoint(sys.A, sys.noise_gram())
     _check_lyapunov(sys, W)
     return W
+
+
+def measure_times(strategy: Strategy, ps: PolicySolution, horizon: int) -> np.ndarray:
+    """Deterministic query steps within [0, horizon); step 0 is always free."""
+    T = ps.period if strategy.period is None else strategy.period
+    if not T or T >= horizon:  # no query falls in the horizon (and arange cannot step by 2**63)
+        return np.empty(0, dtype=int)
+    return np.arange(T, horizon, T)

@@ -450,10 +450,15 @@ def test_too_many_runs_exits_2(capsys, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("horizon", ["1000000000000000000", "9223372036854775808", str(10**20)])
-def test_simulate_at_an_absurd_horizon_exits_2(capsys, horizon, fmt):
-    # numpy refuses these trajectories with ValueError (too big for the address space), at once
-    code, out, err = run(capsys, "simulate", "--problem", SYS1, "--horizon", horizon, "--format", fmt)
+@pytest.mark.parametrize("horizon, runs", [
+    pytest.param(horizon, runs, id=horizon if runs == "1" else f"{horizon}-runs{runs}")
+    for runs in ("1", "2") for horizon in ("1000000000000000000", "9223372036854775808", str(10**20))
+])
+def test_simulate_at_an_absurd_horizon_exits_2(capsys, horizon, runs, fmt):
+    # numpy refuses these trajectories with ValueError (too big for the address space), at once; with
+    # --runs 2 the trajectory is allocated before any Monte Carlo step, which would run for ages
+    code, out, err = run(capsys, "simulate", "--problem", SYS1, "--horizon", horizon, "--runs", runs,
+                         "--format", fmt)
     assert code == 2
     message = json.loads(out)["error"] if fmt == "json" else {"code": "bad_simulation", "message": err}
     assert message["code"] == "bad_simulation"
@@ -879,6 +884,19 @@ def test_verify_benchmarks_pass(capsys):
     assert doc["passed"]
     assert doc["note"] == "grid-capped: no interior minimizer"
     assert doc["grid_capped"]
+
+
+def test_verify_passes_a_plant_whose_schedules_all_tie(capsys, tmp_path):
+    # Q = 0 and O = 0: P = r = 0, h is exactly 0 on the whole grid, and the oracle's r agrees exactly
+    plant = json.dumps({"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Sigma_S": [[0.1]], "Q": [[0.0]], "R": [[1.0]],
+                        "beta": 0.95, "O": 0.0, "x0": [1.0]})
+    code, out, err = run(capsys, "verify", "--problem", _write(tmp_path, "degenerate.json", plant), "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["passed"] and doc["r_oracle"] == 0.0
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert set(checks) == {"curve_decreasing", "offset_match", "grid_capped"}
+    assert checks["curve_decreasing"]["detail"] == "h = 0 over the grid: f is constant and every schedule ties"
 
 
 def test_verify_exit_code_on_disagreement(capsys, monkeypatch):

@@ -282,6 +282,24 @@ def test_curve_decreasing_names_a_never_measure_schedule_below_the_threshold():
     assert "curve_decreasing" in rep.failures()
 
 
+def _tied_schedules():
+    # Q = 0 and O = 0: the scalar plant's P and r are 0, and every h(T, r) is exactly 0
+    p = scalar_problem(0.5, 0.0)
+    return dataclasses.replace(p, cost=dataclasses.replace(p.cost, Q=[[0.0]]))
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_offset_match_names_an_offset_off_by_1e_6_when_every_schedule_ties(sign):
+    # the bound is 0 at r = 0, so agreement passes only when it is exact
+    p = _tied_schedules()
+    ps = optimal_period(p.sys, p.cost)
+    assert (ps.finite, ps.r) == (False, 0.0)
+    rep = verify_solution(p.sys, p.cost, ps, x_probe=p.x0)
+    assert not rep.oracle.h.any() and rep.passed, rep.failures()
+    rep = verify_solution(p.sys, p.cost, dataclasses.replace(ps, r=sign * 1e-6), x_probe=p.x0)
+    assert rep.failures() == ["offset_match"]
+
+
 def _sys1_with_large_B(i, x0=X0):
     # B[i][i] = 1e8 makes cond(R + beta B'PB) about 1e16, and the solve is accepted at a relative residual near 1e-9
     B_large = B.copy()

@@ -22,6 +22,7 @@ from lqgsched import (
 from lqgsched.model import psd_sqrt
 
 from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, bracket_edge_prices, make_problem, random_stable_plant
+from reference import measure_times
 
 
 def record_fields(rec):
@@ -102,7 +103,7 @@ def test_optimal_trajectory_queries_follow_period_on_bracket_edges(A):
         ps = optimal_period(p.sys, p.cost, are=are)
         H = 3 * ps.period + 1
         rec = simulate(p, ps, SimConfig(horizon=H, strategy=OPTIMAL))
-        assert np.array_equal(np.flatnonzero(rec.i), OPTIMAL.measure_times(ps, H)), O
+        assert np.array_equal(np.flatnonzero(rec.i), measure_times(OPTIMAL, ps, H)), O
 
 
 def test_batch_costs_match_single_runs(ps1_O10, sys1_O10, monkeypatch):
@@ -356,7 +357,7 @@ def rollout_reference(problem, ps, strategy, seed, H):
     sys, K = problem.sys, ps.are.K
     N = sys.C @ psd_sqrt(sys.Sigma_S)
     z = np.random.Generator(np.random.PCG64(seed)).standard_normal((H, problem.q))
-    queries = set(strategy.measure_times(ps, H).tolist())
+    queries = set(measure_times(strategy, ps, H).tolist())
     x, xs, xbars, us, i = problem.x0.copy(), [], [], [], []
     for t in range(H):
         if t == 0 or t in queries:
@@ -444,30 +445,33 @@ def test_csv_text_matches_per_cell_repr():
 def test_streamed_csv_matches_csv_text_across_blocks(tmp_path):
     import io
 
-    from lqgsched.sim import _CSV_ROWS
+    from lqgsched.sim import _csv_rows
 
-    # the odd cells sit on both sides of the first block boundary
-    edge = _CSV_ROWS
-    rec = random_record(2 * _CSV_ROWS + 1, 5, 2, odd_rows=(edge - 1, edge, edge - 1, edge))
-    text = rec.csv_text()
-    assert text.count("\n") == 2 * _CSV_ROWS + 2
-    assert ",-0.0," in text and ",inf," in text and ",-inf," in text
-    path = tmp_path / "traj.csv"
-    rec.write_csv(path)
-    assert path.read_bytes() == text.encode()
-    stream = io.StringIO()
-    rec.write_csv(stream)
-    assert stream.getvalue() == text
-    # a range of rows has the header only when it starts at row 0
-    assert rec.csv_text(0, edge) + rec.csv_text(edge, edge + 1) + rec.csv_text(edge + 1) == text
-    assert not rec.csv_text(edge, edge + 1).startswith("t,")
+    for q, p in ((5, 2), (50, 10)):
+        # the odd cells sit on both sides of the first block boundary: 195 rows at q = 5, 24 at q = 50
+        edge = _csv_rows(q, p)
+        rec = random_record(2 * edge + 1, q, p, odd_rows=(edge - 1, edge, edge - 1, edge))
+        text = rec.csv_text()
+        assert text.count("\n") == 2 * edge + 2
+        assert ",-0.0," in text and ",inf," in text and ",-inf," in text
+        path = tmp_path / f"traj{q}.csv"
+        rec.write_csv(path)
+        assert path.read_bytes() == text.encode()
+        stream = io.StringIO()
+        rec.write_csv(stream)
+        assert stream.getvalue() == text
+        # a range of rows has the header only when it starts at row 0
+        assert rec.csv_text(0, edge) + rec.csv_text(edge, edge + 1) + rec.csv_text(edge + 1) == text
+        assert not rec.csv_text(edge, edge + 1).startswith("t,")
 
 
 def test_streamed_csv_memory_does_not_grow_with_horizon(tmp_path):
-    # Ten blocks of rows against two: a CSV formatted whole would add about 6.6 MB.
+    # Ten blocks of rows against two: a CSV formatted whole would add about 3.3 MB.
     import tracemalloc
 
-    from lqgsched.sim import _CSV_ROWS
+    from lqgsched.sim import _csv_rows
+
+    rows = _csv_rows(10, 2)
 
     def peak(H):
         rec = random_record(H, 10, 2)
@@ -478,7 +482,33 @@ def test_streamed_csv_memory_does_not_grow_with_horizon(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert peak(10 * _CSV_ROWS) - peak(2 * _CSV_ROWS) < 100_000
+    assert peak(10 * rows) - peak(2 * rows) < 100_000
+
+
+def test_simulate_csv_blocks_are_sized_by_cells(tmp_path):
+    # A q = 50 simulate of 400 runs peaks at 2.1 MB traced, mostly its trajectory and its chunk of runs.
+    # Blocks of 256 CSV rows (42k cells at q = 50) would lift it to 4.6 MB; the cell budget makes them 24 rows.
+    import contextlib
+    import io
+    import tracemalloc
+
+    import numpy.random  # noqa: F401 -- imported before the trace, so its modules are not counted
+
+    from lqgsched.cli import main, save_problem
+
+    problem, path = random_stable_plant(6), str(tmp_path / "q50.json")
+    save_problem(problem, path)
+    O = 0.3 * optimal_period(problem.sys, problem.cost).never_threshold
+    argv = ["simulate", "--problem", path, "--O", repr(O), "--runs", "400", "--horizon", "500",
+            "--out", str(tmp_path / "traj.csv")]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 STRATEGIES = {"optimal": OPTIMAL, "fixed3": fixed_period(3), "never": NEVER_MEASURE}
