@@ -34,6 +34,7 @@ from .sim import (
     OPTIMAL,
     SimConfig,
     Strategy,
+    _trajectory_arrays,
     fixed_period,
     monte_carlo_value,
     simulate,
@@ -289,10 +290,15 @@ def cmd_simulate(args) -> int:
     except ValueError as e:
         raise _Failure("bad_simulation", str(e)) from e
     ps = _solve_problem(problem)
+    mc = None
     try:
         with _reported():
+            if cfg.n_runs > 1:
+                # numpy refuses an absurd horizon before any Monte Carlo step; the arrays it allocates are let go
+                # untouched, and simulate allocates them again, so the chunk and the trajectory are never held at once
+                _trajectory_arrays(cfg.horizon, problem.q, problem.p)
+                mc = monte_carlo_value(problem, ps, cfg)
             rec = simulate(problem, ps, cfg)
-            mc = monte_carlo_value(problem, ps, cfg) if cfg.n_runs > 1 else None
     except MemoryError as e:
         raise _Failure("bad_simulation", f"simulation too large: {e}") from e
 

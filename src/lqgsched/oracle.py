@@ -41,9 +41,22 @@ __all__ = [
 ]
 
 # verify_solution's offset_match needs |r_oracle - r| <= OFFSET_TOL |r| (both are closed forms, so a few ulps apart);
-# policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
+# its sign checks of h(T, r) = Tr(P_T phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O) take an h within TIE_ULPS
+# ulps of the size of its terms, |Tr(P_T phi)| + beta |Tr(Sigma_S C'PC)| + (1 - beta)|r + O|, for a tie that rounding
+# decides, and accept either sign there; policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
 OFFSET_TOL = 1e-10
+TIE_ULPS = 16
 PROBE_GAIN_SCALES = (1.0 - 1e-3, 1.0 + 1e-3)
+
+
+def _tie_bound(trace, noise: float, beta: float, r: float, O: float):
+    """The rounding bound of h(T, r) whose first term is ``trace`` = Tr(P_T phi): TIE_ULPS ulps of its terms' size."""
+    return TIE_ULPS * np.finfo(float).eps * (np.abs(trace) + beta * abs(noise) + (1.0 - beta) * abs(r + O))
+
+
+def _first_above(h: np.ndarray, bound) -> int:
+    """The first T with h(T) > bound, where h[T-1] is h(T); len(h) + 1 when no T has."""
+    return int(np.argmax(np.append(h > bound, True))) + 1
 
 
 @record
@@ -51,6 +64,7 @@ class OracleReport:
     """The value offset and waiting time that solve_r_fixed_point derives in closed form on its grid.
 
     h holds h(T, r_oracle) for T = 1..T_max-1, whose signs decide the period; T_oracle is its first positive T.
+    tie holds the rounding bound of each h (_tie_bound): a sign within it is a tie.
     f_curve, one application of the cycle cost at r_oracle (its minimum is r_oracle again), decides no check.
     Nothing is iterated, so convergence_iters is always 1.
     """
@@ -61,6 +75,7 @@ class OracleReport:
     convergence_iters: int
     grid_capped: bool
     h: np.ndarray  # shape (T_max - 1,)
+    tie: np.ndarray  # shape (T_max - 1,)
 
 
 def _phase_traces_from_powers(
@@ -123,9 +138,21 @@ def solve_r_fixed_point(
         raise NonConvergence(f"r = {r}: the explicit powers of A overflow on the oracle's grid of "
                              f"{T_max} waiting times", residual=math.inf)
     h = err_trace[1:] + beta * noise_rate - (1.0 - beta) * (r + O)  # h(T, r) for T = 1..T_max-1
-    T_star = int(np.argmax(np.append(h, math.inf) > 0.0)) + 1  # T_max, where the grid ends, when no h > 0
+    T_star = _first_above(h, 0.0)  # T_max, where the grid ends, when no h > 0
     curve = np.column_stack([Ts.astype(float), base + beta_T * (r + O)])
-    return OracleReport(r_oracle=r, T_oracle=T_star, f_curve=curve, convergence_iters=1, grid_capped=T_star == T_max, h=h)
+    return OracleReport(r_oracle=r, T_oracle=T_star, f_curve=curve, convergence_iters=1, grid_capped=T_star == T_max,
+                        h=h, tie=_tie_bound(err_trace[1:], noise_rate, beta, r, O))
+
+
+def _h_limit(sys: LinearSystem, cost: CostModel, are: AreSolution, r: float) -> tuple[float, float]:
+    """h(inf, r) = Tr(W phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O) in closed form, and its tie bound.
+
+    W = sum_t (A')^t G A^t is dlyap_adjoint(A, G), so A must be Schur-stable.
+    """
+    beta, O = cost.beta, cost.O
+    trace = float(np.trace(dlyap_adjoint(sys.A, sys.noise_gram()) @ are.phi))
+    noise = float(np.trace(sys.Sigma_S @ sys.C.T @ are.P @ sys.C))
+    return trace + beta * noise - (1.0 - beta) * (r + O), float(_tie_bound(trace, noise, beta, r, O))
 
 
 @record
@@ -349,14 +376,16 @@ def verify_solution(
 ) -> VerifyReport:
     """Run the oracle against a solved schedule and score the agreement checks.
 
-    Checks (documented tolerances; h_o is the oracle's h(T, r_oracle) on its grid):
+    Checks (documented tolerances; h_o is the oracle's h(T, r_oracle) on its grid). A sign of h is read
+    up to a tie: an h within its rounding bound (_tie_bound, TIE_ULPS ulps of its terms) counts as either sign.
       fixed_point_residual  |f(T*, r) - r| < 1e-8 |r|       (finite schedules)
       offset_match          |r_oracle - r| <= OFFSET_TOL |r|
-      period_match          T_oracle == T*                  (finite schedules)
+      period_match          T_oracle == T*, or every h_o from one to the other ties (finite schedules)
       f_curve_minimum       h_o <= 0 before T* and h_o > 0 from T* on, over the grid
       bracket               h(T*-1, r) <= 0 < h(T*, r)
-      curve_decreasing      h_o < 0 over the grid, so f strictly decreases, or h_o = 0 over it,
-                            so f is constant and every schedule ties (never-measure)
+      curve_decreasing      h_o <= 0 over the grid and, for Schur-stable A, h_o(inf) <= 0 in closed
+                            form: f never rises, so never measuring is optimal (never-measure)
+      grid_capped           no h_o > 0 on the grid                       (never-measure)
       inner_collapse        adjoint window cost, in closed form, collapses onto x'Px + r at the fixed
                             point, within max(1e-10, 10 ps.are.residual) relative, no stricter than
                             the accepted solve (only inner_dp_check re-costs it by Monte Carlo)
@@ -376,19 +405,26 @@ def verify_solution(
             ("offset_match", abs(rep.r_oracle - ps.r) <= OFFSET_TOL * abs(ps.r),
              f"|r_oracle - r| = {abs(rep.r_oracle - ps.r):.3e}")
         )
+        # the T whose h_o may be the first positive one: from the first h_o above -tie to the first above tie
+        T_lo, T_hi = _first_above(rep.h, -rep.tie), _first_above(rep.h, rep.tie)
         checks.append(
-            ("period_match", rep.T_oracle == T_star, f"T_oracle={rep.T_oracle}, T*={T_star}")
+            ("period_match", T_lo <= T_star <= T_hi, f"T_oracle={rep.T_oracle}, T*={T_star}")
         )
-        lo, hi = rep.h[:T_star - 1].max(initial=-math.inf), rep.h[T_star - 1:].min(initial=math.inf)
-        checks.append(("f_curve_minimum", bool(lo <= 0.0 < hi), f"max h(T<T*) = {lo:.3e}, min h(T>=T*) = {hi:.3e}"))
+        below, above = slice(T_star - 1), slice(T_star - 1, None)
+        lo, hi = rep.h[below].max(initial=-math.inf), rep.h[above].min(initial=math.inf)
+        ok = bool(np.all(rep.h[below] <= rep.tie[below]) and np.all(rep.h[above] > -rep.tie[above]))
+        checks.append(("f_curve_minimum", ok, f"max h(T<T*) = {lo:.3e}, min h(T>=T*) = {hi:.3e}"))
+
+        def tie(T):
+            return _tie_bound(table.at(T).tr, table.noise, cost.beta, ps.r, cost.O)
 
         h_hi = table.h(T_star, ps.r, cost.O)
         if T_star >= 2:
             h_lo = table.h(T_star - 1, ps.r, cost.O)
-            ok = h_lo <= 0.0 < h_hi
-            checks.append(("bracket", ok, f"h(T*-1)={h_lo:.3e}, h(T*)={h_hi:.3e}"))
+            ok = h_lo <= tie(T_star - 1) and h_hi > -tie(T_star)
+            checks.append(("bracket", bool(ok), f"h(T*-1)={h_lo:.3e}, h(T*)={h_hi:.3e}"))
         else:
-            checks.append(("bracket", h_hi > 0.0, f"h(1)={h_hi:.3e}"))
+            checks.append(("bracket", bool(h_hi > -tie(1)), f"h(1)={h_hi:.3e}"))
 
         x = np.ones(sys.q) if x_probe is None else np.asarray(x_probe, dtype=float).ravel()
         try:
@@ -401,16 +437,20 @@ def verify_solution(
         rel = abs(window - target) / abs(target)
         checks.append(("inner_collapse", rel < max(1e-10, 10 * ps.are.residual), f"relative deviation {rel:.3e}"))
     else:
-        if rep.h.any():
-            h_max = rep.h.max()
-            checks.append(("curve_decreasing", bool(h_max < 0.0), f"max h = {h_max:.3e}"))
-        else:  # f(T, r) does not depend on T, so every schedule ties with never measuring
-            checks.append(("curve_decreasing", True, "h = 0 over the grid: f is constant and every schedule ties"))
+        on_grid = bool(np.all(rep.h <= rep.tie))
+        ok, detail = on_grid, f"max h = {rep.h.max():.3e}"
+        if not rep.h.any():  # f(T, r) does not depend on T, so every schedule ties with never measuring
+            detail = "h = 0 over the grid: f is constant and every schedule ties"
+        if float(np.max(np.abs(sys.eigenvalues))) < 1.0:  # past the grid, h_o rises to its limit
+            h_inf, tie_inf = _h_limit(sys, cost, ps.are, rep.r_oracle)
+            if not h_inf <= tie_inf:
+                ok, detail = False, f"{detail}, h(inf) = {h_inf:.3e}"
+        checks.append(("curve_decreasing", ok, detail))
         checks.append(
             ("offset_match", abs(rep.r_oracle - ps.r) <= max(OFFSET_TOL * abs(ps.r), 10 * cost.beta**T_max * (ps.r + cost.O)),
              f"|r_oracle - r| = {abs(rep.r_oracle - ps.r):.3e}")
         )
-        checks.append(("grid_capped", rep.grid_capped, "minimizer on grid boundary"))
+        checks.append(("grid_capped", on_grid, "minimizer on grid boundary"))
         note = "grid-capped: no interior minimizer"
 
     return VerifyReport(checks=checks, oracle=rep, grid_capped_note=note)

@@ -14,13 +14,14 @@ normals for each of its runs in the job, in run order. So a one-run job
 draws stream ``seed`` as one ``(horizon, q)`` draw would, a full group's
 runs do not depend on the number of runs, no run depends on the chunking,
 and a job of a group's runs on ``seed + g`` draws that group's noise again,
-bit for bit. The rollout holds one step of noise for one chunk of whole
-groups (at most ``_CHUNK_VALUES`` values of state, and at least one group),
-so memory does not grow with the horizon. Monte Carlo costs and the sampled
-error covariance merge each chunk's moments into running totals, so memory
-does not grow with the number of runs (at most ``MAX_RUNS``) either, and
-``TrajectoryRecord.write_csv`` formats the rows of about ``_CSV_VALUES`` cells
-at a time.
+bit for bit. The rollout holds one step of noise and four state buffers
+for one chunk of whole groups (within ``_CHUNK_VALUES`` values, and at least
+one group), so memory does not grow with the horizon. Monte Carlo costs and
+the sampled error covariance merge each chunk's moments into running totals,
+so memory does not grow with the number of runs (at most ``MAX_RUNS``)
+either, and ``TrajectoryRecord.write_csv`` formats the rows of about
+``_CSV_VALUES`` cells at a time. The CLI runs the Monte Carlo before it rolls
+the trajectory, so the two are never held at once.
 Gaussian plant noise w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with
 the symmetric PSD square root, which also supports degenerate covariances
 (useful for noiseless test modes).
@@ -189,9 +190,10 @@ def _run_rng(seed: int, group: int) -> np.random.Generator:
 # contract, like the seed rule, and not a tuning knob: a batch's figures change
 # with it. At 1 every run has a stream of its own.
 _GROUP_RUNS = 1024
-# State one chunk of Monte Carlo runs holds at once: 2**19 doubles (4 MB), where
-# a run holds 6 q + p values (its state, estimate, their two spares, B u, noise
-# and control). A chunk holds whole groups, at least one.
+# Values one chunk of Monte Carlo runs may hold at once: 2**19 doubles (4 MB), at
+# 6 q + p values a run. A run holds 5 q + p (its state, its estimate, their two
+# spares, one of which takes B u, its noise and its control), and the cost's
+# Q X takes q more each step. A chunk holds whole groups, at least one.
 _CHUNK_VALUES = 2**19
 
 
@@ -202,7 +204,11 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     ``t < steps``: row j of ``X``, ``Xbar`` and ``U`` is the state, estimate
     and control of the chunk's run j at step t, before the step's noise
     enters; chunks come in run order. The three arrays are buffers that
-    later steps overwrite, so a caller copies what it keeps.
+    later steps overwrite, so a caller copies what it keeps. A chunk has
+    four ``(q, runs)`` state buffers: the state, the estimate and a spare
+    for each. A step writes A X into the state's spare, then B U into the
+    state that A X has just retired, where the estimate update reads it,
+    and N Z into the estimate's spare until that update.
 
     Runs come in groups of ``_GROUP_RUNS``; group g draws from stream
     ``seed + g``, one step at a time: q standard normals for each of its
@@ -210,9 +216,9 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     chunk's ``(runs, q)`` noise buffer. A one-run job thus reads stream
     ``seed`` in the order ``standard_normal((steps, q))`` does, a full
     group's noise does not depend on ``n_runs``, and no run's noise depends
-    on the chunking. A chunk holds as many whole groups as ``_CHUNK_VALUES`` values
-    of state allow, at least one, so memory grows neither with ``steps``
-    nor with ``n_runs``.
+    on the chunking. A chunk holds as many whole groups as ``_CHUNK_VALUES``
+    values allow at 6 q + p a run, at least one, so memory grows neither
+    with ``steps`` nor with ``n_runs``.
     """
     A, B, N, minus_K = problem.sys.A, problem.sys.B, problem.sys.noise_factor, ps.are.minus_K
     q, p = problem.q, problem.p
@@ -224,15 +230,15 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
     n_chunks = -(-n_groups // max(1, _CHUNK_VALUES // ((6 * q + p) * _GROUP_RUNS)))
     chunk = min(n_runs, -(-n_groups // n_chunks) * _GROUP_RUNS)
     Z = np.empty((chunk, q))  # run-major: row j holds the chunk's run j's standard normals for one step
-    states, controls = np.empty((5, q, chunk)), np.empty((p, chunk))
+    states, controls = np.empty((4, q, chunk)), np.empty((p, chunk))
     for first in range(0, n_runs, chunk):  # a multiple of _GROUP_RUNS
         n = min(chunk, n_runs - first)
         draws = [(_run_rng(seed, (first + a) // _GROUP_RUNS).standard_normal, Z[a:min(a + _GROUP_RUNS, n)])
                  for a in range(0, n, _GROUP_RUNS)]
         # One run per column, so on a single run every product is the online
         # controller's matrix-vector product, bit for bit. X and Xbar are each
-        # updated into a spare and swapped with it; BU holds B U.
-        X, X_next, Xbar, Xbar_next, BU = states[:, :, :n]
+        # updated into a spare and swapped with it.
+        X, X_next, Xbar, Xbar_next = states[:, :, :n]
         U, noise = controls[:, :n], Z[:n].T
         X[:] = problem.x0[:, None]
         for t in range(steps):
@@ -240,9 +246,10 @@ def _rollout(problem: Problem, ps: PolicySolution, strategy: Strategy, seed: int
                 for draw, rows in draws:
                     draw(out=rows)
                 np.matmul(A, X, out=X_next)
-                X_next += np.matmul(B, U, out=BU)
+                BU = np.matmul(B, U, out=X)  # into the state A X has just retired
+                X_next += BU
                 X_next += np.matmul(N, noise, out=Xbar_next)  # a spare until the estimate update
-                X, X_next = X_next, X
+                X, X_next = X_next, X  # X_next holds B U until the next step
             measured = 0 < T <= t and t % T == 0
             if t == 0 or measured:  # x0 is known at step 0
                 np.copyto(Xbar, X)
@@ -285,6 +292,18 @@ def _record(cost: CostModel, X: np.ndarray, Xbar: np.ndarray, U: np.ndarray, I: 
     )
 
 
+def _trajectory_arrays(horizon: int, q: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A trajectory's states, estimates and controls: empty arrays of ``horizon`` rows, q, q and p wide.
+
+    A trajectory that numpy cannot allocate raises MemoryError. Until the
+    rollout writes them, the arrays take no resident memory.
+    """
+    try:
+        return np.empty((horizon, q)), np.empty((horizon, q)), np.empty((horizon, p))
+    except ValueError as e:  # numpy's refusal of a length past the address space
+        raise MemoryError(f"a trajectory of {horizon} steps cannot be allocated: {e}") from e
+
+
 def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> TrajectoryRecord:
     """One seeded closed-loop trajectory: the shared rollout's only run, on stream ``seed``.
 
@@ -295,11 +314,8 @@ def simulate(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> Trajectory
     controller session does. A trajectory that numpy cannot allocate
     raises MemoryError.
     """
-    H, q, p = cfg.horizon, problem.q, problem.p
-    try:
-        X, Xbar, U = np.empty((H, q)), np.empty((H, q)), np.empty((H, p))
-    except ValueError as e:  # numpy's refusal of a length past the address space
-        raise MemoryError(f"a trajectory of {H} steps cannot be allocated: {e}") from e
+    H = cfg.horizon
+    X, Xbar, U = _trajectory_arrays(H, problem.q, problem.p)
     I = np.zeros(H, dtype=int)
     for t, Xt, Xbart, Ut, measured in _rollout(problem, ps, cfg.strategy, cfg.seed, 1, H):
         X[t], Xbar[t], U[t], I[t] = Xt[0], Xbart[0], Ut[0], measured

@@ -102,6 +102,13 @@ def random_stable_plant(seed: int, q: int = 50, p: int = 10) -> Problem:
     return Problem(sys=sys, cost=cost, x0=rng.normal(size=q))
 
 
+def plant_q50_at_three_tenths() -> Problem:
+    """random_stable_plant(6) at 0.3 times its never-measure threshold: the q = 50 plant of README's simulate peaks."""
+    p = random_stable_plant(6)
+    return Problem(sys=p.sys, cost=CostModel(Q=p.cost.Q, R=p.cost.R, beta=p.cost.beta,
+                                            O=0.3 * never_measure_threshold(p.sys, p.cost)), x0=p.x0)
+
+
 def jordan_plant(violation: str) -> Problem:
     """An ill-posed plant whose unstable eigenvalue 2 sits in a 2x2 Jordan block, A = T J T^-1.
 

@@ -22,7 +22,8 @@ import lqgsched.riccati as riccati
 from lqgsched import NonConvergence, Problem, never_measure_threshold, verify_solution
 from lqgsched.cli import ProblemFileError, load_problem, main, save_problem
 
-from conftest import PROPERTY_SETTINGS, jordan_plant, make_problem, random_admissible, scalar_problem, A1, A2
+from conftest import (PROPERTY_SETTINGS, jordan_plant, make_problem, plant_q50_at_three_tenths, random_admissible,
+                      scalar_problem, A1, A2)
 
 SYS1 = os.path.join(os.path.dirname(__file__), "..", "configs", "sys1.json")
 SYS2 = os.path.join(os.path.dirname(__file__), "..", "configs", "sys2.json")
@@ -465,6 +466,26 @@ def test_simulate_at_an_absurd_horizon_exits_2(capsys, horizon, runs, fmt):
     assert message["message"].startswith(f"simulation too large: a trajectory of {horizon} steps cannot be allocated")
     if fmt == "text":
         assert out == ""
+
+
+def test_simulate_holds_the_trajectory_and_the_monte_carlo_one_at_a_time(tmp_path, capsys):
+    # The Monte Carlo runs before the trajectory is rolled, so the traced peak stays below the two working sets
+    # together: the trajectory's record, 3q + p + 6 values a step, and one chunk's budget, 6q + p values a run.
+    import tracemalloc
+
+    problem = plant_q50_at_three_tenths()
+    path = tmp_path / "q50.json"
+    save_problem(problem, path)
+    q, p, H, n = problem.q, problem.p, 500, 400
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--problem", str(path), "--horizon", str(H), "--runs", str(n),
+                     "--out", str(tmp_path / "traj.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "mc_mean" in json.loads(capsys.readouterr().out)
+    assert peak < 8 * H * (3 * q + p + 6) + 8 * n * (6 * q + p)
 
 
 def _non_finite_case(tmp_path, case):

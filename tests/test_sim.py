@@ -21,7 +21,8 @@ from lqgsched import (
 )
 from lqgsched.model import psd_sqrt
 
-from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, bracket_edge_prices, make_problem, random_stable_plant
+from conftest import (A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, bracket_edge_prices, make_problem,
+                      plant_q50_at_three_tenths, random_stable_plant)
 from reference import measure_times
 
 
@@ -350,6 +351,23 @@ def test_error_covariance_memory_does_not_grow_with_runs(ps1_O10, sys1_O10, monk
             tracemalloc.stop()
 
     assert abs(peak(10_000) - peak(1_000)) < 8 * 2_000
+
+
+def test_monte_carlo_holds_four_state_buffers():
+    # A chunk of n runs holds its noise, four (q, n) state buffers and its controls, 5q + p values a run, and the
+    # cost's Q X takes q more: the chunk budget of 6q + p. A fifth state buffer would add a whole (q, n) buffer.
+    import tracemalloc
+
+    problem = plant_q50_at_three_tenths()
+    ps = optimal_period(problem.sys, problem.cost)
+    q, p, n = problem.q, problem.p, 400  # one chunk of 400 runs
+    tracemalloc.start()
+    try:
+        monte_carlo_value(problem, ps, SimConfig(seed=1, n_runs=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * (6 * q + p) + 8 * n * q // 2
 
 
 def rollout_reference(problem, ps, strategy, seed, H):
