@@ -22,12 +22,10 @@ from .model import (
 from .oracle import (
     InnerDpReport,
     OracleReport,
-    ProbeReport,
     VerifyReport,
     inner_dp_check,
     never_measure_cost,
     periodic_strategy_cost,
-    policy_suboptimality_probe,
     solve_r_fixed_point,
     verify_solution,
 )

@@ -41,21 +41,20 @@ PBH_CLUSTER_TOL = 1e-4
 class _RecordSpec:
     """What the shared record methods read of one class: field names by role, defaults and __post_init__."""
 
-    __slots__ = ("qualname", "names", "defaults", "factories", "post_init", "repr_names", "compare_names", "hash_names")
+    __slots__ = ("qualname", "names", "defaults", "post_init", "repr_names", "compare_names", "hash_names")
 
     def __init__(self, cls):
         fs = fields(cls)
         self.qualname = cls.__qualname__
         self.names = tuple(f.name for f in fs)
         self.defaults = {f.name: f.default for f in fs if f.default is not MISSING}
-        self.factories = {f.name: f.default_factory for f in fs if f.default_factory is not MISSING}
         self.post_init = getattr(cls, "__post_init__", None)
         self.repr_names = tuple(f.name for f in fs if f.repr)
         self.compare_names = tuple(f.name for f in fs if f.compare)
         self.hash_names = tuple(f.name for f in fs if (f.compare if f.hash is None else f.hash))
 
     def bind(self, args: tuple, kwargs: dict) -> list:
-        """Every field's value, in field order, from the arguments, the defaults and the default factories."""
+        """Every field's value, in field order, from the arguments and the defaults."""
         if len(args) > len(self.names):
             raise TypeError(f"{self.qualname}() takes {len(self.names)} positional arguments but {len(args)} were given")
         values = list(args)
@@ -64,8 +63,6 @@ class _RecordSpec:
                 values.append(kwargs.pop(name))
             elif name in self.defaults:
                 values.append(self.defaults[name])
-            elif name in self.factories:
-                values.append(self.factories[name]())
             else:
                 raise TypeError(f"{self.qualname}() missing required argument {name!r}")
         if kwargs:
@@ -120,10 +117,10 @@ def record(cls):
     and installs the same six hand-written functions on every record:
 
     - ``__init__`` binds positional and keyword arguments, then fills the
-      rest from each field's default or ``default_factory``, raises
-      ``TypeError`` for a missing, duplicate or unknown argument, and calls
-      ``__post_init__`` if the class has one. It stores each field with
-      ``object.__setattr__``, as a frozen dataclass does.
+      rest from each field's default, raises ``TypeError`` for a missing,
+      duplicate or unknown argument, and calls ``__post_init__`` if the
+      class has one. It stores each field with ``object.__setattr__``, as a
+      frozen dataclass does.
     - ``__setattr__`` and ``__delattr__`` raise ``FrozenInstanceError``.
     - ``__repr__``, ``__eq__`` and ``__hash__`` read the fields whose
       ``repr``, ``compare`` (and ``hash``) flags select them, and give the
@@ -180,7 +177,9 @@ def _as_matrix(M, name: str) -> np.ndarray:
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
-    return M.shape[0] == M.shape[1] and np.allclose(M, M.T, atol=1e-12, rtol=0.0)
+    """M is square and equals M' to 1e-12 of its largest entry, so the verdict does not depend on its scale."""
+    tol = 1e-12 * float(np.max(np.abs(M), initial=0.0))
+    return M.shape[0] == M.shape[1] and np.allclose(M, M.T, atol=tol, rtol=0.0)
 
 
 def _min_eig(M: np.ndarray) -> tuple[float, float]:

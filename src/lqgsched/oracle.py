@@ -12,29 +12,26 @@ fixed_point_residual and bracket read f and h at the solved T* and r off
 one phase table. inner_dp_check re-costs the window by seeded Monte Carlo
 too. The module also provides exact expected-cost evaluators for arbitrary
 periodic strategies under the physical (forward) noise propagation
-Cov <- A Cov A' + C Sigma_S C'; these anchor the Monte Carlo validation
-and the suboptimality probes.
+Cov <- A Cov A' + C Sigma_S C'; these anchor the Monte Carlo validation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import field
 
 import numpy as np
 
 from .model import CostModel, LinearSystem, record
-from .policy import PolicySolution, _PhaseTable, optimal_period
-from .riccati import AreSolution, NonConvergence, dare_solve, dlyap_adjoint, finite_riccati, spectral_radius
+from .policy import PolicySolution, _PhaseTable
+from .riccati import AreSolution, NonConvergence, _step, dare_solve, dlyap_adjoint, finite_riccati, spectral_radius
+from .sim import _state_control_cost
 
 __all__ = [
     "OracleReport",
     "InnerDpReport",
-    "ProbeReport",
     "VerifyReport",
     "solve_r_fixed_point",
     "inner_dp_check",
-    "policy_suboptimality_probe",
     "periodic_strategy_cost",
     "never_measure_cost",
     "verify_solution",
@@ -43,10 +40,9 @@ __all__ = [
 # verify_solution's offset_match needs |r_oracle - r| <= OFFSET_TOL |r| (both are closed forms, so a few ulps apart);
 # its sign checks of h(T, r) = Tr(P_T phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O) take an h within TIE_ULPS
 # ulps of the size of its terms, |Tr(P_T phi)| + beta |Tr(Sigma_S C'PC)| + (1 - beta)|r + O|, for a tie that rounding
-# decides, and accept either sign there; policy_suboptimality_probe scales K by PROBE_GAIN_SCALES.
+# decides, and accept either sign there.
 OFFSET_TOL = 1e-10
 TIE_ULPS = 16
-PROBE_GAIN_SCALES = (1.0 - 1e-3, 1.0 + 1e-3)
 
 
 def _tie_bound(trace, noise: float, beta: float, r: float, O: float):
@@ -213,32 +209,23 @@ def inner_dp_check(
     beta^T (x_T' P x_T + r + O).
     """
     x = np.asarray(x, dtype=float).ravel()
-    beta, O = cost.beta, cost.O
-    A, B, C = sys.A, sys.B, sys.C
+    beta, A, B, C = cost.beta, sys.A, sys.B, sys.C
     L, phi_seq = finite_riccati(P, T, sys, cost)
     cf_fwd = _window_cost(sys, cost, L, phi_seq, r, x, A, C @ sys.Sigma_S @ C.T)
     cf_adj = _window_cost(sys, cost, L, phi_seq, r, x, A.T, sys.noise_gram())
 
-    # Window-optimal gains, one per phase.
-    gains = []
-    for t in range(T):
-        Lt = L[T - t - 1]
-        S = cost.R + beta * (B.T @ Lt @ B)
-        gains.append(np.linalg.solve((S + S.T) / 2.0, beta * (B.T @ Lt @ A)))
-
+    # One run per column, as sim's rollout keeps them; phase t applies the gain of the weight L[T - t - 1].
     rng = np.random.Generator(np.random.PCG64(seed))
-    X = np.tile(x, (n_mc, 1))
+    X = np.repeat(x[:, None], n_mc, axis=1)
     Xhat = X.copy()
     totals = np.zeros(n_mc)
     for t in range(T):
-        U = -(Xhat @ gains[t].T)
-        totals += beta**t * (
-            np.einsum("ij,jk,ik->i", X, cost.Q, X) + np.einsum("ij,jk,ik->i", U, cost.R, U)
-        )
-        W = rng.standard_normal((n_mc, sys.q)) @ sys.noise_factor.T
-        X = X @ A.T + U @ B.T + W
-        Xhat = Xhat @ A.T + U @ B.T
-    totals += beta**T * (np.einsum("ij,jk,ik->i", X, P, X) + r + O)
+        U = -(_step(L[T - t - 1], sys, cost)[1] @ Xhat)
+        totals += beta**t * _state_control_cost(cost, X, U)
+        W = sys.noise_factor @ rng.standard_normal((n_mc, sys.q)).T
+        X = A @ X + B @ U + W
+        Xhat = A @ Xhat + B @ U
+    totals += beta**T * (np.einsum("ij,ij->j", P @ X, X) + r + cost.O)
 
     mc_mean = float(totals.mean())
     mc_se = float(totals.std(ddof=1) / math.sqrt(n_mc))
@@ -305,51 +292,6 @@ def never_measure_cost(sys: LinearSystem, cost: CostModel, gain: np.ndarray, x0:
     G_fwd = C @ sys.Sigma_S @ C.T
     Hw = dlyap_adjoint(sb * A.T, G_fwd)  # sum_t beta^t A^t G (A')^t
     return float(x0 @ H @ x0) + beta / (1.0 - beta) * float(np.trace(cost.Q @ Hw))
-
-
-@record
-class ProbeReport:
-    """Best improvement any probed perturbation achieved (<= 0 means none)."""
-
-    max_gain: float
-    details: dict = field(default_factory=dict)
-
-
-def policy_suboptimality_probe(
-    sys: LinearSystem,
-    cost: CostModel,
-    x0: np.ndarray | None = None,
-) -> ProbeReport:
-    """Verify no probed perturbation beats the schedule solved for (sys, cost).
-
-    Waiting-time perturbations are scored on the oracle's f-curve at the
-    solved offset; gain scalings (PROBE_GAIN_SCALES) are scored with the
-    exact periodic-cost evaluator. Positive entries would mean the analytic
-    solution is beaten.
-    """
-    ps = optimal_period(sys, cost)
-    if not ps.finite:
-        raise ValueError("probe requires a finite waiting time")
-    T_star = ps.period
-    x0 = np.zeros(sys.q) if x0 is None else np.asarray(x0, dtype=float).ravel()
-
-    rep = solve_r_fixed_point(sys, cost, T_max=max(200, 4 * T_star), are=ps.are)
-    f_star = float(rep.f_curve[T_star - 1, 1])
-    details: dict = {}
-    gains = []
-    for T in (T_star - 1, T_star + 1):
-        if 1 <= T <= rep.f_curve.shape[0]:
-            g = f_star - float(rep.f_curve[T - 1, 1])
-            details[f"wait_{T}"] = g
-            gains.append(g)
-
-    base = periodic_strategy_cost(sys, cost, ps.are.K, T_star, x0)
-    for c in PROBE_GAIN_SCALES:
-        g = base - periodic_strategy_cost(sys, cost, c * ps.are.K, T_star, x0)
-        details[f"gain_x{c}"] = g
-        gains.append(g)
-
-    return ProbeReport(max_gain=max(gains), details=details)
 
 
 @record

@@ -9,7 +9,6 @@ from lqgsched import (
     InnerDpReport,
     LinearSystem,
     Problem,
-    ProbeReport,
     SimConfig,
     Strategy,
     Violation,
@@ -67,6 +66,22 @@ def test_indefinite_Q_flagged():
     Qbad = np.diag([1.0, -1.0, 1.0])
     cost = CostModel(Q=Qbad, R=R2, beta=0.95, O=1.0)
     assert "Q_not_psd" in codes(Problem(sys=sys, cost=cost))
+
+
+def _sys1_with_Q(Q):
+    return Problem(sys=LinearSystem(A=A1, B=B, C=C3, Sigma_S=SIGMA), cost=CostModel(Q=Q, R=R2, beta=0.95, O=1.0))
+
+
+def test_symmetry_is_judged_relative_to_the_matrix():
+    # an asymmetry of 1e-9 in a Q whose largest entry is 4.1e6 is 2.4e-16 relative: rounding, not an unsymmetric weight
+    M = np.random.default_rng(0).normal(size=(3, 3))
+    Q = 1e6 * (M @ M.T + np.eye(3))
+    Q[0][1] += 1e-9
+    assert codes(_sys1_with_Q(Q)) == []
+    # an asymmetry of 1e-5 relative, on sys1's own Q of entries 0.1, is still refused
+    Q = Q3.copy()
+    Q[0][1] += 1e-6
+    assert codes(_sys1_with_Q(Q)) == ["Q_not_psd"]
 
 
 def test_dimension_violations_reported_not_raised():
@@ -171,13 +186,12 @@ def samples(sys1_O10, ps1_O10):
     found = [sys1_O10, sys1_O10.sys, sys1_O10.cost, ps1_O10, ps1_O10.are, span,
              value_at(ps1_O10, sys1_O10.x0), make_packet(sys1_O10.x0, ps1_O10), Violation("Q_not_psd", "Q is bad"),
              Strategy(3), SimConfig(), simulate(sys1_O10, ps1_O10, SimConfig(horizon=5)), oracle,
-             InnerDpReport(1.0, 2.0, 3.0, 0.5), ProbeReport(-1.0, {"wait_5": -1.0}),
-             VerifyReport([("offset_match", True, "")], oracle)]
+             InnerDpReport(1.0, 2.0, 3.0, 0.5), VerifyReport([("offset_match", True, "")], oracle)]
     return {type(obj): obj for obj in found}
 
 
 def test_every_record_is_sampled(samples):
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 15
     assert set(samples) == set(RECORDS)
 
 
@@ -248,7 +262,7 @@ def test_record_repr_eq_hash_on_small_records():
     assert hash(SimConfig()) == hash((500, 0, 1, Strategy(None)))
     assert {Violation("a", "b"), Violation("a", "b")} == {Violation("a", "b")}
     with pytest.raises(TypeError):
-        hash(ProbeReport(0.0))  # its dict field is unhashable
+        hash(VerifyReport([], None))  # its list field is unhashable
 
 
 def test_policy_solution_skips_W_inf_in_repr_and_eq(ps2_O7):
@@ -269,7 +283,6 @@ def test_record_post_init_coerces_and_validates():
         LinearSystem([1.0], B, C3, SIGMA)
     with pytest.raises(ValueError, match="a query period must be >= 0"):
         Strategy(-1)
-    assert ProbeReport(0.0).details == {} and ProbeReport(0.0).details is not ProbeReport(0.0).details
 
 
 @pytest.mark.parametrize("make", [
