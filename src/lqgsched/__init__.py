@@ -20,10 +20,8 @@ from .model import (
     validate,
 )
 from .oracle import (
-    InnerDpReport,
     OracleReport,
     VerifyReport,
-    inner_dp_check,
     never_measure_cost,
     periodic_strategy_cost,
     solve_r_fixed_point,
@@ -33,8 +31,6 @@ from .policy import (
     MeasureCase,
     PolicySolution,
     ValueSummary,
-    f_value,
-    h_value,
     never_measure_threshold,
     optimal_period,
     value_at,
@@ -54,7 +50,6 @@ from .sim import (
     SimConfig,
     Strategy,
     TrajectoryRecord,
-    empirical_error_covariance,
     fixed_period,
     monte_carlo_value,
     simulate,

@@ -9,10 +9,11 @@ curve_decreasing read the signs of h(T, r), which alone decide the period
 small); inner_collapse re-costs the finite window in closed form from
 finite_riccati's backward recursion. Two check the solve's own arithmetic:
 fixed_point_residual and bracket read f and h at the solved T* and r off
-one phase table. inner_dp_check re-costs the window by seeded Monte Carlo
-too. The module also provides exact expected-cost evaluators for arbitrary
-periodic strategies under the physical (forward) noise propagation
-Cov <- A Cov A' + C Sigma_S C'; these anchor the Monte Carlo validation.
+one phase table. No check simulates: the window's Monte Carlo re-costing
+(inner_dp_check) is a test reference, in tests/reference.py. The module also
+provides exact expected-cost evaluators for arbitrary periodic strategies
+under the physical (forward) noise propagation Cov <- A Cov A' + C Sigma_S C';
+these anchor the Monte Carlo validation.
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ import numpy as np
 
 from .model import CostModel, LinearSystem, record
 from .policy import PolicySolution, _PhaseTable
-from .riccati import AreSolution, NonConvergence, _step, dare_solve, dlyap_adjoint, finite_riccati, spectral_radius
-from .sim import _state_control_cost
+from .riccati import AreSolution, NonConvergence, dare_solve, dlyap_adjoint, finite_riccati, spectral_radius
 
 __all__ = [
     "OracleReport",
-    "InnerDpReport",
     "VerifyReport",
     "solve_r_fixed_point",
-    "inner_dp_check",
     "periodic_strategy_cost",
     "never_measure_cost",
     "verify_solution",
@@ -151,29 +149,6 @@ def _h_limit(sys: LinearSystem, cost: CostModel, are: AreSolution, r: float) -> 
     return trace + beta * noise - (1.0 - beta) * (r + O), float(_tie_bound(trace, noise, beta, r, O))
 
 
-@record
-class InnerDpReport:
-    """Closed-form window cost vs. a Monte Carlo estimate of the same controls.
-
-    closed_form uses the physical error propagation; closed_form_adjoint uses
-    the planner's adjoint recursion. gap / gap_adjoint are the respective
-    absolute deviations from the Monte Carlo mean.
-    """
-
-    closed_form: float
-    closed_form_adjoint: float
-    mc_mean: float
-    mc_se: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.closed_form - self.mc_mean)
-
-    @property
-    def gap_adjoint(self) -> float:
-        return abs(self.closed_form_adjoint - self.mc_mean)
-
-
 def _window_cost(sys: LinearSystem, cost: CostModel, L: np.ndarray, phi_seq: np.ndarray, r: float,
                  x: np.ndarray, M: np.ndarray, G: np.ndarray) -> float:
     """Closed-form cost from x of the window finite_riccati gave as (L, phi_seq), T = len(phi_seq) steps:
@@ -189,49 +164,6 @@ def _window_cost(sys: LinearSystem, cost: CostModel, L: np.ndarray, phi_seq: np.
         cov = M @ cov @ M.T + G
     noise = sum(beta**t * float(np.trace(sys.Sigma_S @ sys.C.T @ L[T - t] @ sys.C)) for t in range(1, T + 1))
     return float(x @ L[T] @ x) + err + noise + beta**T * (r + cost.O)
-
-
-def inner_dp_check(
-    sys: LinearSystem,
-    cost: CostModel,
-    P: np.ndarray,
-    r: float,
-    T: int,
-    x: np.ndarray,
-    n_mc: int = 100_000,
-    seed: int = 0,
-) -> InnerDpReport:
-    """Re-cost the T-step window by simulation and compare to the closed forms.
-
-    closed_form and closed_form_adjoint are _window_cost under the physical
-    and the adjoint error propagation; the simulation applies the
-    window-optimal gains to n_mc noisy runs with terminal cost
-    beta^T (x_T' P x_T + r + O).
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    beta, A, B, C = cost.beta, sys.A, sys.B, sys.C
-    L, phi_seq = finite_riccati(P, T, sys, cost)
-    cf_fwd = _window_cost(sys, cost, L, phi_seq, r, x, A, C @ sys.Sigma_S @ C.T)
-    cf_adj = _window_cost(sys, cost, L, phi_seq, r, x, A.T, sys.noise_gram())
-
-    # One run per column, as sim's rollout keeps them; phase t applies the gain of the weight L[T - t - 1].
-    rng = np.random.Generator(np.random.PCG64(seed))
-    X = np.repeat(x[:, None], n_mc, axis=1)
-    Xhat = X.copy()
-    totals = np.zeros(n_mc)
-    for t in range(T):
-        U = -(_step(L[T - t - 1], sys, cost)[1] @ Xhat)
-        totals += beta**t * _state_control_cost(cost, X, U)
-        W = sys.noise_factor @ rng.standard_normal((n_mc, sys.q)).T
-        X = A @ X + B @ U + W
-        Xhat = A @ Xhat + B @ U
-    totals += beta**T * (np.einsum("ij,ij->j", P @ X, X) + r + cost.O)
-
-    mc_mean = float(totals.mean())
-    mc_se = float(totals.std(ddof=1) / math.sqrt(n_mc))
-    return InnerDpReport(
-        closed_form=cf_fwd, closed_form_adjoint=cf_adj, mc_mean=mc_mean, mc_se=mc_se
-    )
 
 
 def periodic_strategy_cost(
@@ -330,7 +262,7 @@ def verify_solution(
       grid_capped           no h_o > 0 on the grid                       (never-measure)
       inner_collapse        adjoint window cost, in closed form, collapses onto x'Px + r at the fixed
                             point, within max(1e-10, 10 ps.are.residual) relative, no stricter than
-                            the accepted solve (only inner_dp_check re-costs it by Monte Carlo)
+                            the accepted solve (no Monte Carlo runs)
     """
     sys, cost = problem_sys, problem_cost
     checks: list = []

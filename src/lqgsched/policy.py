@@ -16,12 +16,13 @@ solved schedule is one integer, PolicySolution.period: T*, or 0 when
 measuring is never worth the price. For Schur-stable A the blocks converge;
 their limit gives W_inf, E[inf] and the threshold S(inf), itself a block's
 S, so every price below it has a finite T*. The value offset r solves
-r = min_T f(T, r) and is read off the sums per case (the oracle module
-re-derives it from explicit matrix powers as min_T f(T, 0)/(1 - beta^T)
-on a grid). A sweep shares one Riccati solve and one table, which lives
-only for the solve: a PolicySolution keeps W_inf and two numbers beside
-its records, whose read-only arrays the controller and the simulator
-multiply by directly (sys.A, sys.B and are.minus_K).
+r = min_T f(T, r) over the cycle costs _PhaseTable.f, and is read off the
+sums per case (the oracle module re-derives it from explicit matrix powers
+as min_T f(T, 0)/(1 - beta^T) on a grid). A sweep shares one Riccati
+solve and one table, which lives only for the solve: a PolicySolution keeps
+W_inf and two numbers beside its records, whose read-only arrays the
+controller and the simulator multiply by directly (sys.A, sys.B and
+are.minus_K).
 
 Covariance convention: P_t follows the adjoint recursion P_{t+1} = A' P_t A + G
 (error_cov_seq in tests/reference.py builds these matrices one step at a
@@ -47,8 +48,6 @@ __all__ = [
     "MeasureCase",
     "PolicySolution",
     "ValueSummary",
-    "f_value",
-    "h_value",
     "optimal_period",
     "never_measure_threshold",
     "value_at",
@@ -128,11 +127,19 @@ class _PhaseTable:
         return T + 1
 
     def f(self, T: int, r: float, O: float) -> float:
-        """f(T, r) at price O, T >= 1 (see f_value)."""
+        """Cycle cost of waiting T >= 1 steps and then paying O for a query.
+
+        f(T, r) = sum_{t=0}^{T-1} beta^t Tr(P_t phi) + sum_{t=1}^{T} beta^t Tr(Sigma_S C'PC) + beta^T (r + O);
+        the offset r solves r = min_{T >= 1} f(T, r).
+        """
         return self.at(T).E + self.noise * self.beta * (1.0 - self.beta**T) / (1.0 - self.beta) + self.beta**T * (r + O)
 
     def h(self, T: int, r: float, O: float) -> float:
-        """h(T, r) at price O, T >= 1 (see h_value)."""
+        """Forward difference of the cycle cost at price O, T >= 1: f(T+1, r) - f(T, r) = beta^T h(T, r).
+
+        h(T, r) = Tr(P_T phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O) is nondecreasing in T,
+        so the sign change of h locates the minimizer of f.
+        """
         return self.at(T).tr + self.beta * self.noise - (1.0 - self.beta) * (r + O)
 
     @cached_property
@@ -188,30 +195,6 @@ class PolicySolution:
         if self.period == 1:
             return MeasureCase.MEASURE_EVERY_STEP
         return MeasureCase.FINITE_PERIOD
-
-
-def f_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:
-    """Cycle cost of waiting T steps and then paying for a query.
-
-    f(T, r) = sum_{t=0}^{T-1} beta^t Tr(P_t phi)
-            + sum_{t=1}^{T} beta^t Tr(Sigma_S C'PC)
-            + beta^T (r + O).
-    The offset r solves r = min_{T >= 1} f(T, r).
-    """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    return _PhaseTable(sys, cost.beta, are).f(T, r, cost.O)
-
-
-def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:
-    """Forward difference of the cycle cost: f(T+1, r) - f(T, r) = beta^T h(T, r).
-
-    h(T, r) = Tr(P_T phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O), and is
-    nondecreasing in T, so the sign change of h locates the minimizer of f.
-    """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    return _PhaseTable(sys, cost.beta, are).h(T, r, cost.O)
 
 
 def never_measure_threshold(sys: LinearSystem, cost: CostModel, are: AreSolution | None = None) -> float:

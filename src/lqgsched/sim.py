@@ -2,10 +2,10 @@
 
 A ``Strategy`` is just a query period fixed in advance (the optimal trigger
 is state-independent and periodic too, with period T*), so one batched rollout,
-``_rollout``, serves them all: Monte Carlo costs, the sampled error
-covariance and the single trajectory of every schedule, which is a rollout
-of one run. It multiplies directly by the plant's read-only A, B and noise
-factor N = C Sigma_S^(1/2) and the policy's negated gain ``ps.are.minus_K``.
+``_rollout``, serves them all: Monte Carlo costs and the single trajectory
+of every schedule, which is a rollout of one run. It multiplies directly by
+the plant's read-only A, B and noise factor N = C Sigma_S^(1/2) and the
+policy's negated gain ``ps.are.minus_K``.
 
 Noise is drawn from numpy's PCG64 generator. The runs of a Monte Carlo
 batch come in groups of ``_GROUP_RUNS`` consecutive runs, and group g draws
@@ -16,10 +16,9 @@ runs do not depend on the number of runs, no run depends on the chunking,
 and a job of a group's runs on ``seed + g`` draws that group's noise again,
 bit for bit. The rollout holds one step of noise and four state buffers
 for one chunk of whole groups (within ``_CHUNK_VALUES`` values, and at least
-one group), so memory does not grow with the horizon. Monte Carlo costs and
-the sampled error covariance merge each chunk's moments into running totals,
-so memory does not grow with the number of runs (at most ``MAX_RUNS``)
-either, and ``TrajectoryRecord.write_csv`` formats the rows of about
+one group), so memory does not grow with the horizon. Monte Carlo costs
+merge each chunk's moments into running totals, so memory does not grow
+with the number of runs (at most ``MAX_RUNS``) either, and ``TrajectoryRecord.write_csv`` formats the rows of about
 ``_CSV_VALUES`` cells at a time. The CLI runs the Monte Carlo before it rolls
 the trajectory, so the two are never held at once.
 Gaussian plant noise w ~ N(0, Sigma_S) is sampled as sqrt(Sigma_S) @ z with
@@ -46,7 +45,6 @@ __all__ = [
     "TrajectoryRecord",
     "simulate",
     "monte_carlo_value",
-    "empirical_error_covariance",
 ]
 
 
@@ -336,11 +334,6 @@ def _chunk_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig):
             yield totals
 
 
-def _batch_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> np.ndarray:
-    """Total discounted cost of each run (one float per run: for tests and small batches)."""
-    return np.concatenate(list(_chunk_costs(problem, ps, cfg)))
-
-
 def _merge_moments(acc: tuple, n_b: int, mean_b, m2_b) -> tuple:
     """Merge a block's count, mean and centred co-moment into the running ``acc``.
 
@@ -371,27 +364,3 @@ def monte_carlo_value(
     if n == 1:
         return float(mean), 0.0
     return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-
-
-def empirical_error_covariance(
-    problem: Problem, ps: PolicySolution, cfg: SimConfig, t: int
-) -> np.ndarray:
-    """Sample covariance of the estimation error x_t - xbar_t across runs.
-
-    Step 0 is a (free) query epoch, so for t inside the first waiting window
-    the phase since the last query equals t itself. Each chunk's errors merge
-    into a running count, mean and co-moment (``_merge_moments``), so memory
-    does not grow with n_runs.
-    """
-    if not (0 <= t < cfg.horizon):
-        raise ValueError(f"step {t} outside horizon {cfg.horizon}")
-    if cfg.n_runs < 2:
-        raise ValueError("a sample covariance needs n_runs >= 2")
-    acc = (0, 0.0, 0.0)
-    for step, X, Xbar, _, _ in _rollout(problem, ps, cfg.strategy, cfg.seed, cfg.n_runs, t + 1):
-        if step == t:
-            E = X - Xbar
-            mean_b = E.mean(axis=0)
-            D = E - mean_b
-            acc = _merge_moments(acc, len(E), mean_b, D.T @ D)
-    return acc[2] / (cfg.n_runs - 1)

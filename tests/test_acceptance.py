@@ -16,8 +16,6 @@ from lqgsched import (
     ALWAYS_MEASURE,
     SimConfig,
     fixed_period,
-    h_value,
-    inner_dp_check,
     make_packet,
     monte_carlo_value,
     never_measure_threshold,
@@ -38,7 +36,7 @@ from conftest import (
     make_problem,
     random_admissible_with_finite_T,
 )
-from reference import lyapunov_solve
+from reference import h_value, inner_dp_check, lyapunov_solve
 
 W_INF_EXPECTED = np.array([
     [2.5129, -0.8009, 0.2130],

@@ -6,7 +6,6 @@ import pytest
 
 from lqgsched import (
     CostModel,
-    InnerDpReport,
     LinearSystem,
     Problem,
     SimConfig,
@@ -186,12 +185,12 @@ def samples(sys1_O10, ps1_O10):
     found = [sys1_O10, sys1_O10.sys, sys1_O10.cost, ps1_O10, ps1_O10.are, span,
              value_at(ps1_O10, sys1_O10.x0), make_packet(sys1_O10.x0, ps1_O10), Violation("Q_not_psd", "Q is bad"),
              Strategy(3), SimConfig(), simulate(sys1_O10, ps1_O10, SimConfig(horizon=5)), oracle,
-             InnerDpReport(1.0, 2.0, 3.0, 0.5), VerifyReport([("offset_match", True, "")], oracle)]
+             VerifyReport([("offset_match", True, "")], oracle)]
     return {type(obj): obj for obj in found}
 
 
 def test_every_record_is_sampled(samples):
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 14
     assert set(samples) == set(RECORDS)
 
 

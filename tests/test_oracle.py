@@ -12,7 +12,6 @@ from lqgsched import (
     LinearSystem,
     Problem,
     dare_solve,
-    inner_dp_check,
     never_measure_cost,
     never_measure_threshold,
     optimal_period,
@@ -21,13 +20,13 @@ from lqgsched import (
     value_at,
     verify_solution,
 )
-import lqgsched.oracle as oracle
 from lqgsched.policy import _PhaseTable
 
 from conftest import (
     A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
     random_admissible_with_finite_T, random_stable_plant, scalar_problem,
 )
+from reference import inner_dp_check
 
 
 def test_fixed_point_agrees_with_closed_form(sys1_O10, ps1_O10):
@@ -428,6 +427,27 @@ def test_verify_passes_at_any_discount_property(seed, log_beta, pick, u, above):
     assert rep.passed, rep.failures()
 
 
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), log_beta=st.floats(math.log(1e-8), math.log(0.9999)),
+       pick=st.floats(0.0, 1.0, exclude_max=True))
+def test_verify_passes_at_a_bracket_edge_property(seed, log_beta, pick):
+    # At the edge S(T), T <= 12, T* steps from T to T + 1: verify passes there and at both float neighbours,
+    # with beta log-uniform in [1e-8, 0.9999]
+    beta = math.exp(log_beta)
+    sys, cost = random_admissible(np.random.default_rng(seed), beta_range=(beta, beta))
+    ps0 = optimal_period(sys, cost)
+    table = _PhaseTable(sys, beta, ps0.are)
+    S = [table.at(t).S for t in range(13)]
+    edges = [T for T in range(1, 13) if S[T] > S[T - 1]
+             and (ps0.never_threshold is None or S[T] < ps0.never_threshold)]
+    assume(edges)
+    edge = S[edges[int(pick * len(edges))]]
+    for O in (float(np.nextafter(edge, -np.inf)), edge, float(np.nextafter(edge, np.inf))):
+        priced = dataclasses.replace(cost, O=O)
+        rep = verify_solution(sys, priced, optimal_period(sys, priced, are=ps0.are))
+        assert rep.passed, (O, rep.failures())
+
+
 def test_verify_builds_one_phase_table(sys1_O10, ps1_O10, monkeypatch):
     # fixed_point_residual and both bracket values read one table
     built = []
@@ -448,12 +468,14 @@ _COLLAPSE_CASES = {
 def test_verify_runs_no_monte_carlo(case, monkeypatch):
     # inner_collapse sums the window in closed form; the Monte Carlo re-costing is inner_dp_check's alone
     def refuse(*args, **kwargs):
-        raise AssertionError("verify_solution called inner_dp_check")
+        raise AssertionError("a noise stream was seeded")
 
-    monkeypatch.setattr(oracle, "inner_dp_check", refuse)
     p = _COLLAPSE_CASES[case]()
     ps = optimal_period(p.sys, p.cost)
     assert ps.finite
+    monkeypatch.setattr(np.random, "PCG64", refuse)
+    with pytest.raises(AssertionError, match="noise stream"):  # the guard catches a Monte Carlo re-costing
+        inner_dp_check(p.sys, p.cost, ps.are.P, ps.r, ps.period, p.x0, n_mc=2)
     rep = verify_solution(p.sys, p.cost, ps, x_probe=p.x0)
     assert rep.passed, rep.failures()
 

@@ -13,8 +13,6 @@ from lqgsched import (
     MeasureCase,
     UnstableA,
     dare_solve,
-    f_value,
-    h_value,
     never_measure_threshold,
     optimal_period,
     value_at,
@@ -40,7 +38,7 @@ from conftest import (
     random_stable_plant,
     scalar_problem,
 )
-from reference import error_cov_seq, lyapunov_solve
+from reference import error_cov_seq, f_value, h_value, lyapunov_solve
 
 
 def noise_rate(sys, P):

@@ -11,7 +11,6 @@ from lqgsched import (
     LinearSystem,
     Problem,
     SimConfig,
-    empirical_error_covariance,
     fixed_period,
     initial_state,
     monte_carlo_value,
@@ -23,7 +22,7 @@ from lqgsched.model import psd_sqrt
 
 from conftest import (A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, bracket_edge_prices, make_problem,
                       plant_q50_at_three_tenths, random_stable_plant)
-from reference import measure_times
+from reference import batch_costs, empirical_error_covariance, measure_times
 
 
 def record_fields(rec):
@@ -109,11 +108,10 @@ def test_optimal_trajectory_queries_follow_period_on_bracket_edges(A):
 
 def test_batch_costs_match_single_runs(ps1_O10, sys1_O10, monkeypatch):
     import lqgsched.sim as sim
-    from lqgsched.sim import _batch_costs
 
     monkeypatch.setattr(sim, "_GROUP_RUNS", 1)  # a stream per run: run k draws from seed + k
     cfg = SimConfig(horizon=150, seed=40, n_runs=4, strategy=fixed_period(5))
-    batch = _batch_costs(sys1_O10, ps1_O10, cfg)
+    batch = batch_costs(sys1_O10, ps1_O10, cfg)
     for r in range(4):
         rec = simulate(sys1_O10, ps1_O10, SimConfig(horizon=150, seed=40 + r, n_runs=1, strategy=fixed_period(5)))
         assert batch[r] == pytest.approx(rec.total_cost, rel=1e-9)
@@ -136,13 +134,12 @@ def test_state_control_cost_matches_per_row_quadratic_forms():
 )
 def test_batch_costs_match_single_runs_q50(strategy, monkeypatch):
     import lqgsched.sim as sim
-    from lqgsched.sim import _batch_costs
 
     monkeypatch.setattr(sim, "_GROUP_RUNS", 1)  # a stream per run: run k draws from seed + k
     problem = random_stable_plant(4)
     ps = optimal_period(problem.sys, problem.cost)
     cfg = SimConfig(horizon=100, seed=60, n_runs=3, strategy=strategy)
-    batch = _batch_costs(problem, ps, cfg)
+    batch = batch_costs(problem, ps, cfg)
     single = [simulate(problem, ps, replace(cfg, seed=60 + r, n_runs=1)).total_cost for r in range(3)]
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
@@ -235,12 +232,12 @@ def test_rollout_totals_do_not_depend_on_chunking(ps1_O10, sys1_O10, monkeypatch
     H, n = 40, 7
     monkeypatch.setattr(sim, "_GROUP_RUNS", 2)
     cfgs = [SimConfig(horizon=H, seed=21, n_runs=n, strategy=s) for s in (OPTIMAL, fixed_period(3), NEVER_MEASURE)]
-    whole = [sim._batch_costs(sys1_O10, ps1_O10, cfg) for cfg in cfgs]
+    whole = [batch_costs(sys1_O10, ps1_O10, cfg) for cfg in cfgs]
     # the least budget, one group a chunk: chunks of 2, 2, 2 and a one-run remainder
     monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)
     assert chunk_sizes(sys1_O10, ps1_O10, n, H) == [2, 2, 2, 1]
     for cfg, totals in zip(cfgs, whole):
-        np.testing.assert_allclose(sim._batch_costs(sys1_O10, ps1_O10, cfg), totals, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(batch_costs(sys1_O10, ps1_O10, cfg), totals, rtol=1e-12, atol=0.0)
 
 
 def test_monte_carlo_memory_bounded(ps1_O10, sys1_O10, monkeypatch):
@@ -309,7 +306,7 @@ def test_monte_carlo_moments_merge_chunks(ps1_O10, sys1_O10, monkeypatch):
     cfg = SimConfig(horizon=30, seed=8, n_runs=9, strategy=fixed_period(4))
     monkeypatch.setattr(sim, "_GROUP_RUNS", 2)
     monkeypatch.setattr(sim, "_CHUNK_VALUES", 1)  # one group a chunk: chunks of 2, 2, 2, 2 and 1 run
-    totals = sim._batch_costs(sys1_O10, ps1_O10, cfg)
+    totals = batch_costs(sys1_O10, ps1_O10, cfg)
     mean, se = monte_carlo_value(sys1_O10, ps1_O10, cfg)
     assert mean == pytest.approx(totals.mean(), rel=1e-12, abs=0.0)
     assert se == pytest.approx(totals.std(ddof=1) / np.sqrt(9), rel=1e-12, abs=0.0)
@@ -546,11 +543,11 @@ def test_costs_do_not_depend_on_chunk_budget(ps1_O10, sys1_O10, monkeypatch, str
 
     cfg = SimConfig(horizon=30, seed=17, n_runs=2100, strategy=strategy)
     assert chunk_sizes(sys1_O10, ps1_O10, cfg.n_runs, 2) == [2100]
-    whole = sim._batch_costs(sys1_O10, ps1_O10, cfg)
+    whole = batch_costs(sys1_O10, ps1_O10, cfg)
     for budget, sizes in ((1, [1024, 1024, 52]), (2 * 1024 * (6 * 3 + 2), [2048, 52])):
         monkeypatch.setattr(sim, "_CHUNK_VALUES", budget)
         assert chunk_sizes(sys1_O10, ps1_O10, cfg.n_runs, 2) == sizes
-        np.testing.assert_allclose(sim._batch_costs(sys1_O10, ps1_O10, cfg), whole, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(batch_costs(sys1_O10, ps1_O10, cfg), whole, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("group", [2, 3], ids=["group2", "group3"])
@@ -561,10 +558,10 @@ def test_group_of_a_job_equals_a_job_on_its_seed(ps1_O10, sys1_O10, monkeypatch,
 
     monkeypatch.setattr(sim, "_GROUP_RUNS", group)
     cfg = SimConfig(horizon=40, seed=31, n_runs=8, strategy=strategy)
-    batch = sim._batch_costs(sys1_O10, ps1_O10, cfg)
+    batch = batch_costs(sys1_O10, ps1_O10, cfg)
     for g, first in enumerate(range(0, 8, group)):
         runs = min(group, 8 - first)
-        alone = sim._batch_costs(sys1_O10, ps1_O10, replace(cfg, seed=31 + g, n_runs=runs))
+        alone = batch_costs(sys1_O10, ps1_O10, replace(cfg, seed=31 + g, n_runs=runs))
         np.testing.assert_allclose(batch[first:first + runs], alone, rtol=1e-12, atol=0.0)
 
 
@@ -574,9 +571,9 @@ def test_full_group_costs_do_not_depend_on_runs(ps1_O10, sys1_O10, monkeypatch, 
 
     monkeypatch.setattr(sim, "_GROUP_RUNS", 4)
     cfg = SimConfig(horizon=40, seed=9, n_runs=8, strategy=strategy)
-    eight = sim._batch_costs(sys1_O10, ps1_O10, cfg)
+    eight = batch_costs(sys1_O10, ps1_O10, cfg)
     for n_runs in (4, 9, 13):
-        more = sim._batch_costs(sys1_O10, ps1_O10, replace(cfg, n_runs=n_runs))
+        more = batch_costs(sys1_O10, ps1_O10, replace(cfg, n_runs=n_runs))
         full = min(n_runs, 8)  # the runs of groups 0 and 1 that are full in both jobs
         np.testing.assert_allclose(more[:full], eight[:full], rtol=1e-12, atol=0.0)
 
