@@ -40,7 +40,6 @@ from .riccati import (
     NonConvergence,
     UnstableA,
     dare_solve,
-    finite_riccati,
     spectral_radius,
 )
 from .sim import (

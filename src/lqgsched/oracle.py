@@ -6,13 +6,15 @@ explicit matrix powers on a waiting-time grid: offset_match reads the offset
 r, the least cycle-cost ratio; period_match, f_curve_minimum and
 curve_decreasing read the signs of h(T, r), which alone decide the period
 (f(T+1, r) - f(T, r) = beta^T h(T, r) loses h to rounding once beta^T is
-small); inner_collapse re-costs the finite window in closed form from
-finite_riccati's backward recursion. Two check the solve's own arithmetic:
-fixed_point_residual and bracket read f and h at the solved T* and r off
-one phase table. No check simulates: the window's Monte Carlo re-costing
-(inner_dp_check) is a test reference, in tests/reference.py. The module also
-provides exact expected-cost evaluators for arbitrary periodic strategies
-under the physical (forward) noise propagation Cov <- A Cov A' + C Sigma_S C';
+small); inner_collapse re-costs the finite window in closed form in one
+backward Riccati pass from P, which keeps one weight and one adjoint error
+sum at a time rather than the window's T* weights. Two check the solve's
+own arithmetic: fixed_point_residual and bracket read f and h at the
+solved T* and r off one phase table. No check simulates: the window's
+Monte Carlo re-costing (inner_dp_check) is a test reference, in
+tests/reference.py. The module also provides exact expected-cost
+evaluators for arbitrary periodic strategies under the physical (forward)
+noise propagation Cov <- A Cov A' + C Sigma_S C';
 these anchor the Monte Carlo validation.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .model import CostModel, LinearSystem, record
 from .policy import PolicySolution, _PhaseTable
-from .riccati import AreSolution, NonConvergence, dare_solve, dlyap_adjoint, finite_riccati, spectral_radius
+from .riccati import AreSolution, NonConvergence, _step, dare_solve, dlyap_adjoint, spectral_radius
 
 __all__ = [
     "OracleReport",
@@ -149,21 +151,26 @@ def _h_limit(sys: LinearSystem, cost: CostModel, are: AreSolution, r: float) -> 
     return trace + beta * noise - (1.0 - beta) * (r + O), float(_tie_bound(trace, noise, beta, r, O))
 
 
-def _window_cost(sys: LinearSystem, cost: CostModel, L: np.ndarray, phi_seq: np.ndarray, r: float,
+def _window_cost(sys: LinearSystem, cost: CostModel, P: np.ndarray, T: int, r: float,
                  x: np.ndarray, M: np.ndarray, G: np.ndarray) -> float:
-    """Closed-form cost from x of the window finite_riccati gave as (L, phi_seq), T = len(phi_seq) steps:
+    """Closed-form cost from x of the T-step window with symmetric terminal weight P, in one backward Riccati pass:
 
-    x'L_T x + sum_t beta^t Tr(Cov_t phi_t) + sum_{t=1..T} beta^t Tr(Sigma_S C' L_{T-t} C) + beta^T (r + O),
-    Cov_0 = 0, Cov_{t+1} = M Cov_t M' + G; (M, G) is (A, C Sigma_S C') forward, (A', C' Sigma_S C) adjoint.
+    x'L_T x + sum_{t<T} beta^t Tr(Cov_t phi_t) + sum_{t=1..T} beta^t Tr(Sigma_S C' L_{T-t} C) + beta^T (r + O),
+    L_0 = P, L_{k+1} = _step(L_k), phi_t the sensitivity at L_{T-1-t}, Cov_0 = 0, Cov_{t+1} = M Cov_t M' + G;
+    (M, G) is (A, C Sigma_S C') forward, (A', C' Sigma_S C) adjoint. The error sum is taken in adjoint form,
+    sum_{t=1..T-1} Tr(G Lam_t) with Lam_T = 0 and Lam_t = beta^t phi_t + M' Lam_{t+1} M, so each step keeps
+    one L and one Lam: no Cov_t, and no window of L_k.
     """
-    beta, T = cost.beta, len(phi_seq)
-    cov = np.zeros_like(G)
-    err = 0.0
-    for t in range(T):
-        err += beta**t * float(np.trace(cov @ phi_seq[t]))
-        cov = M @ cov @ M.T + G
-    noise = sum(beta**t * float(np.trace(sys.Sigma_S @ sys.C.T @ L[T - t] @ sys.C)) for t in range(1, T + 1))
-    return float(x @ L[T] @ x) + err + noise + beta**T * (r + cost.O)
+    beta, SC, L = cost.beta, sys.Sigma_S @ sys.C.T, P
+    Lam = np.zeros_like(G)
+    err = noise = 0.0
+    for t in reversed(range(T)):  # L is L_{T-1-t}, whose sensitivity is phi_t
+        noise += beta ** (t + 1) * float(np.trace(SC @ L @ sys.C))
+        L, _, phi = _step(L, sys, cost)
+        if t:
+            Lam = beta**t * phi + M.T @ Lam @ M
+            err += float(np.trace(G @ Lam))
+    return float(x @ L @ x) + err + noise + beta**T * (r + cost.O)
 
 
 def periodic_strategy_cost(
@@ -301,12 +308,7 @@ def verify_solution(
             checks.append(("bracket", bool(h_hi > -tie(1)), f"h(1)={h_hi:.3e}"))
 
         x = np.ones(sys.q) if x_probe is None else np.asarray(x_probe, dtype=float).ravel()
-        try:
-            L, phi_seq = finite_riccati(ps.are.P, T_star, sys, cost)
-        except MemoryError as e:  # the grid of 4 T* waiting times fitted, but T* + 1 matrices of q^2 entries do not
-            raise NonConvergence(f"the oracle's window of {T_star + 1} Riccati matrices cannot be allocated: {e}",
-                                 residual=math.inf) from e
-        window = _window_cost(sys, cost, L, phi_seq, ps.r, x, sys.A.T, sys.noise_gram())
+        window = _window_cost(sys, cost, ps.are.P, T_star, ps.r, x, sys.A.T, sys.noise_gram())
         target = float(x @ ps.are.P @ x) + ps.r
         rel = abs(window - target) / abs(target)
         checks.append(("inner_collapse", rel < max(1e-10, 10 * ps.are.residual), f"relative deviation {rel:.3e}"))

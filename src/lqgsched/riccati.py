@@ -22,7 +22,6 @@ __all__ = [
     "NonConvergence",
     "UnstableA",
     "dare_solve",
-    "finite_riccati",
     "spectral_radius",
     "dlyap_adjoint",
 ]
@@ -119,26 +118,6 @@ def dare_solve(sys: LinearSystem, cost: CostModel) -> AreSolution:
         raise NonConvergence(f"Riccati doubling ended at relative residual {residual:.3e}, above "
                              f"{DARE_RESIDUAL_TOL:.0e}; does the problem pass model.validate?", residual=residual)
     return AreSolution(P=_frozen(H), K=_frozen(K), phi=_frozen(phi), iterations=it, residual=residual)
-
-
-def finite_riccati(
-    P_terminal: np.ndarray, T: int, sys: LinearSystem, cost: CostModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward recursion over a T-step window with terminal weight P_terminal.
-
-    Returns (L, phi) where L has shape (T+1, q, q) with L[0] = P_terminal and
-    L[t+1] = _step(L[t]), and phi has shape (T, q, q) with
-    phi[t] built from L[T-t-1] (the weight active t steps into the window).
-    """
-    if T < 1:
-        raise ValueError(f"window length T must be >= 1, got {T}")
-    q = sys.q
-    L = np.empty((T + 1, q, q))
-    L[0] = (np.asarray(P_terminal, dtype=float) + np.asarray(P_terminal, dtype=float).T) / 2.0
-    phi = np.empty((T, q, q))
-    for t in range(T):
-        L[t + 1], _, phi[T - t - 1] = _step(L[t], sys, cost)
-    return L, phi
 
 
 def spectral_radius(M: np.ndarray) -> float:

@@ -334,16 +334,16 @@ def _chunk_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig):
             yield totals
 
 
-def _merge_moments(acc: tuple, n_b: int, mean_b, m2_b) -> tuple:
-    """Merge a block's count, mean and centred co-moment into the running ``acc``.
+def _merge_moments(acc: tuple, n_b: int, mean_b: float, m2_b: float) -> tuple:
+    """Merge a block's count, mean and sum of squared deviations into the running ``acc``.
 
-    The pairwise update of Chan, Golub and LeVeque: the two co-moments add,
-    with a correction for the gap between the two means, so no earlier
-    sample is kept.
+    The pairwise update of Chan, Golub and LeVeque: the two sums add, with
+    a correction for the gap between the two means, so no earlier sample is
+    kept.
     """
     n, mean, m2 = acc
     delta, n_ab = mean_b - mean, n + n_b
-    return n_ab, mean + delta * n_b / n_ab, m2 + (m2_b + np.multiply.outer(delta, delta) * n * n_b / n_ab)
+    return n_ab, mean + delta * n_b / n_ab, m2 + (m2_b + delta * delta * n * n_b / n_ab)
 
 
 def monte_carlo_value(

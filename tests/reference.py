@@ -1,12 +1,15 @@
 """Reference computations the tests compare the package's fast paths with.
 
 None of these runs in a command: riccati_map is one step of the Riccati
-recursion (dare_solve's residual), error_cov_seq the adjoint error
-covariances P_t one step at a time (what the phase table sums in blocks),
-lyapunov_solve the Gramian W = A'WA + C'Sigma_S C (the limit of the
-phase table's W_T), and measure_times the query steps of a schedule (what
-the rollout decides a step at a time). f_value and h_value read one cycle
-cost f(T, r) or its forward difference h(T, r) off a new phase table.
+recursion (dare_solve's residual), finite_riccati stacks a window's T + 1
+weights and T sensitivities, and stacked_window_cost sums the window's
+cost from that stack (what oracle._window_cost does in one pass without
+it). error_cov_seq gives the adjoint error covariances P_t one step at a
+time (what the phase table sums in blocks), lyapunov_solve the Gramian
+W = A'WA + C'Sigma_S C (the limit of the phase table's W_T), and
+measure_times the query steps of a schedule (what the rollout decides a
+step at a time). f_value and h_value read one cycle cost f(T, r) or its
+forward difference h(T, r) off a new phase table.
 batch_costs keeps the total cost of every run of a Monte Carlo batch, and
 empirical_error_covariance samples the estimation error covariance at one
 step, both on the simulator's rollout. inner_dp_check re-costs verify's
@@ -24,9 +27,8 @@ import numpy as np
 from lqgsched.model import CostModel, LinearSystem, Problem, record
 from lqgsched.oracle import _window_cost
 from lqgsched.policy import PolicySolution, _PhaseTable
-from lqgsched.riccati import (AreSolution, _check_lyapunov, _require_schur_stable, _step, dlyap_adjoint,
-                              finite_riccati)
-from lqgsched.sim import SimConfig, Strategy, _chunk_costs, _merge_moments, _rollout, _state_control_cost
+from lqgsched.riccati import AreSolution, _check_lyapunov, _require_schur_stable, _step, dlyap_adjoint
+from lqgsched.sim import SimConfig, Strategy, _chunk_costs, _rollout, _state_control_cost
 
 
 def riccati_map(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> np.ndarray:
@@ -39,6 +41,43 @@ def riccati_map(L: np.ndarray, sys: LinearSystem, cost: CostModel) -> np.ndarray
     if L.shape != (sys.q, sys.q):
         raise ValueError(f"L has shape {L.shape}, expected ({sys.q}, {sys.q})")
     return _step(L, sys, cost)[0]
+
+
+def finite_riccati(
+    P_terminal: np.ndarray, T: int, sys: LinearSystem, cost: CostModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward recursion over a T-step window with terminal weight P_terminal.
+
+    Returns (L, phi) where L has shape (T+1, q, q) with L[0] = P_terminal and
+    L[t+1] = _step(L[t]), and phi has shape (T, q, q) with
+    phi[t] built from L[T-t-1] (the weight active t steps into the window).
+    """
+    if T < 1:
+        raise ValueError(f"window length T must be >= 1, got {T}")
+    q = sys.q
+    L = np.empty((T + 1, q, q))
+    L[0] = (np.asarray(P_terminal, dtype=float) + np.asarray(P_terminal, dtype=float).T) / 2.0
+    phi = np.empty((T, q, q))
+    for t in range(T):
+        L[t + 1], _, phi[T - t - 1] = _step(L[t], sys, cost)
+    return L, phi
+
+
+def stacked_window_cost(sys: LinearSystem, cost: CostModel, L: np.ndarray, phi_seq: np.ndarray, r: float,
+                        x: np.ndarray, M: np.ndarray, G: np.ndarray) -> float:
+    """Closed-form cost from x of the window finite_riccati gave as (L, phi_seq), T = len(phi_seq) steps:
+
+    x'L_T x + sum_t beta^t Tr(Cov_t phi_t) + sum_{t=1..T} beta^t Tr(Sigma_S C' L_{T-t} C) + beta^T (r + O),
+    Cov_0 = 0, Cov_{t+1} = M Cov_t M' + G; (M, G) is (A, C Sigma_S C') forward, (A', C' Sigma_S C) adjoint.
+    """
+    beta, T = cost.beta, len(phi_seq)
+    cov = np.zeros_like(G)
+    err = 0.0
+    for t in range(T):
+        err += beta**t * float(np.trace(cov @ phi_seq[t]))
+        cov = M @ cov @ M.T + G
+    noise = sum(beta**t * float(np.trace(sys.Sigma_S @ sys.C.T @ L[T - t] @ sys.C)) for t in range(1, T + 1))
+    return float(x @ L[T] @ x) + err + noise + beta**T * (r + cost.O)
 
 
 def error_cov_seq(sys: LinearSystem, T: int) -> np.ndarray:
@@ -108,6 +147,13 @@ def batch_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> np.ndar
     return np.concatenate(list(_chunk_costs(problem, ps, cfg)))
 
 
+def _merge_comoments(acc: tuple, n_b: int, mean_b: np.ndarray, m2_b: np.ndarray) -> tuple:
+    """sim._merge_moments for vectors: merge a block's count, mean and centred co-moment matrix into ``acc``."""
+    n, mean, m2 = acc
+    delta, n_ab = mean_b - mean, n + n_b
+    return n_ab, mean + delta * n_b / n_ab, m2 + (m2_b + np.multiply.outer(delta, delta) * n * n_b / n_ab)
+
+
 def empirical_error_covariance(
     problem: Problem, ps: PolicySolution, cfg: SimConfig, t: int
 ) -> np.ndarray:
@@ -115,8 +161,8 @@ def empirical_error_covariance(
 
     Step 0 is a (free) query epoch, so for t inside the first waiting window
     the phase since the last query equals t itself. Each chunk's errors merge
-    into a running count, mean and co-moment (``_merge_moments``), so memory
-    does not grow with n_runs.
+    into a running count, mean and co-moment (``_merge_comoments``), so
+    memory does not grow with n_runs.
     """
     if not (0 <= t < cfg.horizon):
         raise ValueError(f"step {t} outside horizon {cfg.horizon}")
@@ -128,7 +174,7 @@ def empirical_error_covariance(
             E = X - Xbar
             mean_b = E.mean(axis=0)
             D = E - mean_b
-            acc = _merge_moments(acc, len(E), mean_b, D.T @ D)
+            acc = _merge_comoments(acc, len(E), mean_b, D.T @ D)
     return acc[2] / (cfg.n_runs - 1)
 
 
@@ -174,9 +220,9 @@ def inner_dp_check(
     """
     x = np.asarray(x, dtype=float).ravel()
     beta, A, B, C = cost.beta, sys.A, sys.B, sys.C
-    L, phi_seq = finite_riccati(P, T, sys, cost)
-    cf_fwd = _window_cost(sys, cost, L, phi_seq, r, x, A, C @ sys.Sigma_S @ C.T)
-    cf_adj = _window_cost(sys, cost, L, phi_seq, r, x, A.T, sys.noise_gram())
+    cf_fwd = _window_cost(sys, cost, P, T, r, x, A, C @ sys.Sigma_S @ C.T)
+    cf_adj = _window_cost(sys, cost, P, T, r, x, A.T, sys.noise_gram())
+    L, _ = finite_riccati(P, T, sys, cost)
 
     # One run per column, as sim's rollout keeps them; phase t applies the gain of the weight L[T - t - 1].
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 import lqgsched
 import lqgsched.cli as cli
-import lqgsched.oracle as oracle
 import lqgsched.riccati as riccati
 from lqgsched import NonConvergence, Problem, never_measure_threshold, verify_solution
 from lqgsched.cli import ProblemFileError, load_problem, main, save_problem
@@ -766,18 +765,6 @@ def test_verify_exits_3_when_the_oracle_grid_does_not_fit_in_memory(capsys, tmp_
     assert json.loads(out) == {"error": {"code": "non_convergence", "message": (
         "the oracle's grid of 2301881520 waiting times cannot be allocated: "
         "Unable to allocate an array with shape 2301881520")}}
-
-
-def test_verify_exits_3_when_the_oracle_window_does_not_fit_in_memory(capsys, monkeypatch):
-    # the grid fits, but not the window's T* + 1 Riccati matrices (sys1 at O = 10: T* = 6)
-    def out_of_memory(*args):
-        raise MemoryError("Unable to allocate the window")
-
-    monkeypatch.setattr(oracle, "finite_riccati", out_of_memory)
-    code, out, err = run(capsys, "verify", "--problem", SYS1, "--O", "10")
-    assert (code, out) == (3, "")
-    assert err == "solver failed: the oracle's window of 7 Riccati matrices cannot be allocated: " \
-                  "Unable to allocate the window\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

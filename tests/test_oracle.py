@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from lqgsched import (
     value_at,
     verify_solution,
 )
+from lqgsched.oracle import _window_cost
 from lqgsched.policy import _PhaseTable
 
 from conftest import (
     A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
     random_admissible_with_finite_T, random_stable_plant, scalar_problem,
 )
-from reference import inner_dp_check
+from reference import finite_riccati, inner_dp_check, stacked_window_cost
 
 
 def test_fixed_point_agrees_with_closed_form(sys1_O10, ps1_O10):
@@ -68,8 +70,6 @@ def test_inner_dp_zero_A_and_zero_state():
     T, r = 4, 3.0
     rep = inner_dp_check(sys, cost, are.P, r, T, np.zeros(3), n_mc=20_000, seed=2)
     # A = 0 kills the gains: only the noise floor and the terminal charge remain
-    from lqgsched.riccati import finite_riccati
-
     L, _ = finite_riccati(are.P, T, sys, cost)
     expected = sum(
         BETA**t * float(np.trace(SIGMA @ C3.T @ L[T - t] @ C3)) for t in range(1, T + 1)
@@ -496,6 +496,41 @@ def test_inner_collapse_reads_inner_dp_checks_adjoint_form(case):
     inner = inner_dp_check(p.sys, p.cost, ps.are.P, ps.r, ps.period, p.x0, n_mc=2)
     target = float(p.x0 @ ps.are.P @ p.x0) + ps.r
     assert detail == f"relative deviation {abs(inner.closed_form_adjoint - target) / abs(target):.3e}"
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 40), terminal=st.sampled_from(["P", "Q"]),
+       r=st.floats(0.0, 100.0))
+def test_window_cost_matches_the_stacked_window_property(seed, T, terminal, r):
+    # The one pass sums the error in adjoint form, the stack sums Cov_t forward; both conventions agree to
+    # rounding, from the fixed point P (where the weights stay) and from Q (where they move).
+    rng = np.random.default_rng(seed)
+    sys, cost = random_admissible(rng)
+    P = dare_solve(sys, cost).P if terminal == "P" else cost.Q
+    x = rng.normal(size=sys.q)
+    L, phi_seq = finite_riccati(P, T, sys, cost)
+    for M, G in ((sys.A.T, sys.noise_gram()), (sys.A, sys.C @ sys.Sigma_S @ sys.C.T)):
+        stacked = stacked_window_cost(sys, cost, L, phi_seq, r, x, M, G)
+        assert abs(_window_cost(sys, cost, P, T, r, x, M, G) - stacked) <= 1e-13 * abs(stacked)
+
+
+def test_verify_memory_does_not_grow_with_the_window():
+    # q = 20 at T* = 693: a stacked window of 694 weights and 693 sensitivities takes 4.4 MB on its own
+    q = 20
+    sys = LinearSystem(A=0.999 * np.eye(q), B=np.random.default_rng(0).normal(size=(q, 2)), C=np.eye(q),
+                       Sigma_S=0.1 * np.eye(q))
+    cost = CostModel(Q=np.eye(q), R=np.eye(2), beta=0.999, O=0.0)
+    cost = dataclasses.replace(cost, O=0.5 * never_measure_threshold(sys, cost))
+    ps = optimal_period(sys, cost)
+    assert ps.period == 693
+    tracemalloc.start()
+    try:
+        rep = verify_solution(sys, cost, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.failures()
+    assert peak < 2_000_000
 
 
 def _second_plant_at_3_S1_small_weights():

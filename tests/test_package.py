@@ -39,6 +39,17 @@ def test_test_references_are_not_exported(name):
         assert name not in importlib.import_module(f"lqgsched.{module}").__all__
 
 
+def test_finite_riccati_left_the_package():
+    # verify re-costs its window in one pass; only the tests stack a window's weights
+    assert not hasattr(lqgsched, "finite_riccati")
+    assert "finite_riccati" not in importlib.import_module("lqgsched.riccati").__all__
+    for filename in sorted(os.listdir(SRC)):
+        if filename.endswith(".py"):
+            with open(os.path.join(SRC, filename)) as fh:
+                tree = ast.parse(fh.read(), filename)
+            assert "finite_riccati" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
 def test_oracle_does_not_import_the_simulator():
     for module, names in _imports(os.path.join(SRC, "oracle.py")):
         assert module not in (".sim", "lqgsched.sim")

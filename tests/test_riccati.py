@@ -10,12 +10,11 @@ from lqgsched import (
     NonConvergence,
     UnstableA,
     dare_solve,
-    finite_riccati,
     spectral_radius,
 )
 
 from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, jordan_plant, make_problem, random_admissible
-from reference import lyapunov_solve, riccati_map
+from reference import finite_riccati, lyapunov_solve, riccati_map
 
 
 def scalar_system(a=1.0, b=1.0, q=1.0, r=1.0, beta=0.95, sig=1.0):
