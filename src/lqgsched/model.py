@@ -10,9 +10,13 @@ reports violations instead of raising so that a caller can collect all of
 them at once. Well-posedness is the condition for the discounted Riccati
 fixed point to exist and stabilize the loop: (sqrt(beta) A, B) stabilizable
 and (sqrt(beta) A, sqrt(Q)) detectable, both decided by one
-Popov-Belevitch-Hautus (PBH) test at the eigenvalues of A. Every frozen
-record of the package, these containers included, is declared with
-:func:`record`.
+Popov-Belevitch-Hautus (PBH) test at the eigenvalues of A. Every cutoff
+is relative to its own matrix, with no absolute floor: a definiteness test
+to the largest eigenvalue magnitude, the PBH rank test to the largest
+singular value of its two blocks, each first scaled to unit norm. So no
+verdict depends on units: scaling (Q, R, O) or (Sigma_S, O) by 4^k, or
+mapping (B, R) to (2^k B, 4^k R), keeps it. Every frozen record of the
+package, these containers included, is declared with :func:`record`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = [
     "psd_sqrt",
 ]
 
-# Relative eigenvalue cutoff used by every definiteness test and, on singular values, by the PBH test.
+# Relative eigenvalue cutoff of every definiteness test and, on singular values, of the PBH test.
 EIG_TOL = 1e-10
 # Cluster radius of the PBH test, relative to max(1, |lambda|): a defective eigenvalue of multiplicity m
 # is computed only to about eps^(1/m) (a double one splits by about 1e-8, a triple one by about 1e-5).
@@ -182,25 +186,13 @@ def _is_symmetric(M: np.ndarray) -> bool:
     return M.shape[0] == M.shape[1] and np.allclose(M, M.T, atol=tol, rtol=0.0)
 
 
-def _min_eig(M: np.ndarray) -> tuple[float, float]:
-    """Smallest eigenvalue of a symmetric matrix and the definiteness cutoff."""
+def _definite(M: np.ndarray, strict: bool) -> bool:
+    """M is symmetric, and its least eigenvalue is above EIG_TOL max|eig(M)| (strict) or not below minus that."""
+    if not _is_symmetric(M):
+        return False
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return float(w[0]), EIG_TOL * scale
-
-
-def is_psd(M: np.ndarray) -> bool:
-    if not _is_symmetric(M):
-        return False
-    lo, cut = _min_eig(M)
-    return lo >= -cut
-
-
-def is_pd(M: np.ndarray) -> bool:
-    if not _is_symmetric(M):
-        return False
-    lo, cut = _min_eig(M)
-    return lo > cut
+    cut = EIG_TOL * float(np.max(np.abs(w), initial=0.0))
+    return w[0] > cut if strict else w[0] >= -cut
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -335,20 +327,20 @@ def validate(problem: Problem) -> list[Violation]:
         out.append(Violation("Sigma_S_shape", f"Sigma_S has shape {sys.Sigma_S.shape}, expected ({q}, {q})"))
 
     if sys.Sigma_S.shape == (q, q) and "Sigma_S" not in non_finite:
-        out += _definite(is_psd, "Sigma_S", sys.Sigma_S, "Sigma_S_not_psd", "symmetric positive semi-definite")
+        out += _definiteness("Sigma_S", sys.Sigma_S, "Sigma_S_not_psd", strict=False)
         if sys.C.shape == (q, q) and "C" not in non_finite:
-            out += _definite(is_pd, "C'Sigma_S C", sys.noise_gram(), "noise_gram_not_pd", "positive definite")
+            out += _definiteness("C'Sigma_S C", sys.noise_gram(), "noise_gram_not_pd", strict=True)
 
     if cost.Q.shape != (q, q):
         out.append(Violation("Q_shape", f"Q has shape {cost.Q.shape}, expected ({q}, {q})"))
     elif "Q" not in non_finite:
-        out += _definite(is_psd, "Q", cost.Q, "Q_not_psd", "symmetric positive semi-definite")
+        out += _definiteness("Q", cost.Q, "Q_not_psd", strict=False)
 
     p = sys.p
     if cost.R.shape != (p, p):
         out.append(Violation("R_shape", f"R has shape {cost.R.shape}, expected ({p}, {p})"))
     elif "R" not in non_finite:
-        out += _definite(is_pd, "R", cost.R, "R_not_pd", "positive definite")
+        out += _definiteness("R", cost.R, "R_not_pd", strict=True)
 
     if not (0.0 < cost.beta < 1.0):
         out.append(Violation("beta_range", f"discount beta={cost.beta} must lie in (0, 1)"))
@@ -370,18 +362,20 @@ def validate(problem: Problem) -> list[Violation]:
     return out
 
 
-def _definite(test, name: str, M: np.ndarray, code: str, what: str) -> list[Violation]:
-    """[] when test(M) holds, else the violation that M is not ``what``; so is a decomposition of M that fails."""
+def _definiteness(name: str, M: np.ndarray, code: str, strict: bool) -> list[Violation]:
+    """[] when M passes _definite, else the violation that it is not; so is a decomposition of M that fails."""
+    what = "positive definite" if strict else "symmetric positive semi-definite"
     try:
-        return [] if test(M) else [Violation(code, f"{name} is not {what}")]
+        return [] if _definite(M, strict) else [Violation(code, f"{name} is not {what}")]
     except np.linalg.LinAlgError as e:
         return [Violation("decomposition_failed", f"{name} could not be decomposed ({e})")]
 
 
-def _rank_deficient(M: np.ndarray) -> bool:
-    """Smallest singular value at or below EIG_TOL times the largest (taken as at least 1)."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] <= EIG_TOL * max(1.0, s[0])
+def _rank_deficient(stack, D: np.ndarray, M: np.ndarray) -> bool:
+    """stack([D, M]), each block scaled to unit Frobenius norm (a zero block stays zero), has its smallest
+    singular value at or below EIG_TOL times its largest: scaling a block changes no rank, and no unit."""
+    s = np.linalg.svd(stack([X / (np.linalg.norm(X) or 1.0) for X in (D, M)]), compute_uv=False)
+    return s[-1] <= EIG_TOL * s[0]
 
 
 def _pbh(sys: LinearSystem, Q: np.ndarray, beta: float) -> list[Violation]:
@@ -403,7 +397,7 @@ def _pbh(sys: LinearSystem, Q: np.ndarray, beta: float) -> list[Violation]:
     out = []
     for code, stack, M, reason in (("not_stabilizable", np.hstack, B, "B does not reach it"),
                                    ("not_detectable", np.vstack, Q, "Q does not weigh it")):
-        lam = next((lam for lam in lams if _rank_deficient(stack([A - lam * I, M]))), None)
+        lam = next((lam for lam in lams if _rank_deficient(stack, A - lam * I, M)), None)
         if lam is not None:
             out.append(Violation(code, f"the mode of A at eigenvalue {lam:.6g} has sqrt(beta)|lambda| >= 1 and {reason}"))
     return out

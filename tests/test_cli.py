@@ -386,6 +386,34 @@ def test_valid_plant_of_any_scale_solves(tmp_path, capsys, problem, case):
     assert json.loads(out)["case"] == case
 
 
+def test_a_lyapunov_residual_above_its_bound_exits_3(capsys, monkeypatch):
+    # at a bound of 0 every limit of the phase sums is refused: sys2 has a threshold to solve, sys1 (unstable) none
+    monkeypatch.setattr(riccati, "LYAPUNOV_RESIDUAL_TOL", 0.0)
+    code, out, _ = run(capsys, "solve", "--problem", SYS2, "--O", "3", "--format", "json")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "non_convergence"
+    assert re.fullmatch(r"relative Lyapunov residual \S+ exceeds 0\.0e\+00", error["message"]), error["message"]
+    assert run(capsys, "solve", "--problem", SYS1, "--O", "3", "--format", "json")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_commands_accept_weights_and_price_scaled_by_4_to_the_minus_30(capsys, tmp_path, command):
+    # (Q, R, O) 4^-30 times sys1's at O = 10 scales r by exactly 4^-30; validate's cutoffs are relative to each
+    # matrix, so R = 1.7e-19 I is no less definite than 0.2 I, and Q weighs every mode as much as before
+    c = 4.0**-30
+    problem = make_problem(A1, 10.0)
+    path = str(tmp_path / "small.json")
+    save_problem(dataclasses.replace(problem, cost=dataclasses.replace(
+        problem.cost, Q=c * problem.cost.Q, R=c * problem.cost.R, O=c * problem.cost.O)), path)
+    code, out, _ = run(capsys, command, "--problem", path, "--format", "json")
+    assert code == 0
+    if command == "solve":
+        unscaled = json.loads(run(capsys, "solve", "--problem", SYS1, "--format", "json")[1])
+        doc = json.loads(out)
+        assert (doc["T_star"], doc["r"]) == (6, c * unscaled["r"])
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_non_convergence_exits_3(capsys, monkeypatch, command, fmt):

@@ -3,6 +3,7 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lqgsched import (
     CostModel,
@@ -18,11 +19,12 @@ from lqgsched import (
     validate,
     value_at,
 )
-from lqgsched.model import _frozen, is_pd, psd_sqrt
+from lqgsched.model import _definite, _frozen, psd_sqrt
 from lqgsched.policy import _PhaseTable, _solve_prices
 from lqgsched.riccati import dare_solve
 
-from conftest import A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, make_problem, random_stable_plant
+from conftest import (A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, jordan_plant, make_problem,
+                      random_admissible, random_stable_plant)
 
 
 def codes(problem):
@@ -40,9 +42,9 @@ def test_zero_R_flagged():
 
 
 def test_non_symmetric_R_flagged():
-    # is_pd asks for symmetry first: both eigenvalues of this R are 0.2, yet it is no weight
+    # _definite asks for symmetry first: both eigenvalues of this R are 0.2, yet it is no weight
     R = np.array([[0.2, 0.1], [0.0, 0.2]])
-    assert not is_pd(R)
+    assert not _definite(R, strict=True)
     cost = CostModel(Q=Q3, R=R, beta=0.95, O=1.0)
     assert codes(Problem(sys=LinearSystem(A=A1, B=B, C=C3, Sigma_S=SIGMA), cost=cost)) == ["R_not_pd"]
 
@@ -149,6 +151,42 @@ def test_undetectable_plant_flagged():
     # Q does not weigh the unstable mode, so its cost can grow unseen
     got = validate(_plant(np.diag([2.0, 0.5]), [[1.0], [1.0]], np.diag([0.0, 1.0])))
     assert [v.code for v in got] == ["not_detectable"]
+
+
+# Ill-posed problems and the violations validate finds in each, at every scale.
+REJECTED = [
+    (lambda: _plant(np.diag([2.0, 0.5]), [[0.0], [1.0]], np.eye(2)), ["not_stabilizable"]),  # an unreached real mode
+    (lambda: _plant(np.array([[0.0, -1.2, 0.0], [1.2, 0.0, 0.0], [0.0, 0.0, 0.5]]), [[0.0], [0.0], [1.0]],
+                    np.eye(3)), ["not_stabilizable"]),  # an unreached complex pair
+    (lambda: _plant(np.diag([2.0, 2.0 + 1e-7, 0.5]), [[0.0], [1.0], [1.0]], np.eye(3)),
+     ["not_stabilizable"]),  # an unreached mode inside an eigenvalue cluster
+    (lambda: _plant(np.diag([2.0, 0.5]), [[1.0], [1.0]], np.diag([0.0, 1.0])), ["not_detectable"]),  # unweighted
+    (lambda: jordan_plant("not_stabilizable"), ["not_stabilizable"]),
+    (lambda: jordan_plant("not_detectable"), ["not_detectable"]),
+    (lambda: Problem(LinearSystem(A1, B, C3, SIGMA), CostModel(Q3, np.diag([0.2, 0.0]), BETA, 1.0)), ["R_not_pd"]),
+    (lambda: Problem(LinearSystem(A1, B, C3, np.diag([0.08, 0.08, 0.0])), CostModel(Q3, R2, BETA, 1.0)),
+     ["noise_gram_not_pd"]),
+]
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-30, 30))
+def test_validate_verdict_does_not_depend_on_units_property(seed, k):
+    # Scaling (Q, R, O) or (Sigma_S, O) by c, or mapping (B, R) to (sqrt(c) B, c R), scales the solve exactly
+    # (test_scaling_is_exact_property); validate must give the same violations at every c = 4^k, on a valid
+    # plant and on each rejected one. Each cutoff is relative to its own matrix, and each PBH block is
+    # normalised, so no verdict turns on a unit.
+    c, replace = 4.0**k, dataclasses.replace
+    cases = [(lambda: Problem(*random_admissible(np.random.default_rng(seed))), []), *REJECTED]
+    for make, expected in cases:
+        problem = make()
+        sys, cost = problem.sys, problem.cost
+        verdict = validate(problem)
+        assert [v.code for v in verdict] == expected
+        for scaled in (Problem(sys, replace(cost, Q=c * cost.Q, R=c * cost.R, O=c * cost.O)),
+                       Problem(replace(sys, Sigma_S=c * sys.Sigma_S), replace(cost, O=c * cost.O)),
+                       Problem(replace(sys, B=2.0**k * sys.B), replace(cost, R=c * cost.R))):
+            assert validate(scaled) == verdict
 
 
 def test_nonsquare_A_rejected():

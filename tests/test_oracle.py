@@ -18,6 +18,7 @@ from lqgsched import (
     optimal_period,
     periodic_strategy_cost,
     solve_r_fixed_point,
+    validate,
     value_at,
     verify_solution,
 )
@@ -319,6 +320,23 @@ def test_verify_passes_on_ties_just_below_the_threshold(O, T_star):
     assert rep.passed, rep.failures()
 
 
+@pytest.mark.parametrize("beta", [0.95, 0.999, 0.9999])
+@pytest.mark.parametrize("above", [1.0, 1.0 + 1e-12, 2.0], ids=["at", "1e-12 above", "twice"])
+def test_offset_match_names_a_never_measure_offset_off_by_1e_6(beta, above):
+    # offset_match reads a never-measure r against its closed form beta/(1 - beta)(Tr(X phi) + Tr(Sigma_S C'PC)),
+    # X = dlyap_adjoint(sqrt(beta) A, G). The least ratio on the grid of 500 waiting times falls short of never
+    # measuring by about beta^500 (r + O), and the allowance of ten times that, 6 (r + O) at beta = 0.999, once
+    # let an r 50% off pass there.
+    p = make_problem(A2, 0.0)
+    cost = dataclasses.replace(p.cost, beta=beta)
+    cost = dataclasses.replace(cost, O=above * never_measure_threshold(p.sys, cost))
+    ps = optimal_period(p.sys, cost)
+    assert not ps.finite
+    assert verify_solution(p.sys, cost, ps, x_probe=p.x0).passed
+    rep = verify_solution(p.sys, cost, dataclasses.replace(ps, r=ps.r * (1 + 1e-6)), x_probe=p.x0)
+    assert rep.failures() == ["offset_match"]
+
+
 def _tied_schedules():
     # Q = 0 and O = 0: the scalar plant's P and r are 0, and every h(T, r) is exactly 0
     p = scalar_problem(0.5, 0.0)
@@ -571,13 +589,14 @@ def test_verify_passes_at_any_scale_of_r(case, T_star):
 
 @PROPERTY_SETTINGS
 @given(plant=st.one_of(st.sampled_from(["sys1", "sys2"]), st.integers(0, 2**32 - 1)),
-       k=st.integers(-10, 10), T=st.integers(1, 12), u=st.floats(0.1, 0.9))
+       k=st.integers(-30, 30), T=st.integers(1, 12), u=st.floats(0.1, 0.9))
 def test_scaling_is_exact_property(plant, k, T, u):
-    # The problem is homogeneous: scaling (Q, R, O) by c scales P, phi and r by c, and scaling
-    # (Sigma_S, O) by c scales r by c; K and T* stay. With c = 4^k every rounding scales too,
-    # so any absolute tolerance in the solve shows as a bit that differs. The price sits a
-    # fraction u into the bracket of T, clear of the edges where f(T) ties with a neighbour;
-    # a stable plant's bracket may lie above its never-measure threshold.
+    # The problem is homogeneous: scaling (Q, R, O) by c scales P, phi and r by c, scaling
+    # (Sigma_S, O) by c scales r by c, and mapping (B, R) to (sqrt(c) B, c R) scales K by
+    # 1/sqrt(c); the rest stays. With c = 4^k every rounding scales too, so any absolute
+    # tolerance in validate or the solve shows as a refusal or a bit that differs. The price
+    # sits a fraction u into the bracket of T, clear of the edges where f(T) ties with a
+    # neighbour; a stable plant's bracket may lie above its never-measure threshold.
     if isinstance(plant, str):
         p = make_problem(A1 if plant == "sys1" else A2, 0.0)
         sys, cost = p.sys, p.cost
@@ -589,9 +608,10 @@ def test_scaling_is_exact_property(plant, k, T, u):
     assume(S[T] - S[T - 1] > 1e-6 * S[T])
     cost = dataclasses.replace(cost, O=S[T - 1] + u * (S[T] - S[T - 1]))
     ps = optimal_period(sys, cost, are=ps0.are)
-    c = 4.0**k
+    c, b = 4.0**k, 2.0**k
 
     costs = dataclasses.replace(cost, Q=c * cost.Q, R=c * cost.R, O=c * cost.O)
+    assert validate(Problem(sys, costs)) == []
     scaled = optimal_period(sys, costs)
     assert np.array_equal(scaled.are.P, c * ps.are.P) and np.array_equal(scaled.are.phi, c * ps.are.phi)
     assert np.array_equal(scaled.are.K, ps.are.K)
@@ -601,6 +621,16 @@ def test_scaling_is_exact_property(plant, k, T, u):
         assert rep.passed, rep.failures()
 
     noisy = dataclasses.replace(sys, Sigma_S=c * sys.Sigma_S)
-    scaled = optimal_period(noisy, dataclasses.replace(cost, O=c * cost.O))
+    costs = dataclasses.replace(cost, O=c * cost.O)
+    assert validate(Problem(noisy, costs)) == []
+    scaled = optimal_period(noisy, costs)
     assert np.array_equal(scaled.are.P, ps.are.P) and np.array_equal(scaled.are.K, ps.are.K)
     assert (scaled.period, scaled.r) == (ps.period, c * ps.r)
+
+    actuated = dataclasses.replace(sys, B=b * sys.B)
+    costs = dataclasses.replace(cost, R=c * cost.R)
+    assert validate(Problem(actuated, costs)) == []
+    scaled = optimal_period(actuated, costs)
+    assert np.array_equal(scaled.are.P, ps.are.P) and np.array_equal(scaled.are.phi, ps.are.phi)
+    assert np.array_equal(scaled.are.K, ps.are.K / b)
+    assert (scaled.period, scaled.r) == (ps.period, ps.r)
