@@ -1,22 +1,19 @@
-"""Online controller and its batch-packet equivalent.
+"""Online controller and the packet of open-loop controls it sends at a query.
 
-Two implementations of the same policy:
-
-* ``make_packet`` — at a measurement, emit the waiting time and the whole
-  open-loop control sequence for the coming window in one packet.
 * ``step_decide`` — run the loop one step at a time, keeping the count of
   steps since the last query and the state estimate. The optimal schedule is
   state-independent and periodic, so the trigger is that count reaching the
   solved period; it reads ``ps.period`` (0: never) and derives nothing itself.
+* ``make_packet`` — at a measurement, emit the waiting time and the whole
+  open-loop control sequence for the coming window in one packet. The packet
+  is ``step_decide`` run with no measurement, so its controls are the online
+  controller's, bit for bit.
 
-Both compute controls by propagating the estimate with x_hat <- A x_hat + B u
-and applying u = -K x_hat. Both read the policy's records directly, A and B
-of ``ps.sys`` and the negated gain ``ps.are.minus_K`` (C-contiguous arrays
-the records own read-only), and run the same arithmetic: ``x_hat = A.dot(x_hat)``,
-then ``x_hat += B.dot(u)`` into that fresh product, then ``u = minus_K.dot(x_hat)``.
-The floating-point operations are identical, so the two produce bit-identical
-control streams on the same trajectory. Negating K once, before any product,
-is exact, so u equals -(K @ x_hat) bit for bit.
+A step propagates the estimate with x_hat <- A x_hat + B u and applies
+u = -K x_hat, reading the policy's records directly: A and B of ``ps.sys``
+and the negated gain ``ps.are.minus_K`` (C-contiguous arrays the records own
+read-only). Negating K once, before any product, is exact, so u equals
+-(K @ x_hat) bit for bit.
 """
 
 from __future__ import annotations
@@ -58,13 +55,12 @@ class ControlPacket:
 def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -> ControlPacket:
     """Controls for one waiting window starting from measured state x.
 
-    Entry j equals -K (A - BK)^j x, generated by propagating the noiseless
-    estimate with step_decide's arithmetic: ``x_hat = A.dot(x_hat)``, then
-    ``x_hat += B.dot(u)`` with the previous entry u, then ``minus_K.dot(x_hat)``
-    written straight into the entry. x is converted once, with
-    ``np.asarray(x, dtype=float).ravel()``. A never-measure schedule has no
-    finite packet; pass ``horizon`` to truncate it explicitly, otherwise
-    InfinitePeriod is raised. A ``horizon`` below 1 raises ValueError.
+    Entry j equals -K (A - BK)^j x: the packet is step_decide run from
+    ``initial_state(ps, x)`` with no measurement, each step fed the previous
+    entry. Inside a window m + 1 stays below T*, so the trigger never fires. A
+    never-measure schedule has no finite packet; pass ``horizon`` to truncate
+    it explicitly, otherwise InfinitePeriod is raised. A ``horizon`` below 1
+    raises ValueError.
     """
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -76,14 +72,11 @@ def make_packet(x: np.ndarray, ps: PolicySolution, horizon: int | None = None) -
         )
     else:
         T = int(horizon)
-    A, B, minus_K = ps.sys.A, ps.sys.B, ps.are.minus_K
-    x_hat = np.asarray(x, dtype=float).ravel()
+    state, u = initial_state(ps, x), None
     controls = np.empty((T, ps.sys.p))
     for j in range(T):
-        if j > 0:
-            x_hat = A.dot(x_hat)
-            x_hat += B.dot(controls[j - 1])
-        np.dot(minus_K, x_hat, out=controls[j])
+        _, u, state = step_decide(state, None, ps, u)
+        controls[j] = u
     return ControlPacket(T=T, controls=controls)
 
 

@@ -142,27 +142,21 @@ def solve_r_fixed_point(
                         h=h, tie=_tie_bound(err_trace[1:], noise_rate, beta, r, O))
 
 
-def _h_limit(sys: LinearSystem, cost: CostModel, are: AreSolution, r: float) -> tuple[float, float]:
-    """h(inf, r) = Tr(W phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O) in closed form, and its tie bound.
+def _never_measure_limits(sys: LinearSystem, cost: CostModel, are: AreSolution,
+                          r: float) -> tuple[float, float, float]:
+    """h(inf, r) and its tie bound, and r_inf, the offset of a schedule that never measures, in closed form.
 
-    W = sum_t (A')^t G A^t is dlyap_adjoint(A, G), so A must be Schur-stable.
+    h(inf, r) = Tr(W phi) + beta Tr(Sigma_S C'PC) - (1 - beta)(r + O), W = sum_t (A')^t G A^t = dlyap_adjoint(A, G).
+    r_inf = beta/(1 - beta) (Tr(X phi) + Tr(Sigma_S C'PC)), X = sum_t beta^t (A')^t G A^t is
+    dlyap_adjoint(sqrt(beta) A, G): the waiting cost sum_t beta^t Tr(P_t phi) is beta/(1 - beta) Tr(X phi), since
+    P_t sums the phases before t. A must be Schur-stable.
     """
-    beta, O = cost.beta, cost.O
-    trace = float(np.trace(dlyap_adjoint(sys.A, sys.noise_gram()) @ are.phi))
+    beta, O, G = cost.beta, cost.O, sys.noise_gram()
+    trace = float(np.trace(dlyap_adjoint(sys.A, G) @ are.phi))
     noise = float(np.trace(sys.Sigma_S @ sys.C.T @ are.P @ sys.C))
-    return trace + beta * noise - (1.0 - beta) * (r + O), float(_tie_bound(trace, noise, beta, r, O))
-
-
-def _never_measure_rate(sys: LinearSystem, cost: CostModel, are: AreSolution) -> float:
-    """r of a schedule that never measures, beta/(1 - beta) (Tr(X phi) + Tr(Sigma_S C'PC)), in closed form.
-
-    X = sum_t beta^t (A')^t G A^t is dlyap_adjoint(sqrt(beta) A, G): the waiting cost sum_t beta^t Tr(P_t phi)
-    is beta/(1 - beta) Tr(X phi), since P_t sums the phases before t. A must be Schur-stable.
-    """
-    beta = cost.beta
-    X = dlyap_adjoint(math.sqrt(beta) * sys.A, sys.noise_gram())
-    noise = float(np.trace(sys.Sigma_S @ sys.C.T @ are.P @ sys.C))
-    return beta / (1.0 - beta) * (float(np.trace(X @ are.phi)) + noise)
+    X = dlyap_adjoint(math.sqrt(beta) * sys.A, G)
+    return (trace + beta * noise - (1.0 - beta) * (r + O), float(_tie_bound(trace, noise, beta, r, O)),
+            beta / (1.0 - beta) * (float(np.trace(X @ are.phi)) + noise))
 
 
 def _window_cost(sys: LinearSystem, cost: CostModel, P: np.ndarray, T: int, r: float,
@@ -275,7 +269,7 @@ def verify_solution(
     up to a tie: an h within its rounding bound (_tie_bound, TIE_ULPS ulps of its terms) counts as either sign.
       fixed_point_residual  |f(T*, r) - r| < 1e-8 |r|       (finite schedules)
       offset_match          |r_oracle - r| <= OFFSET_TOL |r|; a never-measure schedule on Schur-stable A is
-                            read against r_inf, the never-measure rate in closed form (_never_measure_rate)
+                            read against r_inf, the never-measure rate in closed form (_never_measure_limits)
       period_match          T_oracle == T*, or every h_o from one to the other ties (finite schedules)
       f_curve_minimum       h_o <= 0 before T* and h_o > 0 from T* on, over the grid
       bracket               h(T*-1, r) <= 0 < h(T*, r)
@@ -334,11 +328,11 @@ def verify_solution(
             detail = "h = 0 over the grid: f is constant and every schedule ties"
         name, r_o = "r_oracle", rep.r_oracle
         if float(np.max(np.abs(sys.eigenvalues))) < 1.0:  # past the grid, h_o rises to its limit
-            h_inf, tie_inf = _h_limit(sys, cost, ps.are, rep.r_oracle)
+            h_inf, tie_inf, r_inf = _never_measure_limits(sys, cost, ps.are, rep.r_oracle)
             if not h_inf <= tie_inf:
                 ok, detail = False, f"{detail}, h(inf) = {h_inf:.3e}"
             # the grid's least ratio cuts never measuring off after T_max waiting times, about beta^T_max (r + O) short
-            name, r_o = "r_inf", _never_measure_rate(sys, cost, ps.are)
+            name, r_o = "r_inf", r_inf
         checks.append(("curve_decreasing", ok, detail))
         gap = abs(r_o - ps.r)
         checks.append(("offset_match", gap <= OFFSET_TOL * abs(ps.r), f"|{name} - r| = {gap:.3e}"))

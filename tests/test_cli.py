@@ -954,6 +954,27 @@ def test_outputs_byte_identical(capsys):
     assert s1 == s2
 
 
+def test_outputs_byte_identical_across_processes(tmp_path):
+    # two fresh interpreters with different string hashing give the same bytes: stdout, stderr, exit code, --out file
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**_cold_env(), "PYTHONHASHSEED": seed}
+        out = tmp_path / f"traj_{seed}.csv"
+        runs = []
+        for argv in (
+            ["solve", "--problem", SYS1, "--format", "json"],
+            ["sweep", "--problem", SYS2, "--O-min", "0.1", "--O-max", "1000", "--O-log", "301", "--format", "json"],
+            ["simulate", "--problem", SYS1, "--runs", "50", "--horizon", "100", "--out", str(out)],
+            ["verify", "--problem", SYS2, "--O", "7"],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "lqgsched.cli", *argv], capture_output=True, env=env,
+                                  timeout=120)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        outputs.append((runs, out.read_bytes()))
+    assert [code for code, _, _ in outputs[0][0]] == [0, 0, 0, 0]
+    assert outputs[0] == outputs[1]
+
+
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LQGSCHED_OUT_DIR", str(tmp_path))
     code, _, _ = run(capsys, "solve", "--problem", SYS1, "--out", "report.txt")

@@ -305,6 +305,24 @@ def test_curve_decreasing_names_a_never_measure_schedule_whose_period_lies_past_
     assert rep.failures() == ["curve_decreasing"]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: h(inf) is read at the grid's r_oracle, which the 500-step grid leaves above the never-measure "
+    "rate; read at r_inf it would fail, but r_inf needs a tie bound that covers the Stein sum's rounding"))
+def test_curve_decreasing_names_a_never_measure_schedule_past_the_grid_at_beta_0_999():
+    # At beta = 0.999 and S (1 - 1e-12), S = 13.7677, T* = 621 lies past the grid of 500 waiting times. h_o(inf) reads
+    # -3.3e-13 at r_oracle, but +1.29e-14 at r_inf, above its tie bound 5.1e-15. (At beta = 0.9999 even r_inf gives
+    # h(inf) = -1.0e-15, inside the tie.)
+    p = _sys2_at(7.0)
+    cost = dataclasses.replace(p.cost, beta=0.999)
+    S = never_measure_threshold(p.sys, cost)
+    ps = optimal_period(p.sys, dataclasses.replace(cost, O=S * (1 - 1e-12)))
+    assert ps.period == 621
+    never = optimal_period(p.sys, dataclasses.replace(cost, O=S * (1 + 1e-12)))
+    assert not never.finite
+    rep = verify_solution(p.sys, ps.cost, dataclasses.replace(ps, period=0, r=never.r), x_probe=p.x0)
+    assert "curve_decreasing" in rep.failures()
+
+
 @pytest.mark.parametrize("O, T_star", [
     (6.430495966858401, 618),  # 1e-13 below S(inf)
     (6.43049596685898, 664),  # 1e-14 below
