@@ -334,11 +334,7 @@ def cmd_verify(args) -> int:
         "r_oracle": report.oracle.r_oracle,
         "T_oracle": report.oracle.T_oracle,
         "grid_capped": report.oracle.grid_capped,
-        "convergence_iters": report.oracle.convergence_iters,
-        "f_curve": [[float(T), float(f)] for T, f in report.oracle.f_curve],
     }
-    if report.grid_capped_note:
-        doc["note"] = report.grid_capped_note
     _require_finite(doc)
     _emit(args.out, lambda fh: fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n"))
     if not report.passed:

@@ -117,8 +117,9 @@ def step_decide(
     i_t = 1 the estimate is reset to the supplied measurement, converted and
     copied with ``np.asarray(measurement, dtype=float).ravel().copy()``, and m
     restarts from zero. Otherwise the estimate propagates through the model
-    with the previous control, in make_packet's arithmetic: ``A.dot(x_bar)``,
-    then ``B.dot(u)`` added into that fresh product in place. A 1-D float64
+    with the previous control: ``A.dot(x_bar)``, then ``B.dot(u)`` added into
+    that fresh product in place. make_packet runs these steps with no
+    measurement, so its controls share this arithmetic. A 1-D float64
     array ``prev_control``, which is what this function returns as u_t, goes
     to ``B.dot`` as given; any other is converted first with
     ``np.asarray(prev_control, dtype=float).ravel()``, which gives the same

@@ -62,14 +62,13 @@ class OracleReport:
     """The value offset and waiting time that solve_r_fixed_point derives in closed form on its grid.
 
     h holds h(T, r_oracle) for T = 1..T_max-1, whose signs decide the period; T_oracle is its first positive T.
-    tie holds the rounding bound of each h (_tie_bound): a sign within it is a tie.
-    f_curve, one application of the cycle cost at r_oracle (its minimum is r_oracle again), decides no check.
-    Nothing is iterated, so convergence_iters is always 1.
+    tie holds the rounding bound of each h (_tie_bound): a sign within it is a tie. The cycle cost f(T, r_oracle)
+    itself is not kept, since f(T+1, r) - f(T, r) = beta^T h(T, r) and every check reads h.
+    Nothing is iterated, so convergence_iters is always 1; it stays only because bench/trace_child.py reads it.
     """
 
     r_oracle: float
     T_oracle: int
-    f_curve: np.ndarray  # shape (T_max, 2): columns (T, f(T, r_oracle))
     convergence_iters: int
     grid_capped: bool
     h: np.ndarray  # shape (T_max - 1,)
@@ -127,8 +126,7 @@ def solve_r_fixed_point(
     disc = beta ** np.arange(T_max)
     err_prefix = np.cumsum(disc * err_trace)  # index T-1 -> sum_{t<T}
     noise_rate = float(np.trace(sys.Sigma_S @ sys.C.T @ are.P @ sys.C))
-    Ts = np.arange(1, T_max + 1)
-    beta_T = beta**Ts
+    beta_T = beta ** np.arange(1, T_max + 1)
     base = err_prefix + noise_rate * beta * (1.0 - beta_T) / (1.0 - beta)
 
     r = float(np.min((base + beta_T * O) / (1.0 - beta_T)))
@@ -137,8 +135,7 @@ def solve_r_fixed_point(
                              f"{T_max} waiting times", residual=math.inf)
     h = err_trace[1:] + beta * noise_rate - (1.0 - beta) * (r + O)  # h(T, r) for T = 1..T_max-1
     T_star = _first_above(h, 0.0)  # T_max, where the grid ends, when no h > 0
-    curve = np.column_stack([Ts.astype(float), base + beta_T * (r + O)])
-    return OracleReport(r_oracle=r, T_oracle=T_star, f_curve=curve, convergence_iters=1, grid_capped=T_star == T_max,
+    return OracleReport(r_oracle=r, T_oracle=T_star, convergence_iters=1, grid_capped=T_star == T_max,
                         h=h, tie=_tie_bound(err_trace[1:], noise_rate, beta, r, O))
 
 
@@ -243,11 +240,10 @@ def never_measure_cost(sys: LinearSystem, cost: CostModel, gain: np.ndarray, x0:
 
 @record
 class VerifyReport:
-    """Named agreement checks between the analytic schedule and the oracle."""
+    """Named agreement checks between the analytic schedule and the oracle, whose report they read."""
 
     checks: list  # of (name, passed, detail)
     oracle: OracleReport
-    grid_capped_note: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -282,7 +278,6 @@ def verify_solution(
     """
     sys, cost = problem_sys, problem_cost
     checks: list = []
-    note = None
 
     T_max = max(200, 4 * ps.period) if ps.finite else 500
     rep = solve_r_fixed_point(sys, cost, T_max=T_max, are=ps.are)
@@ -337,6 +332,5 @@ def verify_solution(
         gap = abs(r_o - ps.r)
         checks.append(("offset_match", gap <= OFFSET_TOL * abs(ps.r), f"|{name} - r| = {gap:.3e}"))
         checks.append(("grid_capped", on_grid, "minimizer on grid boundary"))
-        note = "grid-capped: no interior minimizer"
 
-    return VerifyReport(checks=checks, oracle=rep, grid_capped_note=note)
+    return VerifyReport(checks=checks, oracle=rep)

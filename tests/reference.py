@@ -9,7 +9,9 @@ time (what the phase table sums in blocks), lyapunov_solve the Gramian
 W = A'WA + C'Sigma_S C (the limit of the phase table's W_T), and
 measure_times the query steps of a schedule (what the rollout decides a
 step at a time). f_value and h_value read one cycle cost f(T, r) or its
-forward difference h(T, r) off a new phase table.
+forward difference h(T, r) off a new phase table. oracle_f_curve gives
+f(T, r) over the oracle's grid, from its explicit powers of A; verify
+reads only h.
 batch_costs keeps the total cost of every run of a Monte Carlo batch, and
 empirical_error_covariance samples the estimation error covariance at one
 step, both on the simulator's rollout. inner_dp_check re-costs verify's
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from lqgsched.model import CostModel, LinearSystem, Problem, record
-from lqgsched.oracle import _window_cost
+from lqgsched.oracle import _phase_traces_from_powers, _window_cost
 from lqgsched.policy import PolicySolution, _PhaseTable
 from lqgsched.riccati import AreSolution, _check_lyapunov, _require_schur_stable, _step, dlyap_adjoint
 from lqgsched.sim import SimConfig, Strategy, _chunk_costs, _rollout, _state_control_cost
@@ -140,6 +142,22 @@ def h_value(T: int, r: float, sys: LinearSystem, cost: CostModel, are: AreSoluti
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     return _PhaseTable(sys, cost.beta, are).h(T, r, cost.O)
+
+
+def oracle_f_curve(sys: LinearSystem, cost: CostModel, are: AreSolution, T_max: int, r: float) -> np.ndarray:
+    """The oracle's cycle cost f(T, r) for T = 1..T_max, as rows (T, f(T, r)), from its explicit powers of A.
+
+    f(T, r) = base_T + beta^T (r + O), with base_T the discounted error and noise costs of waiting T steps,
+    in the arithmetic solve_r_fixed_point uses for its least ratio; at r = r_oracle its minimum is r_oracle.
+    """
+    beta = cost.beta
+    err_trace = _phase_traces_from_powers(sys, are.phi, T_max)
+    err_prefix = np.cumsum(beta ** np.arange(T_max) * err_trace)  # index T-1 -> sum_{t<T}
+    noise_rate = float(np.trace(sys.Sigma_S @ sys.C.T @ are.P @ sys.C))
+    Ts = np.arange(1, T_max + 1)
+    beta_T = beta**Ts
+    base = err_prefix + noise_rate * beta * (1.0 - beta_T) / (1.0 - beta)
+    return np.column_stack([Ts.astype(float), base + beta_T * (r + cost.O)])
 
 
 def batch_costs(problem: Problem, ps: PolicySolution, cfg: SimConfig) -> np.ndarray:

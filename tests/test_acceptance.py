@@ -36,7 +36,7 @@ from conftest import (
     make_problem,
     random_admissible_with_finite_T,
 )
-from reference import h_value, inner_dp_check, lyapunov_solve
+from reference import h_value, inner_dp_check, lyapunov_solve, oracle_f_curve
 
 W_INF_EXPECTED = np.array([
     [2.5129, -0.8009, 0.2130],
@@ -118,7 +118,8 @@ def test_criterion_06_oracle_equivalence():
         dr = abs(rep.r_oracle - ps.r)
         worst_dr = max(worst_dr, dr)
         assert dr < 1e-6, f"system {k}: |r_oracle - r| = {dr:.2e}"
-        curve_argmin = int(rep.f_curve[int(np.argmin(rep.f_curve[:, 1])), 0])
+        f_curve = oracle_f_curve(sys, cost, ps.are, max(200, 4 * ps.period), rep.r_oracle)
+        curve_argmin = int(f_curve[int(np.argmin(f_curve[:, 1])), 0])
         assert curve_argmin == ps.period, f"system {k}: f-curve minimum at {curve_argmin}"
         assert h_value(ps.period, ps.r, sys, cost, ps.are) > 0.0, f"system {k}: h(T*) <= 0"
         if ps.period >= 2:

@@ -908,18 +908,34 @@ def test_simulate_rejects_unknown_strategy(capsys):
     assert code == 2
 
 
+VERIFY_KEYS = {"passed", "checks", "r_oracle", "T_oracle", "grid_capped"}
+
+
 def test_verify_benchmarks_pass(capsys):
     code, out, _ = run(capsys, "verify", "--problem", SYS1, "--O", "10", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] and doc["T_oracle"] == 6
+    # the document holds only what decides the checks
+    assert set(doc) == VERIFY_KEYS
+    assert len(out.splitlines()) < 40
 
     code, out, _ = run(capsys, "verify", "--problem", SYS2, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"]
-    assert doc["note"] == "grid-capped: no interior minimizer"
     assert doc["grid_capped"]
+    assert set(doc) == VERIFY_KEYS
+
+
+@pytest.mark.parametrize("O, T_star", [(1e80, 132), (1e120, 198)])
+def test_verify_passes_the_scalar_unstable_plant_at_a_huge_price(capsys, tmp_path, O, T_star):
+    # A = 2: the cycle cost f(T, r) overflows to inf on the oracle's grid past T*, but no check reads f
+    save_problem(scalar_problem(2.0, O), tmp_path / "p.json")
+    code, out, err = run(capsys, "verify", "--problem", str(tmp_path / "p.json"), "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["T_oracle"] == T_star
 
 
 def test_verify_passes_a_plant_whose_schedules_all_tie(capsys, tmp_path):

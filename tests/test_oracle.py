@@ -29,7 +29,7 @@ from conftest import (
     A1, A2, B, BETA, C3, Q3, R2, SIGMA, X0, PROPERTY_SETTINGS, make_problem, random_admissible,
     random_admissible_with_finite_T, random_stable_plant, scalar_problem,
 )
-from reference import finite_riccati, inner_dp_check, stacked_window_cost
+from reference import finite_riccati, inner_dp_check, oracle_f_curve, stacked_window_cost
 
 
 def test_fixed_point_agrees_with_closed_form(sys1_O10, ps1_O10):
@@ -38,7 +38,8 @@ def test_fixed_point_agrees_with_closed_form(sys1_O10, ps1_O10):
     assert abs(rep.r_oracle - ps1_O10.r) < 1e-6
     assert not rep.grid_capped
     # the f-curve is minimized at the schedule period
-    assert int(rep.f_curve[np.argmin(rep.f_curve[:, 1]), 0]) == 6
+    f_curve = oracle_f_curve(sys1_O10.sys, sys1_O10.cost, ps1_O10.are, 50, rep.r_oracle)
+    assert int(f_curve[np.argmin(f_curve[:, 1]), 0]) == 6
 
 
 def test_fixed_point_zero_price():
@@ -50,9 +51,9 @@ def test_fixed_point_zero_price():
     assert rep.r_oracle == pytest.approx(expected, abs=1e-6)
 
 
-def test_fixed_point_never_measure_curve(sys2_O7):
+def test_fixed_point_never_measure_curve(sys2_O7, ps2_O7):
     rep = solve_r_fixed_point(sys2_O7.sys, sys2_O7.cost, T_max=500)
-    diffs = np.diff(rep.f_curve[:, 1])
+    diffs = np.diff(oracle_f_curve(sys2_O7.sys, sys2_O7.cost, ps2_O7.are, 500, rep.r_oracle)[:, 1])
     assert np.all(diffs < 0.0)  # no interior minimizer
     assert rep.grid_capped
 
@@ -119,8 +120,9 @@ def test_scaled_gain_costs_no_less(sys1_O10, ps1_O10, scale):
 
 def test_probe_wait_perturbation_strictly_worse(sys1_O10, ps1_O10):
     rep = solve_r_fixed_point(sys1_O10.sys, sys1_O10.cost, T_max=50)
-    f6 = rep.f_curve[5, 1]
-    f7 = rep.f_curve[6, 1]
+    f_curve = oracle_f_curve(sys1_O10.sys, sys1_O10.cost, ps1_O10.are, 50, rep.r_oracle)
+    f6 = f_curve[5, 1]
+    f7 = f_curve[6, 1]
     assert f7 - f6 > 0.0
 
 
@@ -197,7 +199,6 @@ def test_verify_passes_on_benchmarks(sys1_O10, ps1_O10, sys2_O7, ps2_O7):
     assert rep1.passed, rep1.failures()
     rep2 = verify_solution(sys2_O7.sys, sys2_O7.cost, ps2_O7, x_probe=X0)
     assert rep2.passed, rep2.failures()
-    assert rep2.grid_capped_note == "grid-capped: no interior minimizer"
 
 
 def test_verify_names_corrupted_fixed_point(sys1_O10, ps1_O10):
@@ -521,7 +522,8 @@ def test_f_curve_minimum_is_the_offset(case):
     # f(T, r_oracle) = r_oracle at the minimizing T: the curve is one Bellman application at the fixed point
     p = {**_COLLAPSE_CASES, "sys2_O7": lambda: make_problem(A2, 7.0)}[case]()
     rep = solve_r_fixed_point(p.sys, p.cost, T_max=500)
-    assert abs(float(np.min(rep.f_curve[:, 1])) - rep.r_oracle) <= 4 * np.spacing(rep.r_oracle)
+    f_curve = oracle_f_curve(p.sys, p.cost, dare_solve(p.sys, p.cost), 500, rep.r_oracle)
+    assert abs(float(np.min(f_curve[:, 1])) - rep.r_oracle) <= 4 * np.spacing(rep.r_oracle)
 
 
 @pytest.mark.parametrize("case", sorted(_COLLAPSE_CASES))
